@@ -63,12 +63,10 @@ from .negtype import (
     NEGATIVE_TYPE_NON_STRICT,
     NOT_NEGATIVE_TYPE,
     STRICT_NEGATIVE_TYPE,
-    GapMatrices,
     NegTypeReport,
     Tolerances,
     build_B,
     classify,
-    compute_M_z,
     oscillation,
     project_to_F,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "BnbResult",
     "Factorization",
     "GapInequalityReport",
-    "GapMatrices",
     "GapResult",
     "MAX_ENUM_N",
     "MetricSpace",
@@ -99,7 +96,6 @@ __all__ = [
     "branch_and_bound",
     "build_B",
     "classify",
-    "compute_M_z",
     "cycle_binary_maximizer",
     "eigenvalues_sym",
     "errors",

@@ -56,6 +56,7 @@ from .metric import (
 from .negtype import (
     NEGATIVE_TYPE_NON_STRICT,
     NOT_NEGATIVE_TYPE,
+    STRICT_NEGATIVE_TYPE,
     Tolerances,
     build_B,
     classify,
@@ -74,6 +75,13 @@ _METRIC_ERRORS = (
 )
 
 _GENERATOR_KEYS = ("discrete", "cycle", "path", "tree", "random_tree")
+
+_METHODS = {
+    "gray": ("enumerate",),
+    "opnorm": ("opnorm",),
+    "binary": ("binary",),
+    "all": ("enumerate", "opnorm", "binary"),
+}
 
 
 @dataclass(frozen=True)
@@ -113,6 +121,33 @@ def _require_int(value, what: str) -> int:
     return value
 
 
+def _require_number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _require_numbers(values, what: str) -> list[float]:
+    if not isinstance(values, list):
+        raise SchemaError(f"{what} must be a list of numbers, got {values!r}")
+    return [_require_number(v, f"{what}[{k}]") for k, v in enumerate(values)]
+
+
+def _edge_triples(edges: list, what: str) -> list[tuple[int, int, float]]:
+    """Check 1-based [i, j, w] triples and shift them to 0-based vertices."""
+    triples = []
+    for idx, e in enumerate(edges):
+        if not isinstance(e, list) or len(e) != 3:
+            raise SchemaError(f"{what}[{idx}]: expected [i, j, w]")
+        i = _require_int(e[0], f"{what}[{idx}][0]")
+        j = _require_int(e[1], f"{what}[{idx}][1]")
+        w = _require_number(e[2], f"{what}[{idx}][2]")
+        if i < 1 or j < 1:
+            raise SchemaError(f"{what}[{idx}]: vertices are 1-based, got ({i},{j})")
+        triples.append((i - 1, j - 1, w))
+    return triples
+
+
 def _parse_json(text: str) -> InputDocument:
     try:
         doc = json.loads(text)
@@ -145,8 +180,7 @@ def _parse_json(text: str) -> InputDocument:
             if not isinstance(row, list) or len(row) != len(rows):
                 raise SchemaError(f"distances row {i}: expected {len(rows)} entries")
             for j, v in enumerate(row):
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise SchemaError(f"distances[{i}][{j}] is not a number: {v!r}")
+                _require_number(v, f"distances[{i}][{j}]")
         if "n" in doc and _require_int(doc["n"], "n") != len(rows):
             raise SchemaError(f"n = {doc['n']} but distances has {len(rows)} rows")
         return InputDocument(kind="matrix", payload={"distances": rows}, p=float(p))
@@ -155,18 +189,7 @@ def _parse_json(text: str) -> InputDocument:
         edges = doc["edges"]
         if not isinstance(edges, list) or not edges:
             raise SchemaError("edges must be a nonempty list of [i, j, w] triples")
-        triples = []
-        for idx, e in enumerate(edges):
-            if not isinstance(e, list) or len(e) != 3:
-                raise SchemaError(f"edges[{idx}]: expected [i, j, w]")
-            i = _require_int(e[0], f"edges[{idx}][0]")
-            j = _require_int(e[1], f"edges[{idx}][1]")
-            w = e[2]
-            if isinstance(w, bool) or not isinstance(w, (int, float)):
-                raise SchemaError(f"edges[{idx}][2] must be a number, got {w!r}")
-            if i < 1 or j < 1:
-                raise SchemaError(f"edges[{idx}]: vertices are 1-based, got ({i},{j})")
-            triples.append((i - 1, j - 1, float(w)))
+        triples = _edge_triples(edges, "edges")
         n = doc.get("n")
         if n is not None:
             n = _require_int(n, "n")
@@ -207,23 +230,34 @@ def _realize_generator(name: str, spec) -> tuple[MetricSpace, tuple | None]:
     if name == "path":
         if isinstance(spec, dict):
             n = _require_int(spec.get("n"), "path.n")
-            g = gen_path(n, spec.get("weights"))
+            weights = spec.get("weights")
+            if weights is not None:
+                weights = _require_numbers(weights, "path.weights")
+            g = gen_path(n, weights)
         else:
             g = gen_path(_require_int(spec, "path"))
         return path_metric(g), ("tree", g)
     if name == "tree":
-        if not isinstance(spec, dict) or "edges" not in spec:
+        if not isinstance(spec, dict) or not isinstance(spec.get("edges"), list):
             raise SchemaError('tree generator needs {"edges": [[i, j, w], ...]}')
-        edges = [(e[0] - 1, e[1] - 1, e[2]) for e in spec["edges"]]
-        g = gen_tree(edges, n=spec.get("n"))
+        n = spec.get("n")
+        if n is not None:
+            n = _require_int(n, "tree.n")
+        g = gen_tree(_edge_triples(spec["edges"], "tree.edges"), n=n)
         return path_metric(g), ("tree", g)
     if name == "random_tree":
         if not isinstance(spec, dict) or "n" not in spec:
             raise SchemaError('random_tree generator needs {"n": ..., "seed": ...}')
+        weight_range = _require_numbers(
+            spec.get("weight_range", [0.1, 10.0]), "random_tree.weight_range"
+        )
+        if len(weight_range) != 2:
+            raise SchemaError(f"random_tree.weight_range must be [lo, hi], got {weight_range!r}")
+        seed = _require_int(spec.get("seed", 0), "random_tree.seed")
+        if seed < 0:
+            raise SchemaError(f"random_tree.seed must be nonnegative, got {seed}")
         g = gen_random_tree(
-            _require_int(spec["n"], "random_tree.n"),
-            weight_range=tuple(spec.get("weight_range", (0.1, 10.0))),
-            seed=_require_int(spec.get("seed", 0), "random_tree.seed"),
+            _require_int(spec["n"], "random_tree.n"), weight_range=weight_range, seed=seed
         )
         return path_metric(g), ("tree", g)
     raise SchemaError(f"unknown generator {name!r}")
@@ -343,78 +377,55 @@ def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
     space, family = realize(doc)
     p = args.p if args.p is not None else doc.p
     tols = Tolerances(eig=args.tol, strict=args.tol, factor_pivot=args.tol) if args.tol else None
-    ntm = power_matrix(space, p)
-    verdict_report = classify(ntm, tols=tols)
+    analysis = classify(power_matrix(space, p), tols=tols)
+    result = None
+    if analysis.verdict == STRICT_NEGATIVE_TYPE:
+        result = solve_gap(
+            analysis,
+            methods=_METHODS[args.method],
+            max_enum_n=args.max_n,
+            use_bnb=args.bnb,
+            bnb_budget=args.bnb_budget,
+            partition_bits=args.partition_bits,
+            workers=args.workers,
+            compute_witness=args.witness,
+        )
 
     report = Report(
-        verdict=verdict_report.verdict,
+        verdict=analysis.verdict,
         n=space.n,
         p=p,
         diagnostics={
-            "projected_spectrum": _plain(verdict_report.projected_spectrum),
-            "marginal": verdict_report.marginal,
-            "notes": list(verdict_report.notes),
+            "projected_spectrum": _plain(analysis.projected_spectrum),
+            "marginal": analysis.marginal,
+            "notes": list(analysis.notes),
         },
     )
     if space.merged:
         report.diagnostics["merged_points"] = _plain(space.merged)
-
-    if verdict_report.verdict == NOT_NEGATIVE_TYPE:
-        if args.timing:
-            report.timing = time.perf_counter() - t0
-        return report, 4
-
-    if verdict_report.verdict == NEGATIVE_TYPE_NON_STRICT:
+    if result is not None:
+        report.gamma = result.gamma
+        report.beta = result.beta
+        report.diagnostics["M"] = analysis.M
+        report.diagnostics["method"] = result.method
+        if result.bnb_certified is not None:
+            report.diagnostics["bnb_certified"] = result.bnb_certified
+            report.diagnostics["bnb_nodes"] = result.nodes_expanded
+        if result.s_star is not None:
+            report.s_star = _plain(result.s_star)
+        if result.witness_y0 is not None:
+            report.witness = _plain(result.witness_y0)
+        for route, value in (("opnorm", result.beta_by_opnorm), ("binary", result.beta_by_binary)):
+            if value is not None:
+                report.cross_checks[f"beta_{route}"] = value
+                report.cross_checks[f"beta_{route}_rel_err"] = _relative_error(value, result.beta)
+    elif analysis.verdict == NEGATIVE_TYPE_NON_STRICT:
         report.gamma = 0.0
-        if family is not None and p == 1.0:
-            report.cross_checks.update(_oracle_check(family, 0.0))
-        if args.timing:
-            report.timing = time.perf_counter() - t0
-        return report, 0
-
-    methods = {
-        "gray": ("enumerate",),
-        "opnorm": ("opnorm",),
-        "binary": ("binary",),
-        "all": ("enumerate", "opnorm", "binary"),
-    }[args.method]
-    result = solve_gap(
-        ntm,
-        tols=tols,
-        methods=methods,
-        max_enum_n=args.max_n,
-        use_bnb=args.bnb,
-        bnb_budget=args.bnb_budget,
-        partition_bits=args.partition_bits,
-        workers=args.workers,
-        compute_witness=args.witness,
-    )
-    report.gamma = result.gamma
-    report.beta = result.beta
-    report.diagnostics["M"] = verdict_report.M
-    report.diagnostics["method"] = result.method
-    if result.bnb_certified is not None:
-        report.diagnostics["bnb_certified"] = result.bnb_certified
-        report.diagnostics["bnb_nodes"] = result.nodes_expanded
-    if result.s_star is not None:
-        report.s_star = _plain(result.s_star)
-    if args.witness and result.witness_y0 is not None:
-        report.witness = _plain(result.witness_y0)
-    if result.beta_by_opnorm is not None:
-        report.cross_checks["beta_opnorm"] = result.beta_by_opnorm
-        report.cross_checks["beta_opnorm_rel_err"] = _relative_error(
-            result.beta_by_opnorm, result.beta
-        )
-    if result.beta_by_binary is not None:
-        report.cross_checks["beta_binary"] = result.beta_by_binary
-        report.cross_checks["beta_binary_rel_err"] = _relative_error(
-            result.beta_by_binary, result.beta
-        )
-    if family is not None and p == 1.0:
-        report.cross_checks.update(_oracle_check(family, result.gamma))
+    if report.gamma is not None and family is not None and p == 1.0:
+        report.cross_checks.update(_oracle_check(family, report.gamma))
     if args.timing:
         report.timing = time.perf_counter() - t0
-    return report, 0
+    return report, 4 if analysis.verdict == NOT_NEGATIVE_TYPE else 0
 
 
 def _oracle_check(family: tuple, gamma: float) -> dict:

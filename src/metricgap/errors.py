@@ -45,7 +45,8 @@ class DisconnectedGraph(MetricGapError):
 
 
 class InvalidSize(MetricGapError):
-    """A generator was asked for a size it cannot produce."""
+    """A generator was asked for a size it cannot produce, or a distance
+    power overflows the float range."""
 
 
 class NotATree(MetricGapError):

@@ -197,7 +197,10 @@ def power_matrix(x: MetricSpace, p: float) -> NegTypeMatrix:
     if p == 0:
         a = np.ones((n, n)) - np.eye(n)
     else:
-        a = x.d.a ** p
+        with np.errstate(over="ignore"):
+            a = x.d.a ** p
+        if not np.all(np.isfinite(a)):
+            raise InvalidSize(f"distances to the power {p} overflow the float range")
         np.fill_diagonal(a, 0.0)
     return NegTypeMatrix(SymMatrix(a), float(p))
 

@@ -27,7 +27,8 @@ verified for raw inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,30 +71,39 @@ class Tolerances:
 
 @dataclass(frozen=True, eq=False)
 class NegTypeReport:
-    """Outcome of classification, with the intermediate quantities that
-    downstream steps reuse.  Fields past ``has_positive_direction`` are None
-    whenever the verdict makes them meaningless."""
+    """Outcome of classification, with the quantities that downstream steps
+    reuse, so each input is analyzed once.
+
+    ``A`` and ``u`` are the analyzed matrix and functional.  The later
+    fields are None whenever the verdict makes them meaningless: the
+    factorization exists once A is of negative type, (A^{-1} u | u) once it
+    is also nonsingular, and M, z and B only in the strict case.  B is
+    built eagerly with its B u residual checked; C is built on first read,
+    when its C z residual is checked.
+    """
 
     verdict: str
     projected_spectrum: np.ndarray
     has_positive_direction: bool
     marginal: bool
     notes: tuple[str, ...]
+    A: SymMatrix
+    u: np.ndarray
+    factorization: Factorization | None = None
     ainv_u: np.ndarray | None = None
     ainv_u_dot_u: float | None = None
     M: float | None = None
     z: np.ndarray | None = None
+    B: SymMatrix | None = None
 
-
-@dataclass(frozen=True, eq=False)
-class GapMatrices:
-    """The strict-case matrices feeding the sign-vector maximization."""
-
-    B: SymMatrix
-    C: SymMatrix
-    M: float
-    z: np.ndarray
-    u: np.ndarray
+    @functools.cached_property
+    def C(self) -> SymMatrix:
+        """C = M u u^T - A, positive semidefinite with kernel spanned by z."""
+        if self.verdict != STRICT_NEGATIVE_TYPE:
+            raise NotStrict(f"verdict is {self.verdict}; C is defined only in the strict case")
+        c = SymMatrix(self.M * np.outer(self.u, self.u) - self.A.a, sym_tol=1e-8)
+        _check_kernel("C z", c, self.z)
+        return c
 
 
 def project_to_F(a: SymMatrix, u) -> SymMatrix:
@@ -145,18 +155,16 @@ def oscillation(x, u) -> float:
     return best
 
 
-@dataclass(frozen=True, eq=False)
-class _Analysis:
-    """Internal bundle shared by classify, compute_M_z, and build_B."""
-
-    a: SymMatrix
-    u: np.ndarray
-    report: NegTypeReport
-    factorization: Factorization | None
-    a_inv: SymMatrix | None
+def _check_kernel(label: str, m: SymMatrix, v: np.ndarray) -> None:
+    # Construction guarantees m v = 0; a large residual indicates broken
+    # numerics rather than bad input.
+    res = float(np.max(np.abs(m.a @ v)))
+    scale = max(m.max_abs * float(np.sum(np.abs(v))), 1e-300)
+    if res > 1e-8 * scale:
+        raise ArithmeticError(f"kernel residual too large: |{label}| = {res:.3e}")
 
 
-def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -> _Analysis:
+def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -> NegTypeReport:
     n = a.n
     if n < 2:
         raise PositiveDirectionMissing(
@@ -180,69 +188,47 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
         if abs(full_top) <= tols.marginal_factor * eig_tol:
             notes.append("largest unconstrained eigenvalue within marginal band of zero")
 
-    if not_negative:
-        report = NegTypeReport(
-            verdict=NOT_NEGATIVE_TYPE,
-            projected_spectrum=spectrum,
-            has_positive_direction=has_positive,
-            marginal=bool(notes),
-            notes=tuple(notes),
-        )
-        return _Analysis(a, u, report, None, None)
+    verdict = NOT_NEGATIVE_TYPE if not_negative else NEGATIVE_TYPE_NON_STRICT
+    f = ainv_u = aud = m_val = z = b = None
+    if verdict == NEGATIVE_TYPE_NON_STRICT:
+        if not has_positive:
+            raise PositiveDirectionMissing(
+                "quadratic form is nonpositive in every direction; "
+                "the constrained maximum is not defined"
+            )
+        f = factor(a, tols.factor_pivot)
+        if not f.singular_flag and f.min_pivot_ratio <= tols.marginal_factor * tols.factor_pivot:
+            notes.append("smallest pivot within marginal band of the singularity cutoff")
 
-    if not has_positive:
-        raise PositiveDirectionMissing(
-            "quadratic form is nonpositive in every direction; "
-            "the constrained maximum is not defined"
-        )
+    if f is not None and not f.singular_flag:
+        a_inv = invert(f)
+        ainv_u = solve(f, u)
+        aud = float(ainv_u @ u)
+        strict_tol = tols.strict * a_inv.max_abs * float(np.sum(np.abs(u))) ** 2
+        if abs(aud) <= tols.marginal_factor * strict_tol:
+            notes.append("(A^-1 u | u) within marginal band of zero")
+        if abs(aud) > strict_tol:
+            verdict = STRICT_NEGATIVE_TYPE
+            m_val = 1.0 / aud
+            z = m_val * ainv_u
+            b = SymMatrix(np.outer(z, z) / m_val - a_inv.a, sym_tol=1e-8)
+            _check_kernel("B u", b, u)
 
-    f = factor(a, tols.factor_pivot)
-    if not f.singular_flag and f.min_pivot_ratio <= tols.marginal_factor * tols.factor_pivot:
-        notes.append("smallest pivot within marginal band of the singularity cutoff")
-
-    if f.singular_flag:
-        report = NegTypeReport(
-            verdict=NEGATIVE_TYPE_NON_STRICT,
-            projected_spectrum=spectrum,
-            has_positive_direction=has_positive,
-            marginal=bool(notes),
-            notes=tuple(notes),
-        )
-        return _Analysis(a, u, report, f, None)
-
-    a_inv = invert(f)
-    ainv_u = solve(f, u)
-    aud = float(ainv_u @ u)
-    strict_tol = tols.strict * a_inv.max_abs * float(np.sum(np.abs(u))) ** 2
-    if abs(aud) <= tols.marginal_factor * strict_tol:
-        notes.append("(A^-1 u | u) within marginal band of zero")
-
-    if abs(aud) <= strict_tol:
-        report = NegTypeReport(
-            verdict=NEGATIVE_TYPE_NON_STRICT,
-            projected_spectrum=spectrum,
-            has_positive_direction=has_positive,
-            marginal=bool(notes),
-            notes=tuple(notes),
-            ainv_u=ainv_u,
-            ainv_u_dot_u=aud,
-        )
-        return _Analysis(a, u, report, f, a_inv)
-
-    m_val = 1.0 / aud
-    z = m_val * ainv_u
-    report = NegTypeReport(
-        verdict=STRICT_NEGATIVE_TYPE,
+    return NegTypeReport(
+        verdict=verdict,
         projected_spectrum=spectrum,
         has_positive_direction=has_positive,
         marginal=bool(notes),
         notes=tuple(notes),
+        A=a,
+        u=u,
+        factorization=f,
         ainv_u=ainv_u,
         ainv_u_dot_u=aud,
         M=m_val,
         z=z,
+        B=b,
     )
-    return _Analysis(a, u, report, f, a_inv)
 
 
 def _dispatch(x, u) -> tuple[SymMatrix, np.ndarray, bool]:
@@ -263,45 +249,13 @@ def classify(x, u=None, tols: Tolerances | None = None) -> NegTypeReport:
     existence of a positive direction is verified rather than assumed.
     """
     a, u, from_metric = _dispatch(x, u)
-    tols = tols or Tolerances()
-    return _analyze(a, u, from_metric, tols).report
+    return _analyze(a, u, from_metric, tols or Tolerances())
 
 
-def compute_M_z(x, u=None, tols: Tolerances | None = None) -> tuple[float, np.ndarray]:
-    """Constrained maximum M and its attaining vector z; strict case only."""
-    a, u, from_metric = _dispatch(x, u)
-    tols = tols or Tolerances()
-    report = _analyze(a, u, from_metric, tols).report
-    if report.verdict != STRICT_NEGATIVE_TYPE:
-        raise NotStrict(f"verdict is {report.verdict}; M is defined only in the strict case")
-    return report.M, report.z
-
-
-def build_B(x, u=None, tols: Tolerances | None = None) -> GapMatrices:
-    """Assemble the rank-one-corrected matrices B and C for the strict case.
-
-    Construction guarantees B u = 0 and C z = 0; both residuals are checked
-    defensively and a failure indicates broken numerics rather than bad
-    input.
-    """
-    a, u, from_metric = _dispatch(x, u)
-    tols = tols or Tolerances()
-    analysis = _analyze(a, u, from_metric, tols)
-    report = analysis.report
+def build_B(x, u=None, tols: Tolerances | None = None) -> NegTypeReport:
+    """Classify x and insist on the strict verdict, under which the report
+    carries B, C, M, z and u; raises NotStrict otherwise."""
+    report = classify(x, u, tols)
     if report.verdict != STRICT_NEGATIVE_TYPE:
         raise NotStrict(f"verdict is {report.verdict}; B is defined only in the strict case")
-    m_val, z = report.M, report.z
-    a_inv = analysis.a_inv
-
-    b = SymMatrix(np.outer(z, z) / m_val - a_inv.a, sym_tol=1e-8)
-    c = SymMatrix(m_val * np.outer(u, u) - a.a, sym_tol=1e-8)
-
-    b_res = float(np.max(np.abs(b.a @ u)))
-    c_res = float(np.max(np.abs(c.a @ z)))
-    b_scale = max(b.max_abs * float(np.sum(np.abs(u))), 1e-300)
-    c_scale = max(c.max_abs * float(np.sum(np.abs(z))), 1e-300)
-    if b_res > 1e-8 * b_scale or c_res > 1e-8 * c_scale:
-        raise ArithmeticError(
-            f"kernel residuals too large: |B u| = {b_res:.3e}, |C z| = {c_res:.3e}"
-        )
-    return GapMatrices(B=b, C=c, M=m_val, z=z, u=u)
+    return report

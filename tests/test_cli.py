@@ -323,6 +323,23 @@ class TestMainExitCodes:
         code, _, _ = run_main(capsys, ["gap", "-"], text, monkeypatch)
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ('{"tree":{"edges":[["a",2,1]]}}', 2),
+            ('{"tree":{"edges":[[1,2]]}}', 2),
+            ('{"random_tree":{"n":5,"weight_range":"x"}}', 2),
+            ('{"random_tree":{"n":5,"seed":-1}}', 2),
+            ('{"path":{"n":3,"weights":["a",1]}}', 2),
+            ('{"distances":[[0,1e200],[1e200,0]],"p":2}', 3),
+        ],
+    )
+    def test_bad_generator_spec_or_overflow_exits_cleanly(
+        self, capsys, monkeypatch, text, expected
+    ):
+        code, _, _ = run_main(capsys, ["gap", "-"], text, monkeypatch)
+        assert code == expected
+
     def test_too_large_is_5(self, capsys, monkeypatch):
         code, _, err = run_main(
             capsys, ["gap", "-", "--max-n", "5"], '{"cycle": 9}', monkeypatch

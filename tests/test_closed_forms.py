@@ -23,7 +23,7 @@ from metricgap.metric import (
     path_metric,
     power_matrix,
 )
-from metricgap.negtype import build_B, compute_M_z
+from metricgap.negtype import build_B
 
 
 class TestDiscrete:
@@ -94,7 +94,8 @@ class TestCycle:
 
     @pytest.mark.parametrize("n", [5, 7, 9])
     def test_aux_M_matches_pipeline(self, n):
-        m_val, z = compute_M_z(power_matrix(path_metric(gen_cycle(n)), 1.0))
+        rep = build_B(power_matrix(path_metric(gen_cycle(n)), 1.0))
+        m_val, z = rep.M, rep.z
         res = gamma_cycle(n)
         assert m_val == pytest.approx(res.aux["M"], rel=1e-12)
         assert np.allclose(z, res.aux["z"], atol=1e-12)

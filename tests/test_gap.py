@@ -12,7 +12,7 @@ from metricgap.gap import (
     solve_gap,
     verify_gap_inequality,
 )
-from metricgap.linalg import SymMatrix
+from metricgap.linalg import SymMatrix, factor, solve
 from metricgap.metric import (
     gen_cycle,
     gen_discrete,
@@ -20,7 +20,7 @@ from metricgap.metric import (
     path_metric,
     power_matrix,
 )
-from metricgap.negtype import build_B
+from metricgap.negtype import Tolerances, build_B, classify
 
 from oracles import beta_brute, binary_brute, random_point_metric
 
@@ -195,7 +195,7 @@ class TestWitness:
         ntm = make()
         gm = build_B(ntm)
         beta, s_star = beta_hypercube(gm.B)
-        y0 = make_witness(ntm.A, gm, s_star)
+        y0 = make_witness(gm, s_star)
         l1 = float(np.sum(np.abs(y0)))
         assert l1 == pytest.approx(beta, rel=1e-9)
         assert float(-y0 @ ntm.A.a @ y0) == pytest.approx(beta, rel=1e-9)
@@ -205,11 +205,22 @@ class TestWitness:
         residual = 0.5 * gamma * l1 * l1 + float(y0 @ ntm.A.a @ y0)
         assert abs(residual) <= 1e-6 * beta
 
+    def test_stored_factorization_matches_fresh_one(self):
+        # The pivot tolerance only sets the singular flag, so solving through
+        # the classification's factorization reproduces a fresh default
+        # factorization bit for bit.
+        ntm = power_matrix(random_point_metric(9, 3), 1.0)
+        gm = build_B(ntm, tols=Tolerances(factor_pivot=1e-14))
+        _, s_star = beta_hypercube(gm.B)
+        x = s_star - (float(s_star @ gm.u) / float(gm.u @ gm.u)) * gm.u
+        expected = (float(x @ gm.z) / gm.M) * gm.z - solve(factor(ntm.A), x)
+        assert np.array_equal(make_witness(gm, s_star), expected)
+
     def test_two_point_witness(self):
         ntm = power_matrix(gen_discrete(2), 1.0)
         gm = build_B(ntm)
         beta, s_star = beta_hypercube(gm.B)
-        y0 = make_witness(ntm.A, gm, s_star)
+        y0 = make_witness(gm, s_star)
         assert np.allclose(np.abs(y0), [1.0, 1.0], atol=1e-12)
         assert float(np.sum(y0)) == pytest.approx(0.0, abs=1e-12)
 
@@ -288,6 +299,19 @@ class TestSolveGap:
     def test_accepts_prepared_matrix(self):
         ntm = power_matrix(gen_discrete(4), 1.0)
         assert solve_gap(ntm).gamma == pytest.approx(0.5, rel=1e-12)
+
+    def test_accepts_classified_report(self):
+        space = path_metric(gen_random_tree(9, seed=5))
+        ntm = power_matrix(space, 1.0)
+        direct = solve_gap(space)
+        via_report = solve_gap(classify(ntm))
+        assert via_report.beta == direct.beta
+        assert np.array_equal(via_report.s_star, direct.s_star)
+        assert np.array_equal(via_report.witness_y0, direct.witness_y0)
+        with pytest.raises(NotStrict):
+            solve_gap(classify(power_matrix(path_metric(gen_cycle(6)), 1.0)))
+        with pytest.raises(ValueError):
+            solve_gap(classify(ntm), tols=Tolerances())
 
     def test_p_parameter(self):
         # At p = 0 every space looks discrete.

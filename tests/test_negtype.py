@@ -22,7 +22,6 @@ from metricgap.negtype import (
     STRICT_NEGATIVE_TYPE,
     build_B,
     classify,
-    compute_M_z,
     oscillation,
     project_to_F,
 )
@@ -150,10 +149,11 @@ class TestClassify:
 class TestComputeMZ:
     def test_requires_strict(self):
         with pytest.raises(NotStrict):
-            compute_M_z(cycle_ntm(6))
+            build_B(cycle_ntm(6))
 
     def test_discrete_values(self):
-        m_val, z = compute_M_z(power_matrix(gen_discrete(4), 1.0))
+        rep = build_B(power_matrix(gen_discrete(4), 1.0))
+        m_val, z = rep.M, rep.z
         assert m_val == pytest.approx(0.75, rel=1e-12)
         assert np.allclose(z, np.full(4, 0.25), atol=1e-12)
 
@@ -161,7 +161,8 @@ class TestComputeMZ:
         # (z | u) = M (A^-1 u | u) = 1 by construction.
         for seed in range(4):
             ntm = power_matrix(path_metric(gen_random_tree(7, seed=seed)), 1.0)
-            m_val, z = compute_M_z(ntm)
+            rep = build_B(ntm)
+            m_val, z = rep.M, rep.z
             assert float(z @ ntm.u) == pytest.approx(1.0, rel=1e-9)
             assert m_val > 0
 
