@@ -1,18 +1,14 @@
 """The four ways to the same maximum, timed against each other.
 
-The Gray-code scan walks all 2^(n-1) sign vectors with O(n) work per step;
-the operator-norm and binary enumerations are vectorized sweeps used as
-cross-checks; branch-and-bound prunes with spectral bounds and certifies
-its answer, which is how sizes past the enumeration cutoff stay reachable.
-
-Also demonstrates the partition contract: splitting the scan into subcubes
-(and running them on threads) returns bit-identical results, maximizer
-included.
+The three enumeration routes share one kernel that values all 2^(n-1) sign
+vectors in blocks of prefix and suffix sign tables: the sign-vector maximum
+(with its maximizer) and the binary form through the split quadratic, the
+operator norm through ||B s||_1.  Branch-and-bound prunes with spectral
+bounds and certifies its answer, which is how sizes past the enumeration
+cutoff stay reachable.
 """
 
 import time
-
-import numpy as np
 
 import metricgap as mg
 
@@ -46,19 +42,8 @@ def engine_table(sizes) -> None:
               f"{t_bnb:>7.3f}s {r.nodes_expanded:>10}")
 
 
-def partition_demo(n: int) -> None:
-    tree = mg.gen_random_tree(n, seed=99)
-    b = mg.build_B(mg.power_matrix(mg.path_metric(tree), 1.0)).B
-    seq_v, seq_s = mg.beta_hypercube(b)
-    par_v, par_s = mg.beta_hypercube(b, partition_bits=4, workers=4)
-    print(f"partitioned scan on n = {n}: value identical {par_v == seq_v}, "
-          f"maximizer identical {np.array_equal(par_s, seq_s)}")
-
-
 def main() -> int:
     engine_table([10, 14, 18])
-    print()
-    partition_demo(16)
     return 0
 
 

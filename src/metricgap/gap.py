@@ -6,25 +6,28 @@ cutoff.
 Three independent routes to the same number are kept deliberately separate
 so they can cross-check each other:
 
-  * beta_hypercube   Gray-code scan of {-1,+1}^n with incremental updates
+  * beta_hypercube   max of (B s | s) over sign vectors, with its maximizer
   * beta_opnorm      max of ||B s||_1 over sign vectors, the operator norm
                      of B from the max-norm to the 1-norm
   * beta_binary      4 times the maximum of (B x | x) over 0/1 vectors
 
+All three are formulas over one enumeration kernel, _sign_blocks.  It
+splits each sign vector as s = (s_H, s_L) and yields blocks of prefix and
+suffix sign tables, so a whole block is valued by a few matrix products:
+(B s | s) = q_H + q_L + 2 (s_H B_HL) s_L^T, and B s = B_:H s_H + B_:L s_L.
 Sign symmetry lets every route fix the first coordinate, halving the work.
 
-Tie-breaking contract: every near-maximal candidate is re-evaluated with
-the canonical expression float(s @ B @ s), maxima are compared exactly on
-those values, and exact ties resolve to the lexicographically smallest
-sign vector (-1 before +1).  Any scan order, partitioned or not, therefore
-returns bit-identical results.
+Tie-breaking contract: every candidate that rounding could make maximal is
+re-evaluated with the canonical expression float(s @ B @ s), maxima are
+compared exactly on those values, and exact ties resolve to the
+lexicographically smallest sign vector (-1 before +1).  The result is
+therefore bit-identical whatever the block layout.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,15 +37,15 @@ from .linalg import SymMatrix, solve
 from .metric import NegTypeMatrix, power_matrix
 from .negtype import STRICT_NEGATIVE_TYPE, NegTypeReport, Tolerances, classify
 
-# Hard ceiling for exact enumeration; 2^(n-1) Gray-scan steps at roughly
-# 3.3 us each (measured on a 2-core Xeon with Python 3.11).
+# Hard ceiling for exact enumeration: 2^(n-1) sign vectors at 6-9 ns each
+# through the sign-table kernel of beta_hypercube, 0.05-0.07 s at n = 24;
+# beta_opnorm, the slowest route, takes 55-110 ns each (measured on a
+# 2-core Xeon with one BLAS thread, Python 3.11, NumPy 2.4).
 MAX_ENUM_N = 24
 
-# The incremental Gray-code state is recomputed from scratch at this stride
-# to stop rounding drift from accumulating across long scans.
-RECOMPUTE_INTERVAL = 1 << 16
-
-_RECOMPUTE_MASK = RECOMPUTE_INTERVAL - 1
+# Most sign vectors in one block of the sign-table kernel; a block's table
+# of values takes 512 KiB.
+_BLOCK = 1 << 16
 
 
 def _as_array(b) -> np.ndarray:
@@ -51,172 +54,132 @@ def _as_array(b) -> np.ndarray:
     return SymMatrix(b).a
 
 
+def _enumerable(b, max_enum_n: int) -> np.ndarray:
+    arr = _as_array(b)
+    n = arr.shape[0]
+    if n > max_enum_n:
+        raise TooLarge(f"n = {n} exceeds the enumeration cutoff {max_enum_n}")
+    return arr
+
+
 def _canonical(arr: np.ndarray, s: np.ndarray) -> float:
     """Canonical quadratic value used for all cross-strategy comparisons."""
     return float(s @ arr @ s)
 
 
-def _guard(arr: np.ndarray) -> float:
-    # Comfortably above the worst-case drift of the incremental value
-    # between recomputations, and far below the spacing of genuinely
-    # distinct quadratic values on the instances this package targets.
-    return 1e-3 * max(1.0, float(np.max(np.abs(arr))))
+def _sign_rows(start: int, stop: int, width: int) -> np.ndarray:
+    """Rows t = start..stop-1 as sign vectors: bit k of t set puts -1 in column k."""
+    t = np.arange(start, stop)[:, None]
+    return 1.0 - 2.0 * ((t >> np.arange(width)) & 1)
 
 
-def _scan_partition(arr: np.ndarray, fixed: np.ndarray, free: list[int]):
-    """Gray-code scan over the free coordinates with the rest pinned.
+def _sign_blocks(n: int):
+    """Yield (H, L) sign tables that cover {+1} x {-1,+1}^(n-1) exactly once.
 
-    Near-maximal candidates (within the drift guard of the running best)
-    are re-evaluated canonically, which also resynchronizes the incremental
-    state.  Returns the exact canonical maximum over the subcube and its
-    lexicographically smallest attaining sign vector.
+    Rows of H are prefixes [1, s_1..s_h] and rows of L are suffixes
+    s_{h+1}..s_{n-1}; a block stands for the len(H) * len(L) sign vectors
+    [H_i, L_j].  The split point h depends on n alone and both tables are
+    sliced so that no block exceeds _BLOCK vectors, so every sign vector is
+    valued by the same sums whatever the block size.
     """
-    n = arr.shape[0]
-    s = fixed.copy()
-    diag = np.ascontiguousarray(np.diag(arr))
-    g = arr @ s
-    val = float(s @ g)
-    best_val = _canonical(arr, s)
-    best_key = tuple(s)
-    guard = _guard(arr)
-    threshold = best_val - guard
-    for t in range(1, 1 << len(free)):
-        j = free[(t & -t).bit_length() - 1]
-        sj = s[j]
-        val += 4.0 * (diag[j] - sj * g[j])
-        g -= (2.0 * sj) * arr[j]
-        s[j] = -sj
-        if val >= threshold:
-            v = _canonical(arr, s)
-            g = arr @ s
-            val = v
-            if v > best_val:
-                best_val = v
-                best_key = tuple(s)
-                threshold = v - guard
-            elif v == best_val:
-                key = tuple(s)
-                if key < best_key:
-                    best_key = key
-        elif (t & _RECOMPUTE_MASK) == 0:
-            g = arr @ s
-            val = float(s @ g)
-    return best_val, best_key
+    low_width = (n - 1) // 2
+    high_width = n - 1 - low_width
+    bits = _BLOCK.bit_length() - 1
+    low_step = 1 << (bits // 2)
+    high_step = 1 << (bits - bits // 2)
+    lows = [
+        _sign_rows(start, min(start + low_step, 1 << low_width), low_width)
+        for start in range(0, 1 << low_width, low_step)
+    ]
+    for start in range(0, 1 << high_width, high_step):
+        stop = min(start + high_step, 1 << high_width)
+        high = np.ones((stop - start, high_width + 1))
+        high[:, 1:] = _sign_rows(start, stop, high_width)
+        for low in lows:
+            yield high, low
 
 
-def beta_hypercube(
-    b,
-    *,
-    max_enum_n: int = MAX_ENUM_N,
-    partition_bits: int = 0,
-    workers: int = 1,
-) -> tuple[float, np.ndarray]:
+def _split_values(arr: np.ndarray, high: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """(B x | x) for every x = [high_i, low_j], as a len(high) x len(low) table.
+
+    With x = (x_H, x_L) the quadratic splits into q_H + q_L + 2 (x_H B_HL) x_L^T,
+    where q_H and q_L are the quadratic forms of the diagonal blocks.
+    """
+    k = high.shape[1]
+    q_high = np.einsum("ij,ij->i", high @ arr[:k, :k], high)
+    q_low = np.einsum("ij,ij->i", low @ arr[k:, k:], low)
+    return q_high[:, None] + q_low[None, :] + 2.0 * ((high @ arr[:k, k:]) @ low.T)
+
+
+def beta_hypercube(b, *, max_enum_n: int = MAX_ENUM_N) -> tuple[float, np.ndarray]:
     """Exact maximum of (B s | s) over sign vectors, with its maximizer.
 
-    The first coordinate is fixed to +1 by sign symmetry.  With
-    ``partition_bits = k`` the next k coordinates are pinned to each of the
-    2^k patterns and the subcubes are scanned independently (optionally on
-    ``workers`` threads); the merged result is bit-identical to the
-    sequential scan, including the tie-break.
+    The first coordinate is fixed to +1 by sign symmetry.  Each block of
+    sign vectors is valued at once by the split quadratic, and every entry
+    that rounding could lift to the maximum is re-evaluated canonically.
     """
-    arr = _as_array(b)
+    arr = _enumerable(b, max_enum_n)
     n = arr.shape[0]
-    if n > max_enum_n:
-        raise TooLarge(f"n = {n} exceeds the enumeration cutoff {max_enum_n}")
-    k = max(0, min(partition_bits, n - 1))
-    free = list(range(k + 1, n))
-
-    tasks = []
-    for pattern in range(1 << k):
-        fixed = np.ones(n)
-        for bit in range(k):
-            if (pattern >> bit) & 1:
-                fixed[1 + bit] = -1.0
-        tasks.append(fixed)
-
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda fx: _scan_partition(arr, fx, free), tasks))
-    else:
-        results = [_scan_partition(arr, fx, free) for fx in tasks]
-
-    best_val, best_key = results[0]
-    for v, key in results[1:]:
-        if v > best_val or (v == best_val and key < best_key):
-            best_val, best_key = v, key
+    # Both the split value and the canonical value of a sign vector sum the
+    # n^2 terms +-B_ij through products of depth at most n (error at most
+    # gamma_n (2 + gamma_n) sum|B_ij|, gamma_n = n u / (1 - n u), u = eps / 2)
+    # and at most two further additions of magnitude at most sum|B_ij|.  The
+    # two values therefore differ by at most about (2n + 1) eps sum|B_ij|;
+    # g doubles that.  If an entry's split value is below block_max - 2g,
+    # its canonical value is below that of the block's argmax; below
+    # best - g, below the best canonical value so far.  Neither can win or
+    # tie, so only the remaining entries are re-evaluated.
+    g = 4.0 * (n + 3) * np.finfo(float).eps * float(np.abs(arr).sum())
+    best_val = -np.inf
+    best_key = None
+    for high, low in _sign_blocks(n):
+        vals = _split_values(arr, high, low)
+        top = float(vals.max())
+        if top < best_val - g:
+            continue
+        for i, j in zip(*np.nonzero(vals >= max(top - 2.0 * g, best_val - g))):
+            s = np.concatenate((high[i], low[j]))
+            v = _canonical(arr, s)
+            if v > best_val or (v == best_val and tuple(s) < best_key):
+                best_val = v
+                best_key = tuple(s)
     return best_val, np.array(best_key)
 
 
-def _sign_chunks(n: int, chunk: int):
-    """Yield sign matrices covering {+1} x {-1,+1}^(n-1) in index order."""
-    total = 1 << (n - 1)
-    shifts = np.arange(n - 1, dtype=np.uint64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        bits = (idx[:, None] >> shifts[None, :]) & np.uint64(1)
-        block = np.empty((idx.size, n))
-        block[:, 0] = 1.0
-        block[:, 1:] = 2.0 * bits.astype(float) - 1.0
-        yield block
-
-
-def beta_opnorm(b, *, max_enum_n: int = MAX_ENUM_N, chunk: int = 1 << 16) -> float:
+def beta_opnorm(b, *, max_enum_n: int = MAX_ENUM_N) -> float:
     """Exact operator norm of B from the max-norm to the 1-norm.
 
-    Equals max ||B s||_1 over sign vectors, enumerated in chunks of rows.
-    Value only; no maximizer is tracked.
+    Equals max ||B s||_1 over sign vectors; over a block of sign tables,
+    ||B s||_1 = sum_c |(H B_H:)_ic + (L B_L:)_jc|, accumulated one column c
+    at a time.  Value only; no maximizer is tracked.
     """
-    arr = _as_array(b)
+    arr = _enumerable(b, max_enum_n)
     n = arr.shape[0]
-    if n > max_enum_n:
-        raise TooLarge(f"n = {n} exceeds the enumeration cutoff {max_enum_n}")
     best = -np.inf
-    for block in _sign_chunks(n, chunk):
-        vals = np.abs(block @ arr).sum(axis=1)
-        m = float(vals.max())
-        if m > best:
-            best = m
+    for high, low in _sign_blocks(n):
+        k = high.shape[1]
+        high_part, low_part = high @ arr[:k], low @ arr[k:]
+        norms = np.zeros((len(high), len(low)))
+        for c in range(n):
+            norms += np.abs(high_part[:, c, None] + low_part[:, c])
+        best = max(best, float(norms.max()))
     return best
 
 
-def beta_binary(b, *, max_enum_n: int = MAX_ENUM_N, chunk: int = 1 << 16) -> float:
+def beta_binary(b, *, max_enum_n: int = MAX_ENUM_N) -> float:
     """Four times the exact maximum of (B x | x) over 0/1 vectors.
 
     Requires B u = 0 for the all-ones u; complementing x then leaves the
     value unchanged, which justifies fixing the first coordinate to 0.
+    The sign tables become 0/1 tables by x = (s + 1) / 2.
     """
-    arr = _as_array(b)
-    n = arr.shape[0]
-    if n > max_enum_n:
-        raise TooLarge(f"n = {n} exceeds the enumeration cutoff {max_enum_n}")
+    arr = _enumerable(b, max_enum_n)
     best = 0.0
-    for block in _sign_chunks(n, chunk):
-        x = (block + 1.0) / 2.0
-        x[:, 0] = 0.0
-        vals = np.einsum("ij,ij->i", x @ arr, x)
-        m = float(vals.max())
-        if m > best:
-            best = m
+    for high, low in _sign_blocks(arr.shape[0]):
+        x_high = (high + 1.0) / 2.0
+        x_high[:, 0] = 0.0
+        best = max(best, float(_split_values(arr, x_high, (low + 1.0) / 2.0).max()))
     return 4.0 * best
-
-
-def _beta_naive(b) -> tuple[float, np.ndarray]:
-    """Plain per-vertex enumeration; slow, used as a bench reference."""
-    arr = _as_array(b)
-    n = arr.shape[0]
-    best_val = -np.inf
-    best_key = None
-    s = np.empty(n)
-    for t in range(1 << (n - 1)):
-        s[0] = 1.0
-        for i in range(1, n):
-            s[i] = -1.0 if (t >> (i - 1)) & 1 else 1.0
-        v = _canonical(arr, s)
-        key = tuple(s)
-        if v > best_val or (v == best_val and key < best_key):
-            best_val = v
-            best_key = key
-    return best_val, np.array(best_key)
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,8 +410,6 @@ def solve_gap(
     max_enum_n: int = MAX_ENUM_N,
     use_bnb: bool = False,
     bnb_budget: int = 2_000_000,
-    partition_bits: int = 0,
-    workers: int = 1,
     compute_witness: bool = True,
 ) -> GapResult:
     """Full pipeline from a metric space (or prepared power matrix) to the
@@ -491,9 +452,7 @@ def solve_gap(
         bnb_certified, nodes = r.certified, r.nodes_expanded
         method = "branch_and_bound"
     elif "enumerate" in methods:
-        beta, s_star = beta_hypercube(
-            b, max_enum_n=max_enum_n, partition_bits=partition_bits, workers=workers
-        )
+        beta, s_star = beta_hypercube(b, max_enum_n=max_enum_n)
         method = "gray_scan"
         if "opnorm" in methods:
             beta_op = beta_opnorm(b, max_enum_n=max_enum_n)

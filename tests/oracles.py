@@ -33,7 +33,7 @@ def beta_brute(b) -> tuple[float, np.ndarray]:
 
     Ties resolve to the lexicographically smallest sign tuple, matching the
     documented tie-break contract.  Uses itertools.product, so the visit
-    order and bookkeeping share nothing with the package's Gray-code scan.
+    order and bookkeeping share nothing with the package's sign-table kernel.
     """
     arr = np.asarray(b, dtype=float)
     n = arr.shape[0]

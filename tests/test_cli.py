@@ -1,10 +1,14 @@
+import contextlib
 import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metricgap.cli import (
     InputDocument,
@@ -324,20 +328,40 @@ class TestMainExitCodes:
         assert code == 4
 
     @pytest.mark.parametrize(
-        "text, expected",
+        "text, expected, flags",
         [
-            ('{"tree":{"edges":[["a",2,1]]}}', 2),
-            ('{"tree":{"edges":[[1,2]]}}', 2),
-            ('{"random_tree":{"n":5,"weight_range":"x"}}', 2),
-            ('{"random_tree":{"n":5,"seed":-1}}', 2),
-            ('{"path":{"n":3,"weights":["a",1]}}', 2),
-            ('{"distances":[[0,1e200],[1e200,0]],"p":2}', 3),
+            ('{"tree":{"edges":[["a",2,1]]}}', 2, []),
+            ('{"tree":{"edges":[[1,2]]}}', 2, []),
+            ('{"random_tree":{"n":5,"weight_range":"x"}}', 2, []),
+            ('{"random_tree":{"n":5,"seed":-1}}', 2, []),
+            ('{"path":{"n":3,"weights":["a",1]}}', 2, []),
+            ('{"distances":[[0,1e200],[1e200,0]],"p":2}', 3, []),
+            ('{"distances":[[0,NaN],[NaN,0]]}', 2, []),
+            ('{"distances":[[0,Infinity],[Infinity,0]]}', 2, []),
+            ('{"distances":[[0,1e999],[1e999,0]]}', 2, []),
+            pytest.param('{"distances":[[0,1%s],[1%s,0]]}' % ("0" * 400, "0" * 400), 2, [],
+                         id="distances-integer-1e400"),
+            ('{"edges":[[1,2,NaN]]}', 2, []),
+            ('{"edges":[[1,2,-Infinity]]}', 2, []),
+            ('{"tree":{"edges":[[1,2,1e999]]}}', 2, []),
+            pytest.param('{"path":{"n":3,"weights":[1,1%s]}}' % ("0" * 400), 2, [],
+                         id="path-weight-integer-1e400"),
+            pytest.param('{"distances":[[0,%s],[1,0]]}' % ("1" * 5000), 2, [],
+                         id="distances-5000-digit-integer"),
+            pytest.param("[" * 100000, 2, [], id="json-nested-100000-deep"),
+            ("0 inf\ninf 0\n", 2, []),
+            ("0,nan\nnan,0\n", 2, []),
+            ('{"cycle":5,"p":NaN}', 2, []),
+            ('{"cycle":5,"p":1e999}', 2, []),
+            pytest.param('{"cycle":5}', 2, ["--p", "nan"], id="p-flag-nan"),
+            pytest.param('{"cycle":5}', 2, ["--p", "inf"], id="p-flag-inf"),
+            pytest.param('{"cycle":5}', 2, ["--p", "-1"], id="p-flag-negative"),
         ],
     )
     def test_bad_generator_spec_or_overflow_exits_cleanly(
-        self, capsys, monkeypatch, text, expected
+        self, capsys, monkeypatch, text, expected, flags
     ):
-        code, _, _ = run_main(capsys, ["gap", "-"], text, monkeypatch)
+        code, _, _ = run_main(capsys, ["gap", "-", *flags], text, monkeypatch)
         assert code == expected
 
     def test_too_large_is_5(self, capsys, monkeypatch):
@@ -381,7 +405,8 @@ class TestMainOracleBench:
         assert code == 0
         rows = json.loads(out)["rows"]
         assert [r["n"] for r in rows] == [8, 10]
-        assert all(r["agrees_exactly"] for r in rows)
+        assert all(r["beta_rel_err"] <= 1e-9 for r in rows)
+        assert all(r["s_star_is_two_coloring"] for r in rows)
 
     def test_bench_zero_budget_bnb_uncertified(self, capsys):
         code, out, _ = run_main(
@@ -392,6 +417,77 @@ class TestMainOracleBench:
         assert code == 0
         row = json.loads(out)["rows"][0]
         assert row["bnb_certified"] is False
+
+
+# Documents for the fuzz test below.  Half are drawn from valid values only,
+# so many reach the classifier and the gap routes; the rest mix in NaN,
+# infinities, overflowing integers, booleans, strings and wrong shapes.
+# Sizes and vertex ids are integers of at most 8 or not integers at all, so
+# every space has n <= 8.
+_good = st.sampled_from([1, 2, 3, 0.5, 1.5])
+_not_integers = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.booleans(), st.none(), st.text(max_size=3)
+)
+_bad = st.one_of(
+    st.integers(min_value=-2, max_value=0),
+    st.sampled_from([1e-300, 1e200, 1e308, 10**400]),
+    _not_integers,
+)
+
+
+@st.composite
+def _json_documents(draw):
+    clean = draw(st.booleans())
+    value = _good if clean else st.one_of(_good, _bad)
+    size = st.integers(min_value=2, max_value=8)
+    if not clean:
+        size = st.one_of(st.integers(min_value=-1, max_value=8), _not_integers)
+    triple = st.tuples(size, size, value).map(list)
+    edges = st.lists(triple if clean else st.one_of(triple, st.lists(size, max_size=4), value),
+                     max_size=8)
+    n = draw(st.integers(min_value=0, max_value=8))
+    if clean or draw(st.booleans()):
+        # Symmetric with a zero diagonal, a metric more often than not.
+        upper = {(i, j): draw(value) for i in range(n) for j in range(i + 1, n)}
+        rows = [[0 if i == j else upper[min(i, j), max(i, j)] for j in range(n)]
+                for i in range(n)]
+    else:
+        rows = [[draw(value) for _ in range(draw(st.integers(0, 8)))] for _ in range(n)]
+    optional = {} if clean else {"p": value, "n": size}
+    shapes = [
+        st.fixed_dictionaries({"distances": st.just(rows)}, optional=optional),
+        st.fixed_dictionaries({"edges": edges}, optional=optional),
+        st.fixed_dictionaries({"discrete": size}),
+        st.fixed_dictionaries({"cycle": size}),
+        st.fixed_dictionaries({"path": st.one_of(size, st.fixed_dictionaries(
+            {"n": size}, optional={"weights": st.lists(value, max_size=8)}))}),
+        st.fixed_dictionaries({"tree": st.fixed_dictionaries({"edges": edges}, optional={"n": size})}),
+        st.fixed_dictionaries({"random_tree": st.fixed_dictionaries(
+            {"n": size}, optional={"seed": size, "weight_range": st.lists(value, max_size=3)})}),
+    ]
+    if not clean:
+        shapes.append(st.dictionaries(
+            st.sampled_from(["p", "n", "distances", "cycle", "spices"]), size, max_size=3))
+    doc = draw(st.one_of(shapes))
+    if clean and draw(st.booleans()):
+        doc["p"] = draw(st.sampled_from([0.5, 1, 1.5, 2]))
+    return json.dumps(doc)
+
+
+_csv_documents = st.lists(
+    st.lists(st.sampled_from(["0", "1", "2", "1.5", "-1", "inf", "nan", "1e999", "x", ""]),
+             max_size=8),
+    max_size=8,
+).map(lambda rows: "\n".join(" ,"[len(r) % 2].join(r) for r in rows))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=st.one_of(_json_documents(), _csv_documents, st.text(max_size=12)))
+def test_gap_exit_code_is_documented_for_any_document(text):
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["gap", "-", "--report", "machine", "--witness"])
+    assert code in (0, 2, 3, 4, 5)
 
 
 def test_console_entry_point_runs():

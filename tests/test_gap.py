@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from metricgap.errors import NotStrict, TooLarge
+from metricgap import gap
 from metricgap.gap import (
-    _beta_naive,
     beta_binary,
     beta_hypercube,
     beta_opnorm,
@@ -85,13 +85,28 @@ class TestBetaHypercube:
         _, s = beta_hypercube(tree_B(9, 17))
         assert s[0] == 1.0
 
-    @pytest.mark.parametrize("bits,workers", [(1, 1), (3, 1), (3, 4), (5, 2)])
-    def test_partitioned_scan_bit_identical(self, bits, workers):
+    @pytest.mark.parametrize("block", [2, 8, 64, 512])
+    def test_small_blocks_bit_identical(self, monkeypatch, block):
+        # Blocks far below the default force maxima and exact ties to merge
+        # across many blocks; the result must not depend on the layout.
+        monkeypatch.setattr(gap, "_BLOCK", block)
         for b in (tree_B(11, 23), discrete_B(9), cycle_B(9)):
-            seq_v, seq_s = beta_hypercube(b)
-            par_v, par_s = beta_hypercube(b, partition_bits=bits, workers=workers)
-            assert par_v == seq_v
-            assert np.array_equal(par_s, seq_s)
+            got_v, got_s = beta_hypercube(b)
+            exp_v, exp_s = beta_brute(b.a)
+            assert got_v == exp_v
+            assert np.array_equal(got_s, exp_s)
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0**-20])
+    def test_two_blocks_match_brute(self, scale):
+        # n = 18 has 2^17 sign vectors, two blocks of the default size.
+        from metricgap.metric import validate_metric
+
+        space = path_metric(gen_random_tree(18, seed=41))
+        b = build_B(power_matrix(validate_metric(scale * space.d.a), 1.0)).B
+        got_v, got_s = beta_hypercube(b)
+        exp_v, exp_s = beta_brute(b.a)
+        assert got_v == exp_v
+        assert np.array_equal(got_s, exp_s)
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
@@ -101,13 +116,6 @@ class TestBetaHypercube:
         v, s = beta_hypercube(SymMatrix([[0.0]]))
         assert v == 0.0
         assert np.array_equal(s, [1.0])
-
-    def test_naive_reference_agrees_with_brute(self):
-        # The in-package bench reference and the test oracle are separate
-        # implementations; keep them honest against each other.
-        b = tree_B(8, 31)
-        assert _beta_naive(b)[0] == beta_brute(b.a)[0]
-        assert np.array_equal(_beta_naive(b)[1], beta_brute(b.a)[1])
 
 
 class TestBetaOpnormBinary:
@@ -133,10 +141,12 @@ class TestBetaOpnormBinary:
         b = discrete_B(3)
         assert beta_opnorm(b) == pytest.approx(8.0 / 3.0, rel=1e-12)
 
-    def test_chunking_invariant(self):
+    def test_chunking_invariant(self, monkeypatch):
         b = tree_B(10, 13)
-        assert beta_opnorm(b, chunk=8) == beta_opnorm(b, chunk=1 << 16)
-        assert beta_binary(b, chunk=8) == beta_binary(b, chunk=1 << 16)
+        opnorm, binary = beta_opnorm(b), beta_binary(b)
+        monkeypatch.setattr(gap, "_BLOCK", 8)
+        assert beta_opnorm(b) == opnorm
+        assert beta_binary(b) == binary
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
