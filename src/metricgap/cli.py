@@ -2,14 +2,19 @@
 
 Subcommands:
 
-  gap     classify an input space and compute its gap constant
+  gap     classify an input space and compute its gap constant; --method
+          gray runs the exact route alone, all (the default) adds the
+          operator-norm and 0/1 cross-checks
   oracle  regression-check the generic pipeline against the closed forms
-  bench   timing and agreement table for the enumeration engines
 
-Inputs are JSON documents or plain CSV matrices; see parse_input.  Exit
-codes: 0 success, 2 malformed input, 3 metric axiom failure, 4 not of
-negative type (no gap to compute), 5 instance too large for the requested
-method, 6 oracle mismatch.
+Timing lives outside the CLI, in benchmark/run.py and
+demos/enumeration_engines.py.
+
+Inputs are JSON documents or plain CSV matrices; see parse_input.  Every
+size a document names is at most MAX_POINTS.  Exit codes: 0 success,
+2 malformed input or option, 3 metric axiom failure, 4 not of negative
+type (no gap to compute), 5 instance past the enumeration cutoff without
+--bnb, 6 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .errors import (
     TriangleViolation,
     ZeroFunctional,
 )
-from .gap import MAX_ENUM_N, beta_hypercube, branch_and_bound, solve_gap
+from .gap import MAX_ENUM_N, solve_gap
 from .metric import (
     MetricSpace,
     WeightedGraph,
@@ -59,7 +64,6 @@ from .negtype import (
     NOT_NEGATIVE_TYPE,
     STRICT_NEGATIVE_TYPE,
     Tolerances,
-    build_B,
     classify,
 )
 
@@ -77,12 +81,11 @@ _METRIC_ERRORS = (
 
 _GENERATOR_KEYS = ("discrete", "cycle", "path", "tree", "random_tree")
 
-_METHODS = {
-    "gray": ("enumerate",),
-    "opnorm": ("opnorm",),
-    "binary": ("binary",),
-    "all": ("enumerate", "opnorm", "binary"),
-}
+# Largest number of points a document may name, checked before anything of
+# that size is built.  Classification holds several dense n x n float
+# copies of the space (distances, A, its LDL^T factor, B and C), 32 MiB
+# each at this size.
+MAX_POINTS = 2048
 
 
 @dataclass(frozen=True)
@@ -125,6 +128,13 @@ def _require_int(value, what: str) -> int:
     return value
 
 
+def _require_size(value, what: str) -> int:
+    n = _require_int(value, what)
+    if n > MAX_POINTS:
+        raise SchemaError(f"{what} = {n} exceeds the limit of {MAX_POINTS} points")
+    return n
+
+
 def _require_number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{what} must be a number, got {value!r}")
@@ -156,8 +166,8 @@ def _edge_triples(edges: list, what: str) -> list[tuple[int, int, float]]:
     for idx, e in enumerate(edges):
         if not isinstance(e, list) or len(e) != 3:
             raise SchemaError(f"{what}[{idx}]: expected [i, j, w]")
-        i = _require_int(e[0], f"{what}[{idx}][0]")
-        j = _require_int(e[1], f"{what}[{idx}][1]")
+        i = _require_size(e[0], f"{what}[{idx}][0]")
+        j = _require_size(e[1], f"{what}[{idx}][1]")
         w = _require_number(e[2], f"{what}[{idx}][2]")
         if i < 1 or j < 1:
             raise SchemaError(f"{what}[{idx}]: vertices are 1-based, got ({i},{j})")
@@ -211,7 +221,7 @@ def _parse_json(text: str) -> InputDocument:
         triples = _edge_triples(edges, "edges")
         n = doc.get("n")
         if n is not None:
-            n = _require_int(n, "n")
+            n = _require_size(n, "n")
         else:
             n = 1 + max(max(i, j) for i, j, _ in triples)
         return InputDocument(kind="edges", payload={"n": n, "edges": triples}, p=p)
@@ -241,27 +251,27 @@ def parse_input(text: str, fmt: str = "auto") -> InputDocument:
 
 def _realize_generator(name: str, spec) -> tuple[MetricSpace, tuple | None]:
     if name == "discrete":
-        n = _require_int(spec, "discrete")
+        n = _require_size(spec, "discrete")
         return gen_discrete(n), ("discrete", n)
     if name == "cycle":
-        n = _require_int(spec, "cycle")
+        n = _require_size(spec, "cycle")
         return path_metric(gen_cycle(n)), ("cycle", n)
     if name == "path":
         if isinstance(spec, dict):
-            n = _require_int(spec.get("n"), "path.n")
+            n = _require_size(spec.get("n"), "path.n")
             weights = spec.get("weights")
             if weights is not None:
                 weights = _require_numbers(weights, "path.weights")
             g = gen_path(n, weights)
         else:
-            g = gen_path(_require_int(spec, "path"))
+            g = gen_path(_require_size(spec, "path"))
         return path_metric(g), ("tree", g)
     if name == "tree":
         if not isinstance(spec, dict) or not isinstance(spec.get("edges"), list):
             raise SchemaError('tree generator needs {"edges": [[i, j, w], ...]}')
         n = spec.get("n")
         if n is not None:
-            n = _require_int(n, "tree.n")
+            n = _require_size(n, "tree.n")
         g = gen_tree(_edge_triples(spec["edges"], "tree.edges"), n=n)
         return path_metric(g), ("tree", g)
     if name == "random_tree":
@@ -276,7 +286,7 @@ def _realize_generator(name: str, spec) -> tuple[MetricSpace, tuple | None]:
         if seed < 0:
             raise SchemaError(f"random_tree.seed must be nonnegative, got {seed}")
         g = gen_random_tree(
-            _require_int(spec["n"], "random_tree.n"), weight_range=weight_range, seed=seed
+            _require_size(spec["n"], "random_tree.n"), weight_range=weight_range, seed=seed
         )
         return path_metric(g), ("tree", g)
     raise SchemaError(f"unknown generator {name!r}")
@@ -395,13 +405,18 @@ def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
     t0 = time.perf_counter()
     space, family = realize(doc)
     p = doc.p if args.p is None else _require_exponent(args.p, "--p")
-    tols = Tolerances(eig=args.tol, strict=args.tol, factor_pivot=args.tol) if args.tol else None
+    tols = None
+    if args.tol is not None:
+        tol = _require_number(args.tol, "--tol")
+        if tol <= 0:
+            raise SchemaError(f"--tol must be a positive number, got {args.tol!r}")
+        tols = Tolerances(eig=tol, strict=tol, factor_pivot=tol)
     analysis = classify(power_matrix(space, p), tols=tols)
     result = None
     if analysis.verdict == STRICT_NEGATIVE_TYPE:
         result = solve_gap(
             analysis,
-            methods=_METHODS[args.method],
+            cross_check=args.method == "all",
             max_enum_n=args.max_n,
             use_bnb=args.bnb,
             bnb_budget=args.bnb_budget,
@@ -428,8 +443,7 @@ def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
         if result.bnb_certified is not None:
             report.diagnostics["bnb_certified"] = result.bnb_certified
             report.diagnostics["bnb_nodes"] = result.nodes_expanded
-        if result.s_star is not None:
-            report.s_star = _plain(result.s_star)
+        report.s_star = _plain(result.s_star)
         if result.witness_y0 is not None:
             report.witness = _plain(result.witness_y0)
         for route, value in (("opnorm", result.beta_by_opnorm), ("binary", result.beta_by_binary)):
@@ -489,7 +503,7 @@ def run_oracle_suite(args) -> tuple[bool, list[dict]]:
         )
 
     for n in range(2, 13):
-        res = solve_gap(gen_discrete(n), compute_witness=False, methods=("enumerate",))
+        res = solve_gap(gen_discrete(n), compute_witness=False, cross_check=False)
         check("discrete", n, res.gamma, closed_forms.gamma_discrete(n).gamma)
 
     for n in range(3, 16):
@@ -510,52 +524,20 @@ def run_oracle_suite(args) -> tuple[bool, list[dict]]:
                 }
             )
         else:
-            res = solve_gap(space, compute_witness=False, methods=("enumerate",))
+            res = solve_gap(space, compute_witness=False, cross_check=False)
             check("cycle", n, res.gamma, closed_forms.gamma_cycle(n).gamma)
 
     rng = np.random.default_rng(args.seed)
     for i in range(args.trees):
         n = int(rng.integers(2, 13))
         tree = gen_random_tree(n, seed=args.seed + 1000 + i)
-        res = solve_gap(path_metric(tree), compute_witness=False, methods=("enumerate",))
+        res = solve_gap(path_metric(tree), compute_witness=False, cross_check=False)
         oracle_gamma = closed_forms.gamma_tree(tree).gamma
         if args.inject_fault and i == 0:
             oracle_gamma *= 1.0 + 1e-3
         check("tree", n, res.gamma, oracle_gamma)
 
     return ok, rows
-
-
-def run_bench(args) -> list[dict]:
-    """Timing table for the enumeration kernel on random trees.
-
-    Each row also checks the result against the tree's closed form: the
-    relative error of beta and whether the maximizer is the two-coloring.
-    """
-    rows = []
-    for n in args.sizes:
-        tree = gen_random_tree(n, seed=args.seed)
-        gm = build_B(power_matrix(path_metric(tree), 1.0))
-        t0 = time.perf_counter()
-        beta, s_star = beta_hypercube(gm.B)
-        row = {
-            "n": n,
-            "beta": beta,
-            "gray_seconds": time.perf_counter() - t0,
-            "beta_rel_err": _relative_error(beta, closed_forms.gamma_tree(tree).beta),
-            "s_star_is_two_coloring": bool(
-                np.array_equal(s_star, closed_forms.tree_two_coloring(tree))
-            ),
-        }
-        if args.bnb:
-            t0 = time.perf_counter()
-            r = branch_and_bound(gm.B, budget=args.bnb_budget)
-            row["bnb_seconds"] = time.perf_counter() - t0
-            row["bnb_certified"] = r.certified
-            row["bnb_nodes"] = r.nodes_expanded
-            row["bnb_beta"] = r.beta
-        rows.append(row)
-    return rows
 
 
 def _read_source(path: str) -> str:
@@ -581,10 +563,12 @@ def _build_parser() -> argparse.ArgumentParser:
     gap.add_argument("--format", choices=("auto", "json", "csv"), default="auto")
     gap.add_argument("--p", type=float, default=None, help="metric exponent (default 1)")
     gap.add_argument(
-        "--method", choices=("gray", "opnorm", "binary", "all"), default="all"
+        "--method", choices=("gray", "all"), default="all",
+        help="gray: the exact route alone; all: add the opnorm and binary cross-checks",
     )
     gap.add_argument("--max-n", type=int, default=MAX_ENUM_N, help="enumeration cutoff")
-    gap.add_argument("--tol", type=float, default=None, help="override zero-test tolerances")
+    gap.add_argument("--tol", type=float, default=None,
+                     help="override zero-test tolerances (a positive number)")
     gap.add_argument("--report", choices=("text", "machine"), default="text")
     gap.add_argument("--witness", action="store_true", help="include the extremal witness")
     gap.add_argument("--bnb", action="store_true", help="run branch-and-bound")
@@ -601,13 +585,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="deliberately skew one comparison to prove the suite can fail",
     )
 
-    bench = sub.add_parser("bench", help="time the enumeration engines")
-    bench.add_argument("--sizes", type=lambda s: [int(v) for v in s.split(",")],
-                       default=[12, 16, 20])
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--bnb", action="store_true")
-    bench.add_argument("--bnb-budget", type=int, default=2_000_000)
-    bench.add_argument("--report", choices=("text", "machine"), default="text")
     return parser
 
 
@@ -639,27 +616,6 @@ def main(argv=None) -> int:
                 sys.stdout.write(f"oracle suite: {verdict} ({len(rows)} comparisons)\n")
             if not ok:
                 raise OracleMismatch("pipeline disagrees with a closed form")
-            return 0
-
-        if args.command == "bench":
-            rows = run_bench(args)
-            if args.report == "machine":
-                sys.stdout.write(
-                    json.dumps(_plain({"rows": rows}), sort_keys=True,
-                               separators=(",", ":")) + "\n"
-                )
-            else:
-                for row in rows:
-                    parts = [f"n={row['n']:<3} beta={row['beta']:.9g}",
-                             f"gray={row['gray_seconds']:.3f}s"]
-                    parts.append(f"rel_err={row['beta_rel_err']:.1e}")
-                    parts.append(f"two_coloring={row['s_star_is_two_coloring']}")
-                    if "bnb_seconds" in row:
-                        parts.append(
-                            f"bnb={row['bnb_seconds']:.3f}s certified={row['bnb_certified']} "
-                            f"nodes={row['bnb_nodes']}"
-                        )
-                    sys.stdout.write("  ".join(parts) + "\n")
             return 0
 
         raise AssertionError(f"unhandled command {args.command!r}")

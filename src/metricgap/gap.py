@@ -6,10 +6,13 @@ cutoff.
 Three independent routes to the same number are kept deliberately separate
 so they can cross-check each other:
 
-  * beta_hypercube   max of (B s | s) over sign vectors, with its maximizer
+  * beta_hypercube   max of (B s | s) over sign vectors, with its maximizer;
+                     the exact route of solve_gap up to the cutoff
   * beta_opnorm      max of ||B s||_1 over sign vectors, the operator norm
-                     of B from the max-norm to the 1-norm
+                     of B from the max-norm to the 1-norm (cross-check)
   * beta_binary      4 times the maximum of (B x | x) over 0/1 vectors
+                     (cross-check, valid when B annihilates the all-ones
+                     vector)
 
 All three are formulas over one enumeration kernel, _sign_blocks.  It
 splits each sign vector as s = (s_H, s_L) and yields blocks of prefix and
@@ -171,7 +174,9 @@ def beta_binary(b, *, max_enum_n: int = MAX_ENUM_N) -> float:
 
     Requires B u = 0 for the all-ones u; complementing x then leaves the
     value unchanged, which justifies fixing the first coordinate to 0.
-    The sign tables become 0/1 tables by x = (s + 1) / 2.
+    It equals the sign-vector maximum only then, so it is no cross-check
+    for a B built from a non-constant functional.  The sign tables become
+    0/1 tables by x = (s + 1) / 2.
     """
     arr = _enumerable(b, max_enum_n)
     best = 0.0
@@ -191,18 +196,13 @@ class BnbResult:
     best_bound: float
 
 
-def _partial_pieces(arr: np.ndarray, signs: np.ndarray):
-    """Quadratic value of the fixed prefix and its coupling to the rest."""
-    d = signs.shape[0]
-    qf = float(signs @ arr[:d, :d] @ signs)
-    h = arr[d:, :d] @ signs
-    return qf, h
-
-
 def _node_bound(arr: np.ndarray, lam: np.ndarray, signs: np.ndarray) -> float:
+    """Bound of a fixed sign prefix: its exact quadratic value, its worst-case
+    coupling to the free coordinates, and a spectral cap on the free block."""
     d = signs.shape[0]
     n = arr.shape[0]
-    qf, h = _partial_pieces(arr, signs)
+    qf = float(signs @ arr[:d, :d] @ signs)
+    h = arr[d:, :d] @ signs
     return qf + 2.0 * float(np.sum(np.abs(h))) + lam[d] * (n - d)
 
 
@@ -235,16 +235,13 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
 
     # Greedy descent for the initial incumbent.
     g_signs = np.ones(1)
-    g_bits = 1
     for depth in range(1, n):
         cand = []
         for sign_bit, sign in ((1, 1.0), (0, -1.0)):
             ext = np.append(g_signs, sign)
             cand.append((_node_bound(arr, lam, ext), sign_bit, ext))
         cand.sort(key=lambda c: (-c[0], -c[1]))
-        _, sign_bit, ext = cand[0]
-        g_signs = ext
-        g_bits |= sign_bit << depth
+        g_signs = cand[0][2]
     best_val = _canonical(arr, g_signs)
     best_key = tuple(g_signs)
 
@@ -391,7 +388,7 @@ class GapResult:
 
     gamma: float
     beta: float
-    s_star: np.ndarray | None
+    s_star: np.ndarray
     witness_y0: np.ndarray | None
     beta_by_opnorm: float | None
     beta_by_binary: float | None
@@ -406,7 +403,7 @@ def solve_gap(
     p: float = 1.0,
     *,
     tols: Tolerances | None = None,
-    methods: tuple[str, ...] = ("enumerate", "opnorm", "binary"),
+    cross_check: bool = True,
     max_enum_n: int = MAX_ENUM_N,
     use_bnb: bool = False,
     bnb_budget: int = 2_000_000,
@@ -419,9 +416,14 @@ def solve_gap(
     is then used as is; its tolerances were fixed when it was made, so
     passing ``tols`` alongside it is an error.
 
-    Past ``max_enum_n`` the enumeration routes refuse, and branch-and-bound
-    takes over when ``use_bnb`` is set (its result may be uncertified if
-    the node budget is hit).
+    n alone fixes the exact route, which yields beta and a maximizer: the
+    sign-vector enumeration beta_hypercube up to ``max_enum_n``, past it
+    branch_and_bound when ``use_bnb`` is set (its result may be
+    uncertified if the node budget is hit) and TooLarge otherwise.
+    Within the cutoff, ``cross_check`` adds the value-only routes
+    beta_opnorm and, when the report's functional u is constant, so that
+    B annihilates the all-ones vector, beta_binary; ``use_bnb`` adds a
+    branch-and-bound run whose certificate and node count are reported.
     """
     t0 = time.perf_counter()
     if isinstance(x, NegTypeReport):
@@ -439,7 +441,6 @@ def solve_gap(
     beta_bin = None
     bnb_certified = None
     nodes = None
-    s_star: np.ndarray | None = None
 
     if n > max_enum_n:
         if not use_bnb:
@@ -451,30 +452,20 @@ def solve_gap(
         beta, s_star = r.beta, r.s_star
         bnb_certified, nodes = r.certified, r.nodes_expanded
         method = "branch_and_bound"
-    elif "enumerate" in methods:
+    else:
         beta, s_star = beta_hypercube(b, max_enum_n=max_enum_n)
         method = "gray_scan"
-        if "opnorm" in methods:
+        if cross_check:
             beta_op = beta_opnorm(b, max_enum_n=max_enum_n)
-        if "binary" in methods:
-            beta_bin = beta_binary(b, max_enum_n=max_enum_n)
+            if np.all(report.u == report.u[0]):
+                beta_bin = beta_binary(b, max_enum_n=max_enum_n)
         if use_bnb:
             r = branch_and_bound(b, budget=bnb_budget)
             bnb_certified, nodes = r.certified, r.nodes_expanded
             method = "gray_scan+bnb"
-    elif "opnorm" in methods:
-        beta = beta_opnorm(b, max_enum_n=max_enum_n)
-        method = "opnorm"
-    elif "binary" in methods:
-        beta = beta_binary(b, max_enum_n=max_enum_n)
-        method = "binary"
-    else:
-        raise ValueError(f"no usable method among {methods!r}")
 
     gamma = 2.0 / beta
-    y0 = None
-    if compute_witness and s_star is not None:
-        y0 = make_witness(report, s_star)
+    y0 = make_witness(report, s_star) if compute_witness else None
 
     return GapResult(
         gamma=gamma,

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metricgap.cli import (
+    MAX_POINTS,
     InputDocument,
     Report,
     emit_report,
@@ -274,6 +275,26 @@ class TestMainGap:
         payload = json.loads(out)
         assert payload["diagnostics"]["bnb_certified"] is True
 
+    def test_bnb_zero_budget_uncertified(self, capsys, monkeypatch):
+        code, out, _ = run_main(
+            capsys,
+            ["gap", "-", "--bnb", "--bnb-budget", "0", "--max-n", "7", "--report", "machine"],
+            '{"random_tree": {"n": 8, "seed": 0}}', monkeypatch,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["diagnostics"]["method"] == "branch_and_bound"
+        assert payload["diagnostics"]["bnb_certified"] is False
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bench"], ["gap", "-", "--method", "opnorm"], ["gap", "-", "--method", "binary"]],
+    )
+    def test_retired_options_exit_2(self, argv):
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+        assert exc.value.code == 2
+
     def test_duplicate_points_reported(self, capsys, monkeypatch):
         text = '{"distances": [[0, 0, 1], [0, 0, 1], [1, 1, 0]]}'
         with pytest.warns(UserWarning):
@@ -356,6 +377,19 @@ class TestMainExitCodes:
             pytest.param('{"cycle":5}', 2, ["--p", "nan"], id="p-flag-nan"),
             pytest.param('{"cycle":5}', 2, ["--p", "inf"], id="p-flag-inf"),
             pytest.param('{"cycle":5}', 2, ["--p", "-1"], id="p-flag-negative"),
+            pytest.param('{"cycle":5}', 2, ["--tol", "nan"], id="tol-flag-nan"),
+            pytest.param('{"cycle":5}', 2, ["--tol", "inf"], id="tol-flag-inf"),
+            pytest.param('{"cycle":5}', 2, ["--tol", "-1"], id="tol-flag-negative"),
+            pytest.param('{"cycle":5}', 2, ["--tol", "0"], id="tol-flag-zero"),
+            # Sizes past MAX_POINTS, rejected before anything of that size is built.
+            ('{"cycle":%d}' % 10**20, 2, []),
+            ('{"path":%d}' % 10**20, 2, []),
+            ('{"discrete":%d}' % 10**20, 2, []),
+            ('{"n":%d,"edges":[[1,2,1]]}' % 10**11, 2, []),
+            ('{"random_tree":{"n":%d}}' % 10**20, 2, []),
+            ('{"path":{"n":%d}}' % (MAX_POINTS + 1), 2, []),
+            ('{"tree":{"n":%d,"edges":[[1,2,1]]}}' % (MAX_POINTS + 1), 2, []),
+            ('{"edges":[[1,%d,1]]}' % (MAX_POINTS + 1), 2, []),
         ],
     )
     def test_bad_generator_spec_or_overflow_exits_cleanly(
@@ -398,32 +432,13 @@ class TestMainOracleBench:
         families = {row["family"] for row in json.loads(out)["rows"]}
         assert families == {"discrete", "cycle", "tree"}
 
-    def test_bench_runs_and_agrees(self, capsys):
-        code, out, _ = run_main(
-            capsys, ["bench", "--sizes", "8,10", "--report", "machine"]
-        )
-        assert code == 0
-        rows = json.loads(out)["rows"]
-        assert [r["n"] for r in rows] == [8, 10]
-        assert all(r["beta_rel_err"] <= 1e-9 for r in rows)
-        assert all(r["s_star_is_two_coloring"] for r in rows)
-
-    def test_bench_zero_budget_bnb_uncertified(self, capsys):
-        code, out, _ = run_main(
-            capsys,
-            ["bench", "--sizes", "8", "--bnb", "--bnb-budget", "0",
-             "--report", "machine"],
-        )
-        assert code == 0
-        row = json.loads(out)["rows"][0]
-        assert row["bnb_certified"] is False
-
 
 # Documents for the fuzz test below.  Half are drawn from valid values only,
 # so many reach the classifier and the gap routes; the rest mix in NaN,
 # infinities, overflowing integers, booleans, strings and wrong shapes.
-# Sizes and vertex ids are integers of at most 8 or not integers at all, so
-# every space has n <= 8.
+# Sizes and vertex ids are integers of at most 8, integers past MAX_POINTS
+# (rejected before anything of that size is built) or not integers at all,
+# so every space has n <= 8.
 _good = st.sampled_from([1, 2, 3, 0.5, 1.5])
 _not_integers = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True), st.booleans(), st.none(), st.text(max_size=3)
@@ -441,7 +456,8 @@ def _json_documents(draw):
     value = _good if clean else st.one_of(_good, _bad)
     size = st.integers(min_value=2, max_value=8)
     if not clean:
-        size = st.one_of(st.integers(min_value=-1, max_value=8), _not_integers)
+        size = st.one_of(st.integers(min_value=-1, max_value=8),
+                         st.integers(min_value=MAX_POINTS + 1, max_value=10**30), _not_integers)
     triple = st.tuples(size, size, value).map(list)
     edges = st.lists(triple if clean else st.one_of(triple, st.lists(size, max_size=4), value),
                      max_size=8)

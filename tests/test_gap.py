@@ -277,16 +277,23 @@ class TestSolveGap:
         assert res.method == "gray_scan"
 
     def test_methods_subset(self):
-        res = solve_gap(gen_discrete(5), methods=("enumerate",))
+        res = solve_gap(gen_discrete(5), cross_check=False)
         assert res.beta_by_opnorm is None
         assert res.beta_by_binary is None
 
-    def test_value_only_method(self):
-        res = solve_gap(gen_discrete(5), methods=("opnorm",))
-        assert res.s_star is None
-        assert res.witness_y0 is None
-        assert res.method == "opnorm"
-        assert res.gamma == 2.0 / res.beta
+    def test_binary_cross_check_needs_constant_functional(self):
+        # B w = 0 for this w, not B 1 = 0, so the 0/1 maximum is no
+        # cross-check; the operator norm still is.
+        n = 6
+        w = np.random.default_rng(0).uniform(0.5, 2.0, n)
+        a = -np.eye(n) + 3.0 * np.outer(w, w) / float(w @ w)
+        report = classify(a, u=w)
+        assert report.verdict == "StrictNegativeType"
+        res = solve_gap(report)
+        assert res.beta_by_binary is None
+        assert res.beta_by_opnorm == pytest.approx(res.beta, rel=1e-12)
+        s = res.s_star
+        assert res.beta == float(s @ report.B.a @ s)
 
     def test_non_strict_refused(self):
         with pytest.raises(NotStrict):
@@ -303,7 +310,7 @@ class TestSolveGap:
         res = solve_gap(space, max_enum_n=10, use_bnb=True)
         assert res.method == "branch_and_bound"
         assert res.bnb_certified
-        full = solve_gap(space, methods=("enumerate",))
+        full = solve_gap(space, cross_check=False)
         assert res.beta == full.beta
 
     def test_accepts_prepared_matrix(self):
