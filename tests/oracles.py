@@ -49,6 +49,17 @@ def beta_brute(b) -> tuple[float, np.ndarray]:
     return best_v, np.array(best_s)
 
 
+def opnorm_brute(b) -> float:
+    """Maximum of ||b s||_1 over sign vectors with s[0] = +1, plain product loop."""
+    arr = np.asarray(b, dtype=float)
+    n = arr.shape[0]
+    best = -math.inf
+    for tail in itertools.product((-1.0, 1.0), repeat=n - 1):
+        s = np.array((1.0,) + tail)
+        best = max(best, float(np.abs(arr @ s).sum()))
+    return best
+
+
 def binary_brute(b) -> float:
     """Maximum of (b x | x) over all 0/1 vectors, full 2^n loop."""
     arr = np.asarray(b, dtype=float)

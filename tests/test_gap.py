@@ -22,7 +22,7 @@ from metricgap.metric import (
 )
 from metricgap.negtype import Tolerances, build_B, classify
 
-from oracles import beta_brute, binary_brute, random_point_metric
+from oracles import beta_brute, binary_brute, opnorm_brute, random_point_metric
 
 
 def tree_B(n, seed):
@@ -39,6 +39,31 @@ def discrete_B(n):
 
 def cloud_B(n, seed):
     return build_B(power_matrix(random_point_metric(n, seed), 1.0)).B
+
+
+def indefinite_B(n, seed, centered=False):
+    """Seeded random symmetric matrix; ``centered`` makes B 1 = 0 up to rounding."""
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    m = m + m.T
+    if centered:
+        c = np.eye(n) - 1.0 / n
+        m = c @ m @ c
+        m = (m + m.T) / 2.0
+    return SymMatrix(m)
+
+
+def unpruned_opnorm(arr):
+    """max ||B s||_1 over every entry of every block of gap._sign_blocks."""
+    n = arr.shape[0]
+    best = -np.inf
+    for high, low in gap._sign_blocks(n):
+        k = high.shape[1]
+        high_part, low_part = high @ arr[:k], low @ arr[k:]
+        norms = np.zeros((len(high), len(low)))
+        for c in range(n):
+            norms += np.abs(high_part[:, c, None] + low_part[:, c])
+        best = max(best, float(norms.max()))
+    return best
 
 
 class TestBetaHypercube:
@@ -148,11 +173,40 @@ class TestBetaOpnormBinary:
         assert beta_opnorm(b) == opnorm
         assert beta_binary(b) == binary
 
+    @pytest.mark.parametrize("block", [1, 2, 8, 64, gap._BLOCK])
+    def test_pruned_opnorm_is_exact(self, monkeypatch, block):
+        # Rows whose bound is below the best value so far are skipped; the
+        # bound must hold in floating point, so the result is the unpruned
+        # maximum bit for bit.
+        monkeypatch.setattr(gap, "_BLOCK", block)
+        cases = [tree_B(11, 23), cycle_B(9), cloud_B(9, 5), discrete_B(8)]
+        cases += [indefinite_B(n, 100 + n) for n in range(1, 11)]
+        for b in cases:
+            got = beta_opnorm(b)
+            assert got == pytest.approx(opnorm_brute(b.a), rel=1e-12)
+            assert got == unpruned_opnorm(b.a)
+
     def test_too_large(self):
         with pytest.raises(TooLarge):
             beta_opnorm(np.zeros((5, 5)), max_enum_n=4)
         with pytest.raises(TooLarge):
             beta_binary(np.zeros((5, 5)), max_enum_n=4)
+
+
+@pytest.mark.parametrize("block", [1, gap._BLOCK])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_smallest_sizes_all_routes(monkeypatch, n, block):
+    monkeypatch.setattr(gap, "_BLOCK", block)
+    cases = [indefinite_B(n, 7 * n, centered=True)]
+    if n > 1:
+        cases += [discrete_B(n), tree_B(n, n)]
+    for b in cases:
+        got_v, got_s = beta_hypercube(b)
+        exp_v, exp_s = beta_brute(b.a)
+        assert got_v == exp_v
+        assert np.array_equal(got_s, exp_s)
+        assert beta_opnorm(b) == pytest.approx(opnorm_brute(b.a), rel=1e-12)
+        assert beta_binary(b) == pytest.approx(4.0 * binary_brute(b.a), rel=1e-12)
 
 
 class TestBranchAndBound:
