@@ -7,8 +7,9 @@ operator norm through ||B s||_1.  Their times are given in ns per sign
 vector; with more than one BLAS thread on a small host, run it as
 OPENBLAS_NUM_THREADS=1 python demos/enumeration_engines.py, since idle BLAS
 threads spinning beside the kernel can slow it several times over.
-Branch-and-bound prunes with spectral bounds and certifies its answer,
-which is how sizes past the enumeration cutoff stay reachable.
+Branch-and-bound prunes with shifted-eigenvalue bounds and certifies its
+answer up to a derived rounding allowance, which is how sizes past the
+enumeration cutoff stay reachable.
 """
 
 import time

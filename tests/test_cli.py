@@ -274,6 +274,17 @@ class TestMainGap:
         )
         payload = json.loads(out)
         assert payload["diagnostics"]["bnb_certified"] is True
+        assert payload["diagnostics"]["bnb_gap"] == 0.0
+        assert 0.0 < payload["diagnostics"]["bnb_delta"] <= 1e-9 * payload["beta"]
+        assert payload["diagnostics"]["bnb_pruned"] >= 0
+
+    def test_bnb_fields_only_when_bnb_runs(self, capsys, monkeypatch):
+        code, out, _ = run_main(capsys, ["gap", "-", "--report", "machine"], '{"cycle": 7}',
+                                monkeypatch)
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert not {"bnb_certified", "bnb_nodes", "bnb_pruned", "bnb_gap",
+                    "bnb_delta"} & set(diagnostics)
 
     def test_bnb_zero_budget_uncertified(self, capsys, monkeypatch):
         code, out, _ = run_main(

@@ -245,6 +245,45 @@ class TestBranchAndBound:
         r = branch_and_bound(b)
         assert r.best_bound <= r.beta + 1e-9 * max(1.0, r.beta)
 
+    @pytest.mark.parametrize("make", [
+        lambda: tree_B(16, 31),
+        lambda: tree_B(22, 32),
+        lambda: cloud_B(18, 33),
+        lambda: cloud_B(22, 34),
+        lambda: cycle_B(17),
+        lambda: cycle_B(19),
+        lambda: cycle_B(21),
+        lambda: discrete_B(16),
+        lambda: discrete_B(18),
+    ] + [
+        (lambda n=n, seed=seed: indefinite_B(n, 500 + 10 * n + seed))
+        for n in range(2, 12) for seed in range(3)
+    ])
+    def test_certificate_matches_enumeration(self, make):
+        b = make()
+        r = branch_and_bound(b)
+        v, _ = beta_hypercube(b)
+        assert r.certified
+        assert abs(r.beta - v) <= r.delta
+        assert r.beta == float(r.s_star @ b.a @ r.s_star)
+        assert r.delta <= 1e-9 * abs(r.beta)
+
+    @pytest.mark.parametrize("n", [29, 31])
+    def test_odd_cycle_past_cutoff_within_delta(self, n):
+        from metricgap.closed_forms import gamma_cycle
+
+        r = branch_and_bound(cycle_B(n))
+        assert r.certified
+        assert abs(r.beta - gamma_cycle(n).beta) <= r.delta
+        assert r.best_bound <= r.beta
+        assert r.delta <= 1e-9 * r.beta
+
+    def test_cloud_24_certifies_within_small_budget(self):
+        r = branch_and_bound(cloud_B(24, 0), budget=5000)
+        assert r.certified
+        assert r.nodes_expanded <= 5000
+        assert r.nodes_pruned > 0
+
 
 class TestWitness:
     @pytest.mark.parametrize("make", [
@@ -366,6 +405,16 @@ class TestSolveGap:
         assert res.bnb_certified
         full = solve_gap(space, cross_check=False)
         assert res.beta == full.beta
+
+    def test_bnb_certificate_fields(self):
+        space = path_metric(gen_cycle(11))
+        res = solve_gap(space, max_enum_n=10, use_bnb=True)
+        r = branch_and_bound(build_B(power_matrix(space, 1.0)).B)
+        assert res.bnb_gap == max(0.0, r.best_bound - r.beta) == 0.0
+        assert res.bnb_delta == r.delta > 0.0
+        assert res.nodes_pruned == r.nodes_pruned > 0
+        plain = solve_gap(space)
+        assert plain.bnb_gap is None and plain.bnb_delta is None and plain.nodes_pruned is None
 
     def test_accepts_prepared_matrix(self):
         ntm = power_matrix(gen_discrete(4), 1.0)
