@@ -30,16 +30,24 @@ Tie-breaking contract: every candidate that rounding could make maximal is
 re-evaluated with the canonical expression float(s @ B @ s), maxima are
 compared exactly on those values, and exact ties resolve to the
 lexicographically smallest sign vector (-1 before +1).  The result is
-therefore bit-identical whatever the block layout.
+therefore bit-identical whatever the block layout.  The contract covers
+the enumeration routes only.  branch_and_bound prunes a node once its raw
+bound falls to the incumbent, so it may discard a sign vector whose
+canonical value is an ulp or two higher: its maximizer is a maximum up to
+its delta and need not be the enumeration's.  On the 19-cycle it returns
+67.7894736842107 where beta_hypercube returns 67.78947368421072, and on
+the 22-point discrete space 22.0 where it returns 22.000000000000004.
 
 Past the cutoff, branch_and_bound searches sign prefixes best first.  A
 node's bound is the shifted-eigenvalue bound of Poljak and Rendl,
 qf + (m+1) lmax(Q + Diag d) - sum d over the m free coordinates, tightened
 by a few subgradient steps on the shifts d.  Its result carries delta, a
 derived allowance for the rounding of every bound that pruned, and states
-the certificate beta_true <= max(best_bound, beta) + delta.  With one BLAS
-thread, odd cycles with n = 29-45 and 3-D point clouds with n = 30-50
-certified in 0.07-6 s.
+the certificate beta_true <= max(best_bound, beta) + delta.  Each bound
+takes one LAPACK solve for the top eigenpair alone (_top_eig).  With one
+BLAS thread on a 2-core Xeon, odd cycles with n = 29-45 certified in
+0.13-0.77 s, and 3-D point clouds with n = 30-50 (three draws of each size)
+in 0.04-1.9 s but for one draw at n = 50, which took 20.6k nodes and 9.4 s.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dsyevr
 
 from .errors import NotStrict, TooLarge
 from .linalg import SymMatrix, solve
@@ -260,8 +269,11 @@ class BnbResult:
     ``beta`` is the canonical value float(s @ B @ s) of ``s_star``.  Every
     sign vector s has (B s | s) <= max(best_bound, beta) + delta, and so
     has float(s @ B @ s); ``certified`` means best_bound <= beta, so beta
-    is the maximum up to ``delta``.  ``nodes_pruned`` counts the nodes
-    discarded because their bound fell to the incumbent.
+    is the maximum up to ``delta``.  ``s_star`` is then a maximizer up to
+    ``delta``; it need not follow the tie-break contract of the enumeration
+    (module docstring), since a node is pruned on its raw bound.
+    ``nodes_pruned`` counts the nodes discarded because their bound fell to
+    the incumbent.
     """
 
     beta: float
@@ -273,17 +285,20 @@ class BnbResult:
     nodes_pruned: int
 
 
-# Most subgradient steps on the shifts of one node's bound, each an eigh of
-# order n - depth + 1.  Of 3-12 steps, 5-8 took the fewest eigen-solves and
-# nodes to certify odd cycles and 3-D clouds with n = 29-41: fewer leave the
-# bounds too loose, more rarely prune a node that fewer would not.
+# Most subgradient steps on the shifts of one node's bound, each a top
+# eigenpair (_top_eig) of order n - depth + 1.  Of 3-12 steps, 5-8 took the
+# fewest eigen-solves and nodes to certify odd cycles and 3-D clouds with
+# n = 29-41: fewer leave the bounds too loose, more rarely prune a node that
+# fewer would not.
 _SHIFT_STEPS = 6
 
 # Nodes with fewer free coordinates (at most 128 completions) skip the
 # eigen-solves and keep their cheap bound.  Of thresholds 3-11, tried on
 # cycles 11-41 and 3-D clouds with n = 30-40, 8 took the least time: below
 # it the steps cost more than the nodes they prune, above it clouds with
-# n = 30 expanded up to twice the nodes.
+# n = 30 expanded up to twice the nodes.  With the cheaper top-eigenpair
+# solve, 6-10 steps and thresholds 5-10 took times within the noise of
+# each other on cycles 29-41 and clouds with n = 30-40.
 _MIN_REFINED_FREE = 8
 
 
@@ -305,31 +320,54 @@ def _bound_error(k: int, depth: int, prefix_abs: float, a_norm: float, shifts_ab
     )
 
 
+def _top_eig(a: np.ndarray, vectors: bool = True):
+    """Largest eigenvalue of the symmetric matrix ``a``, with its unit
+    eigenvector when ``vectors`` is set.
+
+    One LAPACK dsyevr call for the k-th of k eigenvalues: Householder
+    tridiagonalization, bisection for that eigenvalue and inverse iteration
+    for its vector.  Raises LinAlgError unless it succeeds with exactly one
+    finite eigenvalue.  On a NaN entry dsyevr reports success, but finds
+    no eigenvalue and leaves 0 in its place, an unsound bound; at order 1
+    it returns the NaN itself.
+    """
+    k = a.shape[0]
+    w, z, m, _, info = dsyevr(a, compute_v=int(vectors), range="I", il=k, iu=k)
+    if info != 0 or m != 1 or not np.isfinite(w[0]):
+        raise np.linalg.LinAlgError(f"dsyevr found {m} top eigenvalues (info {info})")
+    return (float(w[0]), z[:, 0]) if vectors else float(w[0])
+
+
 def _shifted_bound(q: np.ndarray, shifts: np.ndarray, qf: float, incumbent: float):
     """Polyak subgradient steps on f(shifts) = k lmax(Q + Diag shifts) - sum shifts.
 
     Stops once qf + f reaches ``incumbent``.  Returns the smallest f seen
-    with its shifts, top eigenpair and shifted matrix.
+    with its shifts, top eigenpair and the Frobenius norm of Q + Diag shifts.
     """
     k = q.shape[0]
+    a = q.copy()
+    diag = a.reshape(-1)[:: k + 1]
+    q_diag = diag.copy()
     scale = 1.0
     best = None
     for _ in range(_SHIFT_STEPS):
-        a = q + np.diag(shifts)
-        w, v = np.linalg.eigh(a)
-        f = k * w[-1] - shifts.sum()
+        np.add(q_diag, shifts, out=diag)
+        top, v = _top_eig(a)
+        f = k * top - shifts.sum()
         if best is None or f < best[0]:
-            best = (f, shifts, w[-1], v[:, -1], a)
+            best = (f, shifts, top, v)
         else:
             scale /= 2.0
         if qf + best[0] <= incumbent:
             break
-        grad = k * v[:, -1] ** 2 - 1.0
+        grad = k * v**2 - 1.0
         norm2 = float(grad @ grad)
         if norm2 == 0.0:
             break
         shifts = shifts - (scale * (f - (incumbent - qf)) / norm2) * grad
-    return best
+    f, shifts, top, v = best
+    np.add(q_diag, shifts, out=diag)
+    return f, shifts, top, v, float(np.linalg.norm(a))
 
 
 def _local_search(arr: np.ndarray, val: float, key: tuple) -> tuple[float, tuple]:
@@ -394,25 +432,32 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     lam = np.empty(n + 1)
     lam[n] = 0.0
     for d in range(n - 1, -1, -1):
-        lam[d] = float(np.linalg.eigvalsh(arr[d:, d:])[-1])
+        lam[d] = _top_eig(arr[d:, d:], vectors=False)
     tail_norm = [float(np.linalg.norm(arr[d:, d:])) for d in range(n + 1)]
     prefix_abs = np.concatenate(([0.0], np.cumsum(np.abs(arr).sum(axis=1))))
 
     # The bound of a node at depth d, with k = n - d + 1, is computed as
-    # fl(qf^ + fl(fl(k lam^) - fl(sum d))), where lam^ is eigh's top
-    # eigenvalue of A^ = fl(Q^ + Diag d), and Q^ holds h^ = fl(B_FP s_P).
-    # Take the stored shifts d as exact; the bound is valid for the exact
-    # qf and h at any d.  With u = eps / 2, gamma_j = j u / (1 - j u) and
-    # S_P = sum over rows i in P of sum_j |B_ij|:
+    # fl(qf^ + fl(fl(k lam^) - fl(sum d))), where lam^ is the top eigenvalue
+    # that _top_eig computes of A^ = fl(Q^ + Diag d), and Q^ holds
+    # h^ = fl(B_FP s_P).  Take the stored shifts d as exact; the bound is
+    # valid for the exact qf and h at any d.  With u = eps / 2,
+    # gamma_j = j u / (1 - j u) and S_P = sum over rows i in P of
+    # sum_j |B_ij|:
     #   |qf^ - qf|           <= gamma_2d S_P  (two products of d terms);
     #   ||A^ - A||_2         <= gamma_d S_P + u max|A^_ii|  (row 0 of h^,
     #                           and one rounding of each diagonal entry);
-    #   |lam^ - lmax(A^)|    <= p(k) u ||A^||_2  by backward stability of the
-    #                           symmetric eigensolver (LAPACK Users' Guide,
-    #                           3rd ed., section 4.7, which leaves p(k) a
-    #                           modestly growing function of the order);
-    #                           p(k) = k^2 is assumed here, the one constant
-    #                           of the certificate that is not derived;
+    #   |lam^ - lmax(A^)|    <= p(k) u ||A^||_2  by backward stability of
+    #                           the symmetric eigensolver.  _top_eig calls
+    #                           LAPACK's dsyevr with a subset by index:
+    #                           Householder tridiagonalization, bisection for
+    #                           the one eigenvalue, inverse iteration for its
+    #                           vector.  The LAPACK Users' Guide (3rd ed.,
+    #                           section 4.7) gives this bound for all its
+    #                           symmetric drivers, xSYEVR among them, and
+    #                           leaves p(k) a modestly growing function of
+    #                           the order; p(k) = k^2 is assumed here, the
+    #                           one constant of the certificate that is not
+    #                           derived;
     #   |fl(sum d) - sum d|  <= gamma_k sum|d|;
     # and the three remaining operations add at most
     # u (|qf^| + 3k ||A^||_F + 2 sum|d|), with |qf^| <= (1 + gamma_2d) S_P.
@@ -423,7 +468,8 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     # for (k + 2) d + 3, exceeds that by a factor above 1.9.  The cheap
     # bound qf + 2 ||h||_1 + m lmax(B_FF), m = k - 1, has errors
     # gamma_2d S_P for qf, 2 gamma_d S_P for h, 2 gamma_m S_P for the sum
-    # of |h_i|, m p(m) u ||B_FF||_F for the eigenvalue and four roundings:
+    # of |h_i|, m p(m) u ||B_FF||_F for the eigenvalue (the same dsyevr
+    # solve through _top_eig, without the vector) and four roundings:
     # 1.01 u ((4d + 2m + 6) S_P + (m^3 + 2m) ||B_FF||_F) in all, which
     # _bound_error with B_FF for A^ and no shifts covers by the same
     # factor.  A child's prefix value qf + 2 sign h_0 + B_dd and its
@@ -483,7 +529,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
                 shifts = -np.diag(q)
             else:
                 shifts = np.concatenate(([first], parent_shifts[2:]))
-            f, shifts, top_eig, vec, a = _shifted_bound(q, shifts, qf, best_val)
+            f, shifts, top_eig, vec, a_norm = _shifted_bound(q, shifts, qf, best_val)
             tail = np.where(vec[1:] * vec[0] >= 0.0, 1.0, -1.0)
             s = np.concatenate((prefix, tail))
             v = _canonical(arr, s)
@@ -491,8 +537,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
                 best_val, best_key = _local_search(arr, v, tuple(s))
             if qf + f < top_bound:
                 top_bound = qf + f
-                err = _bound_error(k, depth, prefix_abs[depth], float(np.linalg.norm(a)),
-                                   float(np.abs(shifts).sum()))
+                err = _bound_error(k, depth, prefix_abs[depth], a_norm, float(np.abs(shifts).sum()))
         if top_bound <= best_val:
             pruned += 1
             delta = max(delta, err)

@@ -209,6 +209,62 @@ def test_smallest_sizes_all_routes(monkeypatch, n, block):
         assert beta_binary(b) == pytest.approx(4.0 * binary_brute(b.a), rel=1e-12)
 
 
+def root_Q(b):
+    """Q = [[0, h^T], [h, B_FF]] of a node with an empty prefix, so h = 0."""
+    n = b.n
+    q = np.zeros((n + 1, n + 1))
+    q[1:, 1:] = b.a
+    return q
+
+
+class TestTopEig:
+    EPS = np.finfo(float).eps
+
+    def check(self, a):
+        k = a.shape[0]
+        a_norm = float(np.linalg.norm(a))
+        lam, v = gap._top_eig(a)
+        assert abs(lam - np.linalg.eigh(a)[0][-1]) <= k * k * self.EPS * a_norm
+        assert gap._top_eig(a, vectors=False) == lam
+        assert abs(float(np.linalg.norm(v)) - 1.0) <= k * self.EPS
+        assert float(np.linalg.norm(a @ v - lam * v)) <= 4 * k * self.EPS * a_norm
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("k", range(1, 41))
+    def test_random_symmetric(self, k, scale):
+        a = np.random.default_rng(k).standard_normal((k, k))
+        self.check(scale * (a + a.T))
+
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("make", [
+        # The all-ones matrix has the eigenvalue 0 k - 1 times below k, and
+        # its negative has it k - 1 times at the top.
+        lambda: np.ones((7, 7)),
+        lambda: np.ones((30, 30)),
+        lambda: -np.ones((7, 7)),
+        lambda: -np.ones((30, 30)),
+        # An odd cycle's B has a double top eigenvalue.
+        lambda: root_Q(cycle_B(9)),
+        lambda: root_Q(cycle_B(29)),
+    ])
+    def test_repeated_eigenvalue(self, make, scale):
+        self.check(scale * make())
+
+    @pytest.mark.parametrize("n", [9, 29])
+    def test_cycle_node_has_double_top_eigenvalue(self, n):
+        w = np.linalg.eigvalsh(root_Q(cycle_B(n)))
+        assert w[-1] - w[-2] <= 1e-12 * w[-1]
+
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("k", [1, 2, 9, 31])
+    def test_nan_entry_raises(self, k, vectors):
+        a = np.random.default_rng(k).standard_normal((k, k))
+        a = a + a.T
+        a[k // 2, k - 1] = a[k - 1, k // 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            gap._top_eig(a, vectors=vectors)
+
+
 class TestBranchAndBound:
     @pytest.mark.parametrize("make", [
         lambda: cycle_B(9),
@@ -277,6 +333,14 @@ class TestBranchAndBound:
         assert abs(r.beta - gamma_cycle(n).beta) <= r.delta
         assert r.best_bound <= r.beta
         assert r.delta <= 1e-9 * r.beta
+
+    @pytest.mark.parametrize("n", [29, 31])
+    def test_odd_cycle_certifies_within_node_budget(self, n):
+        # Both take about 500-600 nodes; a looser node bound or a broken
+        # warm start of the shifts needs many times more.
+        r = branch_and_bound(cycle_B(n), budget=1000)
+        assert r.certified
+        assert r.nodes_expanded <= 1000
 
     def test_cloud_24_certifies_within_small_budget(self):
         r = branch_and_bound(cloud_B(24, 0), budget=5000)
