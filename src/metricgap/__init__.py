@@ -42,7 +42,6 @@ from .linalg import (
     eigenvalues_sym,
     factor,
     invert,
-    quad_form,
     solve,
 )
 from .metric import (
@@ -117,7 +116,6 @@ __all__ = [
     "path_metric",
     "power_matrix",
     "project_to_F",
-    "quad_form",
     "solve",
     "solve_gap",
     "tree_two_coloring",

@@ -326,13 +326,20 @@ def _top_eig(a: np.ndarray, vectors: bool = True):
 
     One LAPACK dsyevr call for the k-th of k eigenvalues: Householder
     tridiagonalization, bisection for that eigenvalue and inverse iteration
-    for its vector.  Raises LinAlgError unless it succeeds with exactly one
-    finite eigenvalue.  On a NaN entry dsyevr reports success, but finds
-    no eigenvalue and leaves 0 in its place, an unsound bound; at order 1
-    it returns the NaN itself.
+    for its vector.  When the top of the spectrum is tightly clustered the
+    bisection can find no eigenvalue (the 24-point discrete space's root
+    node, with a 24-fold top eigenvalue, is one case); a finite matrix then
+    gets its top pair from one dsyevr call for the whole spectrum.  Raises
+    LinAlgError unless that leaves exactly one finite eigenvalue.  On a NaN
+    entry dsyevr reports success, but finds no eigenvalue by index and
+    leaves 0 in its place, an unsound bound, while for the whole spectrum
+    it can return finite values; at order 1 it returns the NaN itself.
     """
     k = a.shape[0]
     w, z, m, _, info = dsyevr(a, compute_v=int(vectors), range="I", il=k, iu=k)
+    if (info != 0 or m != 1) and np.isfinite(a).all():
+        w, z, m, _, info = dsyevr(a, compute_v=int(vectors), range="A")
+        w, z, m = w[k - 1 :], z[:, k - 1 :], m - k + 1
     if info != 0 or m != 1 or not np.isfinite(w[0]):
         raise np.linalg.LinAlgError(f"dsyevr found {m} top eigenvalues (info {info})")
     return (float(w[0]), z[:, 0]) if vectors else float(w[0])
@@ -451,7 +458,8 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     #                           LAPACK's dsyevr with a subset by index:
     #                           Householder tridiagonalization, bisection for
     #                           the one eigenvalue, inverse iteration for its
-    #                           vector.  The LAPACK Users' Guide (3rd ed.,
+    #                           vector; where bisection finds none, the whole
+    #                           spectrum.  The LAPACK Users' Guide (3rd ed.,
     #                           section 4.7) gives this bound for all its
     #                           symmetric drivers, xSYEVR among them, and
     #                           leaves p(k) a modestly growing function of

@@ -2,9 +2,11 @@
 
 Distance-power matrices have a zero diagonal and are indefinite, so the
 workhorse factorization is a pivoted LDL^T (Bunch-Kaufman with 1x1 and 2x2
-diagonal blocks) rather than Cholesky.  Singularity is a reported state of
-the factorization, not an exception; it only becomes an error when a solve
-is attempted.
+diagonal blocks) rather than Cholesky.  It is kept as LAPACK's dsytrf
+leaves it, L and D packed into one n x n array beside the pivot vector, and
+solves and inverses hand that back to LAPACK (dsytrs, dsytri).  Singularity
+is a reported state of the factorization, not an exception; it only becomes
+an error when a solve is attempted.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytri, dsytrs
 
 from .errors import AsymmetricInput, DimensionMismatch, SingularSystem
 
@@ -72,73 +74,62 @@ class SymMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Factorization:
-    """Pivoted LDL^T factorization of a symmetric matrix.
+    """Pivoted LDL^T factorization of a symmetric matrix, as LAPACK's dsytrf
+    leaves it for the lower triangle.
 
-    ``lower[permutation]`` is unit lower triangular and ``block_diag`` is
-    block diagonal with 1x1 and 2x2 blocks, so that
-    ``a = lower @ block_diag @ lower.T`` up to rounding.
+    ``packed`` holds the 1x1 and 2x2 blocks of D on its diagonal and first
+    subdiagonal and the multipliers of the unit lower triangular L below
+    them; its strict upper triangle is unused.  ``pivots`` is dsytrf's
+    1-based ipiv: a positive entry k at row i means rows i and k were
+    swapped for a 1x1 pivot, and the rows i, i+1 of a 2x2 block both carry
+    -k, where rows i+1 and k were swapped.
     """
 
-    lower: np.ndarray
-    block_diag: np.ndarray
-    permutation: np.ndarray
+    packed: np.ndarray
+    pivots: np.ndarray
     singular_flag: bool
     min_pivot_ratio: float
 
     @property
     def n(self) -> int:
-        return self.lower.shape[0]
-
-
-def _pivot_magnitudes(block_diag: np.ndarray) -> np.ndarray:
-    """Magnitudes of the factorization pivots.
-
-    A 2x2 block contributes the magnitudes of both its eigenvalues, so a
-    nonsingular block with tiny diagonal (the usual shape for zero-diagonal
-    inputs) is not mistaken for a near-zero pivot.
-    """
-    n = block_diag.shape[0]
-    mags = []
-    i = 0
-    while i < n:
-        if i + 1 < n and block_diag[i + 1, i] != 0.0:
-            block = block_diag[i : i + 2, i : i + 2]
-            mags.extend(np.abs(np.linalg.eigvalsh(block)).tolist())
-            i += 2
-        else:
-            mags.append(abs(float(block_diag[i, i])))
-            i += 1
-    return np.array(mags)
+        return self.packed.shape[0]
 
 
 def factor(m: SymMatrix, tol: float = DEFAULT_PIVOT_TOL) -> Factorization:
     """Factor a symmetric matrix, reporting near-singularity instead of raising.
 
     The singular flag is set when the smallest pivot magnitude falls below
-    ``tol * max|m|``.  An all-zero matrix is singular by convention.
+    ``tol * max|m|``.  A 2x2 block contributes the magnitudes of both its
+    eigenvalues, so a nonsingular block with tiny diagonal (the usual shape
+    for zero-diagonal inputs) is not mistaken for a near-zero pivot.  An
+    all-zero matrix is singular by convention.
     """
-    a = m.a
-    lower, block_diag, perm = scipy.linalg.ldl(a)
-    pivots = _pivot_magnitudes(block_diag)
-    scale = float(np.max(np.abs(a)))
+    n = m.n
+    packed, pivots, _ = dsytrf(m.a, lower=1, lwork=int(dsytrf_lwork(n, lower=1)[0]))
+    scale = m.max_abs
     if scale == 0.0:
-        return Factorization(lower, block_diag, perm, True, 0.0)
-    ratio = float(pivots.min()) / scale
-    return Factorization(lower, block_diag, perm, bool(ratio < tol), ratio)
+        return Factorization(packed, pivots, True, 0.0)
+    # Both rows of a 2x2 block carry the same negative pivot, and so may two
+    # adjacent blocks, so each run of negative pivots pairs up from its start.
+    rows = np.arange(n)
+    neg = pivots < 0
+    run_start = np.maximum.accumulate(np.where(neg, 0, rows + 1))
+    k = rows[neg & ((rows - run_start) % 2 == 0)]
+    blocks = np.empty((k.shape[0], 2, 2))
+    blocks[:, 0, 0] = packed[k, k]
+    blocks[:, 1, 1] = packed[k + 1, k + 1]
+    blocks[:, 0, 1] = blocks[:, 1, 0] = packed[k + 1, k]
+    mags = np.abs(packed.diagonal())
+    mags[neg] = np.abs(np.linalg.eigvalsh(blocks)).reshape(-1)
+    ratio = float(mags.min()) / scale
+    return Factorization(packed, pivots, bool(ratio < tol), ratio)
 
 
-def _solve_block_diag(block_diag: np.ndarray, y: np.ndarray) -> np.ndarray:
-    n = block_diag.shape[0]
-    out = np.empty_like(y)
-    i = 0
-    while i < n:
-        if i + 1 < n and block_diag[i + 1, i] != 0.0:
-            out[i : i + 2] = np.linalg.solve(block_diag[i : i + 2, i : i + 2], y[i : i + 2])
-            i += 2
-        else:
-            out[i] = y[i] / block_diag[i, i]
-            i += 1
-    return out
+def _check_nonsingular(f: Factorization) -> None:
+    if f.singular_flag:
+        raise SingularSystem(
+            f"matrix flagged singular (min pivot ratio {f.min_pivot_ratio:.3e})"
+        )
 
 
 def solve(f: Factorization, b) -> np.ndarray:
@@ -146,43 +137,29 @@ def solve(f: Factorization, b) -> np.ndarray:
 
     ``b`` may be a vector or a matrix of stacked right-hand sides.
     """
-    if f.singular_flag:
-        raise SingularSystem(
-            f"matrix flagged singular (min pivot ratio {f.min_pivot_ratio:.3e})"
-        )
+    _check_nonsingular(f)
     b = np.asarray(b, dtype=float)
     if b.shape[0] != f.n:
         raise DimensionMismatch(f"right-hand side has {b.shape[0]} rows, expected {f.n}")
-    tri = f.lower[f.permutation]
-    y = scipy.linalg.solve_triangular(tri, b[f.permutation], lower=True, unit_diagonal=True)
-    v = _solve_block_diag(f.block_diag, y)
-    w = scipy.linalg.solve_triangular(tri.T, v, lower=False, unit_diagonal=True)
-    x = np.empty_like(w)
-    x[f.permutation] = w
-    return x
+    return dsytrs(f.packed, f.pivots, b, lower=1)[0]
 
 
 def invert(f: Factorization) -> SymMatrix:
     """Full inverse through the factorization.
 
-    The raw solve of the identity is symmetric only to rounding, so the
-    result is symmetrized before freezing.
+    LAPACK's dsytri writes the lower triangle of the inverse, which is
+    mirrored, so the result is exactly symmetric.
     """
-    x = solve(f, np.eye(f.n))
-    return SymMatrix((x + x.T) / 2.0, sym_tol=1e-8)
+    _check_nonsingular(f)
+    x, info = dsytri(f.packed, f.pivots, lower=1)
+    if info != 0:
+        raise SingularSystem(f"zero pivot in row {info}")
+    x = np.tril(x)
+    x += np.tril(x, -1).T
+    return SymMatrix(x)
 
 
 def eigenvalues_sym(m: SymMatrix) -> np.ndarray:
     """All eigenvalues, ascending."""
     return np.linalg.eigvalsh(m.a)
 
-
-def quad_form(m: SymMatrix, x, y) -> float:
-    """The bilinear value (m @ y | x)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (m.n,) or y.shape != (m.n,):
-        raise DimensionMismatch(
-            f"vectors of shape {x.shape} and {y.shape} against matrix of size {m.n}"
-        )
-    return float(x @ m.a @ y)

@@ -51,6 +51,10 @@ NOT_NEGATIVE_TYPE = "NotNegativeType"
 NEGATIVE_TYPE_NON_STRICT = "NegativeTypeNonStrict"
 STRICT_NEGATIVE_TYPE = "StrictNegativeType"
 
+# Quantities within this factor of their tolerance set the marginal flag on
+# the report.
+MARGINAL_FACTOR = 10.0
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -59,14 +63,12 @@ class Tolerances:
     Each is scaled by the natural magnitude of the quantity it guards:
     factorization pivots by max|A|, projected eigenvalues by max|A|, and
     the strictness test on (A^{-1} u | u) by max|A^{-1}| times the squared
-    1-norm of u.  Quantities within ``marginal_factor`` times their
-    tolerance set the marginal flag on the report.
+    1-norm of u.
     """
 
     factor_pivot: float = 1e-10
     eig: float = 1e-9
     strict: float = 1e-9
-    marginal_factor: float = 10.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +92,6 @@ class NegTypeReport:
     A: SymMatrix
     u: np.ndarray
     factorization: Factorization | None = None
-    ainv_u: np.ndarray | None = None
     ainv_u_dot_u: float | None = None
     M: float | None = None
     z: np.ndarray | None = None
@@ -177,7 +178,7 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
     spectrum = eigenvalues_sym(project_to_F(a, u))
     top = float(spectrum[-1])
     not_negative = top > eig_tol
-    if abs(top) <= tols.marginal_factor * eig_tol:
+    if abs(top) <= MARGINAL_FACTOR * eig_tol:
         notes.append("largest projected eigenvalue within marginal band of zero")
 
     if from_metric:
@@ -185,11 +186,11 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
     else:
         full_top = float(eigenvalues_sym(a)[-1])
         has_positive = full_top > eig_tol
-        if abs(full_top) <= tols.marginal_factor * eig_tol:
+        if abs(full_top) <= MARGINAL_FACTOR * eig_tol:
             notes.append("largest unconstrained eigenvalue within marginal band of zero")
 
     verdict = NOT_NEGATIVE_TYPE if not_negative else NEGATIVE_TYPE_NON_STRICT
-    f = ainv_u = aud = m_val = z = b = None
+    f = aud = m_val = z = b = None
     if verdict == NEGATIVE_TYPE_NON_STRICT:
         if not has_positive:
             raise PositiveDirectionMissing(
@@ -197,7 +198,7 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
                 "the constrained maximum is not defined"
             )
         f = factor(a, tols.factor_pivot)
-        if not f.singular_flag and f.min_pivot_ratio <= tols.marginal_factor * tols.factor_pivot:
+        if not f.singular_flag and f.min_pivot_ratio <= MARGINAL_FACTOR * tols.factor_pivot:
             notes.append("smallest pivot within marginal band of the singularity cutoff")
 
     if f is not None and not f.singular_flag:
@@ -205,7 +206,7 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
         ainv_u = solve(f, u)
         aud = float(ainv_u @ u)
         strict_tol = tols.strict * a_inv.max_abs * float(np.sum(np.abs(u))) ** 2
-        if abs(aud) <= tols.marginal_factor * strict_tol:
+        if abs(aud) <= MARGINAL_FACTOR * strict_tol:
             notes.append("(A^-1 u | u) within marginal band of zero")
         if abs(aud) > strict_tol:
             verdict = STRICT_NEGATIVE_TYPE
@@ -223,7 +224,6 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
         A=a,
         u=u,
         factorization=f,
-        ainv_u=ainv_u,
         ainv_u_dot_u=aud,
         M=m_val,
         z=z,

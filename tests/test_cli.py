@@ -278,6 +278,11 @@ class TestMainGap:
         assert 0.0 < payload["diagnostics"]["bnb_delta"] <= 1e-9 * payload["beta"]
         assert payload["diagnostics"]["bnb_pruned"] >= 0
 
+    def test_bnb_on_discrete_space_exits_0(self, capsys, monkeypatch):
+        # Its nodes have tightly clustered top eigenvalues.
+        code, _, _ = run_main(capsys, ["gap", "-", "--bnb"], '{"discrete": 14}', monkeypatch)
+        assert code == 0
+
     def test_bnb_fields_only_when_bnb_runs(self, capsys, monkeypatch):
         code, out, _ = run_main(capsys, ["gap", "-", "--report", "machine"], '{"cycle": 7}',
                                 monkeypatch)

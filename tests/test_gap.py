@@ -246,6 +246,9 @@ class TestTopEig:
         # An odd cycle's B has a double top eigenvalue.
         lambda: root_Q(cycle_B(9)),
         lambda: root_Q(cycle_B(29)),
+        # The 24-point discrete space's root node has a 24-fold top
+        # eigenvalue, where dsyevr's bisection by index finds none.
+        lambda: root_Q(discrete_B(24)),
     ])
     def test_repeated_eigenvalue(self, make, scale):
         self.check(scale * make())
@@ -314,6 +317,10 @@ class TestBranchAndBound:
     ] + [
         (lambda n=n, seed=seed: indefinite_B(n, 500 + 10 * n + seed))
         for n in range(2, 12) for seed in range(3)
+    ] + [
+        # Nodes of these have tightly clustered top eigenvalues.
+        lambda: discrete_B(14),
+        lambda: discrete_B(15),
     ])
     def test_certificate_matches_enumeration(self, make):
         b = make()
@@ -323,6 +330,14 @@ class TestBranchAndBound:
         assert abs(r.beta - v) <= r.delta
         assert r.beta == float(r.s_star @ b.a @ r.s_star)
         assert r.delta <= 1e-9 * abs(r.beta)
+
+    @pytest.mark.parametrize("n", [19, 21])
+    def test_discrete_space_clustered_spectrum(self, n):
+        # The semidefinite bound is n against beta = n - 1/n, so the run
+        # may end uncertified, but every node bound must be computed.
+        b = discrete_B(n)
+        r = branch_and_bound(b, budget=2000)
+        assert r.beta == float(r.s_star @ b.a @ r.s_star)
 
     @pytest.mark.parametrize("n", [29, 31])
     def test_odd_cycle_past_cutoff_within_delta(self, n):
