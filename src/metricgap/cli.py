@@ -10,11 +10,14 @@ Subcommands:
 Timing lives outside the CLI, in benchmark/run.py and
 demos/enumeration_engines.py.
 
-Inputs are JSON documents or plain CSV matrices; see parse_input.  Every
-size a document names is at most MAX_POINTS.  Exit codes: 0 success,
-2 malformed input or option, 3 metric axiom failure, 4 not of negative
-type (no gap to compute), 5 instance past the enumeration cutoff without
---bnb, 6 oracle mismatch.
+Inputs are JSON documents or plain CSV matrices, told apart by their
+first character; see parse_input.  Every size a document names is at most
+MAX_POINTS.  Past the enumeration cutoff (--max-n), --bnb computes the gap
+by branch-and-bound instead of exiting 5; inside it --bnb changes nothing.
+Exit codes: 0 success, 2 malformed input or option, 3 metric axiom failure
+or distances out of the float range, 4 not of negative type (no gap to
+compute), 5 instance past the enumeration cutoff without --bnb, 6 oracle
+mismatch.
 """
 
 from __future__ import annotations
@@ -233,20 +236,12 @@ def _parse_json(text: str) -> InputDocument:
     return InputDocument(kind="generator", payload={"name": key, "spec": spec}, p=p)
 
 
-def parse_input(text: str, fmt: str = "auto") -> InputDocument:
-    """Parse input text into an InputDocument.
-
-    ``fmt`` is "json", "csv", or "auto" (JSON when the first nonblank
-    character opens an object or array).
-    """
-    if fmt == "auto":
-        stripped = text.lstrip()
-        fmt = "json" if stripped[:1] in ("{", "[") else "csv"
-    if fmt == "json":
+def parse_input(text: str) -> InputDocument:
+    """Parse input text into an InputDocument: JSON when the first nonblank
+    character opens an object or array, CSV otherwise."""
+    if text.lstrip()[:1] in ("{", "["):
         return _parse_json(text)
-    if fmt == "csv":
-        return _parse_csv(text)
-    raise ParseError(f"unknown format {fmt!r}")
+    return _parse_csv(text)
 
 
 def _realize_generator(name: str, spec) -> tuple[MetricSpace, tuple | None]:
@@ -310,7 +305,7 @@ def realize(doc: InputDocument) -> tuple[MetricSpace, tuple | None]:
 
 @dataclass(eq=False)
 class Report:
-    """Everything one gap run reports; serializable both ways."""
+    """Everything one gap run reports; see emit_report for its two forms."""
 
     verdict: str
     n: int
@@ -383,17 +378,6 @@ def emit_report(report: Report, mode: str = "text") -> str:
     if report.timing is not None:
         lines.append(f"wall_time: {report.timing:.3f} s")
     return "\n".join(lines) + "\n"
-
-
-def parse_report(text: str) -> Report:
-    """Inverse of machine-mode emit_report."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
-    if not isinstance(payload, dict) or "verdict" not in payload:
-        raise SchemaError("not a gap report")
-    return Report(**payload)
 
 
 def _relative_error(value: float, reference: float) -> float:
@@ -485,6 +469,9 @@ def run_oracle_suite(args) -> tuple[bool, list[dict]]:
     With --inject-fault the first tree comparison is knocked off by 1e-3
     to prove the comparator can fail; the suite then reports a mismatch.
     """
+    for flag, value in (("--seed", args.seed), ("--trees", args.trees)):
+        if value < 0:
+            raise SchemaError(f"{flag} must be nonnegative, got {value}")
     rows = []
     ok = True
     rel_tol = 1e-9
@@ -563,7 +550,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gap = sub.add_parser("gap", help="compute the gap of one input space")
     gap.add_argument("input", help="path to a JSON or CSV input, or - for stdin")
-    gap.add_argument("--format", choices=("auto", "json", "csv"), default="auto")
     gap.add_argument("--p", type=float, default=None, help="metric exponent (default 1)")
     gap.add_argument(
         "--method", choices=("gray", "all"), default="all",
@@ -574,7 +560,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="override zero-test tolerances (a positive number)")
     gap.add_argument("--report", choices=("text", "machine"), default="text")
     gap.add_argument("--witness", action="store_true", help="include the extremal witness")
-    gap.add_argument("--bnb", action="store_true", help="run branch-and-bound")
+    gap.add_argument("--bnb", action="store_true",
+                     help="past --max-n, use branch-and-bound instead of exiting 5")
     gap.add_argument("--bnb-budget", type=int, default=2_000_000, help="node budget")
     gap.add_argument("--timing", action="store_true", help="include wall time in the report")
 
@@ -595,7 +582,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "gap":
-            doc = parse_input(_read_source(args.input), args.format)
+            doc = parse_input(_read_source(args.input))
             report, code = run_gap(doc, args)
             sys.stdout.write(emit_report(report, args.report))
             return code

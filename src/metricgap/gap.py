@@ -631,7 +631,6 @@ def verify_gap_inequality(
     trials: int = 1000,
     seed: int = 0,
     witness=None,
-    inflation: float = 1.0001,
 ) -> GapInequalityReport:
     """Randomized check of the gap inequality.
 
@@ -640,7 +639,7 @@ def verify_gap_inequality(
     allowance.  ``max_violation`` is the largest slack normalized by
     max|A| (sum |a_i|)^2; at most ``tol`` means every trial passed.  When a
     witness direction is supplied, the same inequality is retested at
-    ``gamma * inflation`` with that vector, and a genuine extremal witness
+    ``gamma * 1.0001`` with that vector, and a genuine extremal witness
     must violate it.
     """
     ntm = x if isinstance(x, NegTypeMatrix) else power_matrix(x, p)
@@ -668,7 +667,7 @@ def verify_gap_inequality(
     inflated = None
     if witness is not None:
         w = np.asarray(witness, dtype=float)
-        inflated = gamma * inflation
+        inflated = gamma * 1.0001
         l1 = float(np.sum(np.abs(w)))
         slack = 0.5 * inflated * l1 * l1 + float(w @ arr @ w)
         maximality_violated = bool(slack / (scale * l1 * l1) > tol)
@@ -690,10 +689,11 @@ class GapResult:
 
     ``gamma`` is always derived from ``beta`` as 2.0 / beta, so the two are
     consistent to the last bit.  Cross-check fields are None when the
-    corresponding route was not run, and so are the ``bnb_*`` fields and
-    the node counts when branch-and-bound was not.  ``bnb_gap`` is
+    corresponding route was not run.  ``method`` names the exact route,
+    "gray_scan" or "branch_and_bound"; the ``bnb_*`` fields and the node
+    counts are set only for the latter.  ``bnb_gap`` is
     max(0, best_bound - beta) and ``bnb_delta`` the rounding allowance of
-    its certificate, both of the branch-and-bound run (see BnbResult).
+    its certificate (see BnbResult).
     """
 
     gamma: float
@@ -729,14 +729,14 @@ def solve_gap(
     is then used as is; its tolerances were fixed when it was made, so
     passing ``tols`` alongside it is an error.
 
-    n alone fixes the exact route, which yields beta and a maximizer: the
-    sign-vector enumeration beta_hypercube up to ``max_enum_n``, past it
-    branch_and_bound when ``use_bnb`` is set (its result may be
+    n alone fixes the one exact route, which yields beta and a maximizer:
+    the sign-vector enumeration beta_hypercube up to ``max_enum_n``, past
+    it branch_and_bound when ``use_bnb`` is set (its result may be
     uncertified if the node budget is hit) and TooLarge otherwise.
-    Within the cutoff, ``cross_check`` adds the value-only routes
-    beta_opnorm and, when the report's functional u is constant, so that
-    B annihilates the all-ones vector, beta_binary; ``use_bnb`` adds a
-    branch-and-bound run whose certificate and node count are reported.
+    Within the cutoff ``use_bnb`` changes nothing, and ``cross_check``
+    adds the value-only routes beta_opnorm and, when the report's
+    functional u is constant, so that B annihilates the all-ones vector,
+    beta_binary.
     """
     t0 = time.perf_counter()
     if isinstance(x, NegTypeReport):
@@ -752,7 +752,7 @@ def solve_gap(
 
     beta_op = None
     beta_bin = None
-    r = None
+    bnb = {}
 
     if n > max_enum_n:
         if not use_bnb:
@@ -763,6 +763,9 @@ def solve_gap(
         r = branch_and_bound(b, budget=bnb_budget)
         beta, s_star = r.beta, r.s_star
         method = "branch_and_bound"
+        bnb = dict(bnb_certified=r.certified, nodes_expanded=r.nodes_expanded,
+                   nodes_pruned=r.nodes_pruned, bnb_gap=max(0.0, r.best_bound - r.beta),
+                   bnb_delta=r.delta)
     else:
         beta, s_star = beta_hypercube(b, max_enum_n=max_enum_n)
         method = "gray_scan"
@@ -770,15 +773,7 @@ def solve_gap(
             beta_op = beta_opnorm(b, max_enum_n=max_enum_n)
             if np.all(report.u == report.u[0]):
                 beta_bin = beta_binary(b, max_enum_n=max_enum_n)
-        if use_bnb:
-            r = branch_and_bound(b, budget=bnb_budget)
-            method = "gray_scan+bnb"
 
-    bnb = {}
-    if r is not None:
-        bnb = dict(bnb_certified=r.certified, nodes_expanded=r.nodes_expanded,
-                   nodes_pruned=r.nodes_pruned, bnb_gap=max(0.0, r.best_bound - r.beta),
-                   bnb_delta=r.delta)
     gamma = 2.0 / beta
     y0 = make_witness(report, s_star) if compute_witness else None
 

@@ -83,25 +83,20 @@ class WeightedGraph:
 
 @dataclass(frozen=True, eq=False)
 class NegTypeMatrix:
-    """Entrywise p-th power of a distance matrix, paired with the functional
-    against which the quadratic form is constrained (all-ones by default).
+    """Entrywise p-th power of a validated metric's distance matrix, paired
+    with the all-ones functional ``u`` against which the quadratic form is
+    constrained.
 
-    ``from_metric`` records that the entries came from a validated metric,
-    which guarantees a direction of positive quadratic form whenever n >= 2.
+    Coming from a metric, it has a direction of positive quadratic form
+    whenever n >= 2.
     """
 
     A: SymMatrix
     p: float
-    u: np.ndarray = field(default=None)  # type: ignore[assignment]
-    from_metric: bool = True
+    u: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        u = self.u
-        if u is None:
-            u = np.ones(self.A.n)
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.A.n,):
-            raise InvalidSize(f"functional of shape {u.shape} against matrix of size {self.A.n}")
+        u = np.ones(self.A.n)
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
 
@@ -124,11 +119,12 @@ class _UnionFind:
         self.parent[self.find(i)] = self.find(j)
 
 
-def validate_metric(raw, rel_tol: float = TRIANGLE_TOL) -> MetricSpace:
+def validate_metric(raw) -> MetricSpace:
     """Check the metric axioms and build a MetricSpace.
 
     Accepts a SymMatrix or anything convertible to a square array; symmetry
-    is enforced by the SymMatrix constructor.  Zero-distance pairs of
+    is enforced by the SymMatrix constructor, and the other axioms hold to
+    the relative slack TRIANGLE_TOL.  Zero-distance pairs of
     distinct indices are collapsed (keeping the smallest index of each
     group) and reported through DuplicatePointsWarning and the ``merged``
     field.
@@ -137,7 +133,7 @@ def validate_metric(raw, rel_tol: float = TRIANGLE_TOL) -> MetricSpace:
     a = d.a
     n = d.n
     scale = d.max_abs
-    tol = rel_tol * scale
+    tol = TRIANGLE_TOL * scale
 
     diag = np.abs(np.diag(a))
     if np.any(diag > tol):
@@ -189,7 +185,9 @@ def power_matrix(x: MetricSpace, p: float) -> NegTypeMatrix:
 
     By the usual convention p = 0 sends every positive distance to 1, so
     the result is the all-ones matrix minus the identity regardless of the
-    input geometry.
+    input geometry.  A positive distance whose power overflows, or falls
+    below the smallest normal float (where it would read as a zero or lose
+    its precision), raises InvalidSize.
     """
     if p < 0:
         raise ValueError(f"exponent must be nonnegative, got {p}")
@@ -202,6 +200,10 @@ def power_matrix(x: MetricSpace, p: float) -> NegTypeMatrix:
         if not np.all(np.isfinite(a)):
             raise InvalidSize(f"distances to the power {p} overflow the float range")
         np.fill_diagonal(a, 0.0)
+        under = (a < np.finfo(float).tiny) & (x.d.a > 0.0)
+        np.fill_diagonal(under, False)
+        if np.any(under):
+            raise InvalidSize(f"distances to the power {p} underflow the float range")
     return NegTypeMatrix(SymMatrix(a), float(p))
 
 

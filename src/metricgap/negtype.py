@@ -20,9 +20,9 @@ set of x in F with unit-oscillation image A x.  The rank-one corrections
 convert the constrained problem into an unconstrained maximum of (B x | x)
 over sign vectors; that enumeration lives in the gap module.
 
-Matrices built from a validated metric (NegTypeMatrix with from_metric set)
-are positive in some direction whenever n >= 2, so that hypothesis is only
-verified for raw inputs.
+A NegTypeMatrix is built from a validated metric and so is positive in
+some direction whenever n >= 2; that hypothesis is only verified for raw
+inputs.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .errors import (
     ZeroFunctional,
 )
 from .linalg import (
+    DEFAULT_PIVOT_TOL,
     Factorization,
     SymMatrix,
     eigenvalues_sym,
@@ -66,7 +67,7 @@ class Tolerances:
     1-norm of u.
     """
 
-    factor_pivot: float = 1e-10
+    factor_pivot: float = DEFAULT_PIVOT_TOL
     eig: float = 1e-9
     strict: float = 1e-9
 
@@ -78,10 +79,9 @@ class NegTypeReport:
 
     ``A`` and ``u`` are the analyzed matrix and functional.  The later
     fields are None whenever the verdict makes them meaningless: the
-    factorization exists once A is of negative type, (A^{-1} u | u) once it
-    is also nonsingular, and M, z and B only in the strict case.  B is
-    built eagerly with its B u residual checked; C is built on first read,
-    when its C z residual is checked.
+    factorization exists once A is of negative type, and M, z and B only
+    in the strict case.  B is built eagerly with its B u residual checked;
+    C is built on first read, when its C z residual is checked.
     """
 
     verdict: str
@@ -92,7 +92,6 @@ class NegTypeReport:
     A: SymMatrix
     u: np.ndarray
     factorization: Factorization | None = None
-    ainv_u_dot_u: float | None = None
     M: float | None = None
     z: np.ndarray | None = None
     B: SymMatrix | None = None
@@ -190,7 +189,7 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
             notes.append("largest unconstrained eigenvalue within marginal band of zero")
 
     verdict = NOT_NEGATIVE_TYPE if not_negative else NEGATIVE_TYPE_NON_STRICT
-    f = aud = m_val = z = b = None
+    f = m_val = z = b = None
     if verdict == NEGATIVE_TYPE_NON_STRICT:
         if not has_positive:
             raise PositiveDirectionMissing(
@@ -224,7 +223,6 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
         A=a,
         u=u,
         factorization=f,
-        ainv_u_dot_u=aud,
         M=m_val,
         z=z,
         B=b,
@@ -235,7 +233,7 @@ def _dispatch(x, u) -> tuple[SymMatrix, np.ndarray, bool]:
     if isinstance(x, NegTypeMatrix):
         if u is not None:
             raise ValueError("functional is fixed by the NegTypeMatrix; do not pass u")
-        return x.A, x.u, x.from_metric
+        return x.A, x.u, True
     a = x if isinstance(x, SymMatrix) else SymMatrix(x)
     u = np.ones(a.n) if u is None else np.asarray(u, dtype=float)
     return a, u, False

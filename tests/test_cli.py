@@ -17,7 +17,6 @@ from metricgap.cli import (
     emit_report,
     main,
     parse_input,
-    parse_report,
     realize,
 )
 from metricgap.closed_forms import gamma_cycle, gamma_tree
@@ -87,7 +86,7 @@ class TestParseInput:
         assert doc.payload == {"name": "cycle", "spec": 7}
 
     def test_csv_square(self):
-        doc = parse_input("0, 1\n1, 0\n", fmt="csv")
+        doc = parse_input("0, 1\n1, 0\n")
         assert doc.kind == "matrix"
         assert doc.payload["distances"] == [[0.0, 1.0], [1.0, 0.0]]
 
@@ -97,20 +96,20 @@ class TestParseInput:
 
     def test_csv_ragged_row_reports_line(self):
         with pytest.raises(ParseError) as exc:
-            parse_input("0, 1\n1\n", fmt="csv")
+            parse_input("0, 1\n1\n")
         assert "row 2" in str(exc.value)
 
     def test_csv_non_number(self):
         with pytest.raises(ParseError):
-            parse_input("0, x\n1, 0\n", fmt="csv")
+            parse_input("0, x\n1, 0\n")
 
     def test_csv_not_square(self):
         with pytest.raises(ParseError):
-            parse_input("0, 1\n", fmt="csv")
+            parse_input("0, 1\n")
 
     def test_csv_empty(self):
         with pytest.raises(ParseError):
-            parse_input("\n\n", fmt="csv")
+            parse_input("\n\n")
 
     def test_auto_detection(self):
         assert parse_input('  {"cycle": 3}').kind == "generator"
@@ -157,11 +156,11 @@ class TestReports:
             s_star=[1.0, -1.0, 1.0], cross_checks={"beta_opnorm": 8.0 / 3.0},
             diagnostics={"M": 2.0 / 3.0},
         )
-        back = parse_report(emit_report(rep, "machine"))
-        assert back.verdict == rep.verdict
-        assert back.gamma == rep.gamma
-        assert back.s_star == rep.s_star
-        assert back.cross_checks == rep.cross_checks
+        back = json.loads(emit_report(rep, "machine"))
+        assert back["verdict"] == rep.verdict
+        assert back["gamma"] == rep.gamma
+        assert back["s_star"] == rep.s_star
+        assert back["cross_checks"] == rep.cross_checks
 
     def test_machine_is_byte_deterministic(self):
         rep = Report(verdict="NegativeTypeNonStrict", n=4, p=1.0, gamma=0.0)
@@ -172,12 +171,6 @@ class TestReports:
         out = emit_report(rep, "text")
         assert "StrictNegativeType" in out
         assert "gamma" in out
-
-    def test_parse_report_rejects_garbage(self):
-        with pytest.raises(ParseError):
-            parse_report("not json")
-        with pytest.raises(SchemaError):
-            parse_report('{"no": "verdict"}')
 
 
 def run_main(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -269,10 +262,11 @@ class TestMainGap:
 
     def test_bnb_flag_reports_certification(self, capsys, monkeypatch):
         code, out, _ = run_main(
-            capsys, ["gap", "-", "--bnb", "--report", "machine"],
+            capsys, ["gap", "-", "--bnb", "--max-n", "6", "--report", "machine"],
             '{"cycle": 7}', monkeypatch,
         )
         payload = json.loads(out)
+        assert payload["diagnostics"]["method"] == "branch_and_bound"
         assert payload["diagnostics"]["bnb_certified"] is True
         assert payload["diagnostics"]["bnb_gap"] == 0.0
         assert 0.0 < payload["diagnostics"]["bnb_delta"] <= 1e-9 * payload["beta"]
@@ -280,16 +274,23 @@ class TestMainGap:
 
     def test_bnb_on_discrete_space_exits_0(self, capsys, monkeypatch):
         # Its nodes have tightly clustered top eigenvalues.
-        code, _, _ = run_main(capsys, ["gap", "-", "--bnb"], '{"discrete": 14}', monkeypatch)
+        code, out, _ = run_main(capsys, ["gap", "-", "--bnb", "--max-n", "13", "--report",
+                                         "machine"], '{"discrete": 14}', monkeypatch)
         assert code == 0
+        assert json.loads(out)["diagnostics"]["method"] == "branch_and_bound"
 
     def test_bnb_fields_only_when_bnb_runs(self, capsys, monkeypatch):
-        code, out, _ = run_main(capsys, ["gap", "-", "--report", "machine"], '{"cycle": 7}',
-                                monkeypatch)
-        assert code == 0
-        diagnostics = json.loads(out)["diagnostics"]
-        assert not {"bnb_certified", "bnb_nodes", "bnb_pruned", "bnb_gap",
-                    "bnb_delta"} & set(diagnostics)
+        # Inside the cutoff --bnb changes nothing.
+        runs = []
+        for flags in ([], ["--bnb"]):
+            code, out, _ = run_main(capsys, ["gap", "-", "--report", "machine", *flags],
+                                    '{"cycle": 7}', monkeypatch)
+            assert code == 0
+            runs.append(out)
+        assert runs[0] == runs[1]
+        diagnostics = json.loads(runs[1])["diagnostics"]
+        assert diagnostics["method"] == "gray_scan"
+        assert not [key for key in diagnostics if key.startswith("bnb_")]
 
     def test_bnb_zero_budget_uncertified(self, capsys, monkeypatch):
         code, out, _ = run_main(
@@ -304,7 +305,8 @@ class TestMainGap:
 
     @pytest.mark.parametrize(
         "argv",
-        [["bench"], ["gap", "-", "--method", "opnorm"], ["gap", "-", "--method", "binary"]],
+        [["bench"], ["gap", "-", "--method", "opnorm"], ["gap", "-", "--method", "binary"],
+         ["gap", "-", "--format", "json"], ["gap", "-", "--format", "csv"]],
     )
     def test_retired_options_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
@@ -406,6 +408,13 @@ class TestMainExitCodes:
             ('{"path":{"n":%d}}' % (MAX_POINTS + 1), 2, []),
             ('{"tree":{"n":%d,"edges":[[1,2,1]]}}' % (MAX_POINTS + 1), 2, []),
             ('{"edges":[[1,%d,1]]}' % (MAX_POINTS + 1), 2, []),
+            # Positive distances whose p-th power falls below the smallest
+            # normal float.
+            ('{"distances":[[0,1e-200],[1e-200,0]],"p":2}', 3, []),
+            pytest.param('{"distances":[[0,1e-170,1e-170],[1e-170,0,1e-170],'
+                         '[1e-170,1e-170,0]],"p":2}', 3, [], id="triangle-1e-170-p2"),
+            ('{"distances":[[0,5e-324],[5e-324,0]]}', 3, []),
+            ('{"distances":[[0,1e-310],[1e-310,0]]}', 3, []),
         ],
     )
     def test_bad_generator_spec_or_overflow_exits_cleanly(
@@ -431,6 +440,13 @@ class TestMainExitCodes:
 
 
 class TestMainOracleBench:
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--trees", "-1"]])
+    def test_oracle_negative_seed_or_trees_is_2(self, capsys, flags):
+        code, out, err = run_main(capsys, ["oracle", *flags])
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
     def test_oracle_clean_run(self, capsys):
         code, out, _ = run_main(capsys, ["oracle", "--trees", "2"])
         assert code == 0

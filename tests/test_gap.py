@@ -495,6 +495,14 @@ class TestSolveGap:
         plain = solve_gap(space)
         assert plain.bnb_gap is None and plain.bnb_delta is None and plain.nodes_pruned is None
 
+    def test_bnb_inside_cutoff_runs_enumeration_alone(self):
+        space = path_metric(gen_cycle(11))
+        res = solve_gap(space, use_bnb=True)
+        assert res.method == "gray_scan"
+        assert (res.bnb_certified, res.nodes_expanded, res.nodes_pruned, res.bnb_gap,
+                res.bnb_delta) == (None,) * 5
+        assert res.beta == solve_gap(space).beta
+
     def test_accepts_prepared_matrix(self):
         ntm = power_matrix(gen_discrete(4), 1.0)
         assert solve_gap(ntm).gamma == pytest.approx(0.5, rel=1e-12)

@@ -100,6 +100,19 @@ class TestPowerMatrix:
         space = validate_metric([[0, 0.5], [0.5, 0]])
         assert power_matrix(space, 0.5).A[0, 0] == 0.0
 
+    def test_power_below_normal_range_rejected(self):
+        space = validate_metric([[0, 1e-200], [1e-200, 0]])
+        assert power_matrix(space, 1.0).A[0, 1] == 1e-200
+        with pytest.raises(InvalidSize):
+            power_matrix(space, 2.0)
+        with pytest.raises(InvalidSize):
+            power_matrix(validate_metric([[0, 1e-310], [1e-310, 0]]), 1.0)
+
+    def test_small_diagonal_is_not_an_underflow(self):
+        # A diagonal entry inside the validation slack is zeroed, not refused.
+        space = validate_metric([[1e-200, 1], [1, 0]])
+        assert power_matrix(space, 2.0).A[0, 0] == 0.0
+
 
 class TestWeightedGraph:
     def test_canonicalizes_edge_order(self):
