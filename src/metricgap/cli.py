@@ -12,12 +12,12 @@ demos/enumeration_engines.py.
 
 Inputs are JSON documents or plain CSV matrices, told apart by their
 first character; see parse_input.  Every size a document names is at most
-MAX_POINTS.  Past the enumeration cutoff (--max-n), --bnb computes the gap
-by branch-and-bound instead of exiting 5; inside it --bnb changes nothing.
-Exit codes: 0 success, 2 malformed input or option, 3 metric axiom failure
-or distances out of the float range, 4 not of negative type (no gap to
-compute), 5 instance past the enumeration cutoff without --bnb, 6 oracle
-mismatch.
+MAX_POINTS.  Past the enumeration cutoff, min(--max-n, gap.ENUM_CEILING),
+--bnb computes the gap by branch-and-bound instead of exiting 5; inside it
+--bnb changes nothing.  Exit codes: 0 success, 2 malformed input or
+option, 3 metric axiom failure or distances out of the float range, 4 not
+of negative type (no gap to compute), 5 instance past min(--max-n, 40)
+points without --bnb, 6 oracle mismatch.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .errors import (
     TriangleViolation,
     ZeroFunctional,
 )
-from .gap import MAX_ENUM_N, solve_gap
+from .gap import ENUM_CEILING, MAX_ENUM_N, solve_gap
 from .metric import (
     MetricSpace,
     WeightedGraph,
@@ -387,6 +387,8 @@ def _relative_error(value: float, reference: float) -> float:
 def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
     """Classify, compute, cross-check.  Returns the report and exit code."""
     t0 = time.perf_counter()
+    if args.bnb_budget < 0:
+        raise SchemaError(f"--bnb-budget must be nonnegative, got {args.bnb_budget}")
     space, family = realize(doc)
     p = doc.p if args.p is None else _require_exponent(args.p, "--p")
     tols = None
@@ -555,13 +557,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method", choices=("gray", "all"), default="all",
         help="gray: the exact route alone; all: add the opnorm and binary cross-checks",
     )
-    gap.add_argument("--max-n", type=int, default=MAX_ENUM_N, help="enumeration cutoff")
+    gap.add_argument("--max-n", type=int, default=MAX_ENUM_N,
+                     help=f"enumeration cutoff; none enumerates past n = {ENUM_CEILING}")
     gap.add_argument("--tol", type=float, default=None,
                      help="override zero-test tolerances (a positive number)")
     gap.add_argument("--report", choices=("text", "machine"), default="text")
     gap.add_argument("--witness", action="store_true", help="include the extremal witness")
     gap.add_argument("--bnb", action="store_true",
-                     help="past --max-n, use branch-and-bound instead of exiting 5")
+                     help=f"past min(--max-n, {ENUM_CEILING}), use branch-and-bound "
+                          "instead of exiting 5")
     gap.add_argument("--bnb-budget", type=int, default=2_000_000, help="node budget")
     gap.add_argument("--timing", action="store_true", help="include wall time in the report")
 

@@ -19,12 +19,12 @@ splits each sign vector as s = (s_H, s_L) and yields blocks of prefix and
 suffix sign tables, so a whole block is valued by a few matrix products:
 (B s | s) = q_H + q_L + 2 (s_H B_HL) s_L^T, and B s = B_:H s_H + B_:L s_L.
 Sign symmetry lets every route fix the first coordinate, halving the work.
-Each route writes a block's values into two tables it allocates once per
-call, and beta_opnorm skips the rows of a block whose rounding-sound bound
-is below its best value so far.  With one BLAS thread at n = 23-24, the
-maximum and the binary form take 4-5 ns per sign vector, and the operator
-norm 2 ns on trees, where the bound skips most rows, to 22-46 ns on point
-clouds and odd cycles, where it skips few.
+Each route writes a block's values into tables it allocates once per call.
+beta_opnorm values the quadratic first and takes ||B s||_1 only where
+(B s | s) comes within a derived threshold of the maximum, since B is
+positive semidefinite up to rounding.  With one BLAS thread at n = 23-24,
+each route takes 3-6 ns per sign vector on trees, point clouds and odd
+cycles.
 
 Tie-breaking contract: every candidate that rounding could make maximal is
 re-evaluated with the canonical expression float(s @ B @ s), maxima are
@@ -58,19 +58,27 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dsyevr
 
 from .errors import NotStrict, TooLarge
-from .linalg import SymMatrix, solve
+from .linalg import SymMatrix, dsyevr, solve
 from .metric import NegTypeMatrix, power_matrix
 from .negtype import STRICT_NEGATIVE_TYPE, NegTypeReport, Tolerances, classify
 
-# Hard ceiling for exact enumeration: 2^(n-1) sign vectors at 4-5 ns each
-# through the sign-table kernel of beta_hypercube, 0.03-0.04 s at n = 24;
-# beta_opnorm, the slowest route, takes 2 ns each on trees and 22-46 ns on
-# point clouds and odd cycles (measured at n = 23-24 on a 2-core Xeon with
-# one BLAS thread, Python 3.11, NumPy 2.4).
+# Default cutoff for exact enumeration: 2^(n-1) sign vectors at 3-6 ns
+# each through the sign-table kernel, for the maximum and for each
+# cross-check, 0.03-0.05 s per route at n = 24 (measured at n = 23-24 on a
+# 2-core Xeon with one BLAS thread, Python 3.11, NumPy 2.4).
 MAX_ENUM_N = 24
+
+# No cutoff enumerates past this n.  _sign_blocks builds its suffix tables,
+# 2^((n-1)//2) rows of (n-1)//2 floats, before the first block is valued:
+# 80 MB at n = 40, 1.5 GB at n = 48.  beta_opnorm also keeps one float
+# per block of _BLOCK sign vectors, 64 MiB at n = 40 (so a peak near
+# 150 MB there) and 16 GiB at n = 48.  At 3-6 ns per sign vector (see
+# MAX_ENUM_N), one route over the 2^39 sign vectors of n = 40 takes 27-55
+# minutes, and at n = 48 five to ten days; each further point doubles
+# the time and the block maxima, and every second one the tables.
+ENUM_CEILING = 40
 
 # Most sign vectors in one block of the sign-table kernel; a block's table
 # of values takes 512 KiB.
@@ -88,6 +96,9 @@ def _enumerable(b, max_enum_n: int) -> np.ndarray:
     n = arr.shape[0]
     if n > max_enum_n:
         raise TooLarge(f"n = {n} exceeds the enumeration cutoff {max_enum_n}")
+    if n > ENUM_CEILING:
+        raise TooLarge(f"n = {n} exceeds the hard enumeration ceiling {ENUM_CEILING}, "
+                       "whatever the cutoff")
     return arr
 
 
@@ -160,6 +171,18 @@ def _split_values(arr: np.ndarray, high: np.ndarray, low: np.ndarray, out: np.nd
     return out
 
 
+def _rounding_guard(arr: np.ndarray) -> float:
+    """Twice the most by which two evaluations of one sign vector's (B s | s)
+    can differ."""
+    # Both the split value and the canonical value of a sign vector sum the
+    # n^2 terms +-B_ij through products of depth at most n (error at most
+    # gamma_n (2 + gamma_n) sum|B_ij|, gamma_n = n u / (1 - n u), u = eps / 2)
+    # and at most two further additions of magnitude at most sum|B_ij|.  The
+    # two values therefore differ by at most about (2n + 1) eps sum|B_ij|;
+    # g = 4 (n + 3) eps sum|B_ij| doubles that.
+    return 4.0 * (arr.shape[0] + 3) * np.finfo(float).eps * float(np.abs(arr).sum())
+
+
 def beta_hypercube(b, *, max_enum_n: int = MAX_ENUM_N) -> tuple[float, np.ndarray]:
     """Exact maximum of (B s | s) over sign vectors, with its maximizer.
 
@@ -169,16 +192,11 @@ def beta_hypercube(b, *, max_enum_n: int = MAX_ENUM_N) -> tuple[float, np.ndarra
     """
     arr = _enumerable(b, max_enum_n)
     n = arr.shape[0]
-    # Both the split value and the canonical value of a sign vector sum the
-    # n^2 terms +-B_ij through products of depth at most n (error at most
-    # gamma_n (2 + gamma_n) sum|B_ij|, gamma_n = n u / (1 - n u), u = eps / 2)
-    # and at most two further additions of magnitude at most sum|B_ij|.  The
-    # two values therefore differ by at most about (2n + 1) eps sum|B_ij|;
-    # g doubles that.  If an entry's split value is below block_max - 2g,
-    # its canonical value is below that of the block's argmax; below
-    # best - g, below the best canonical value so far.  Neither can win or
-    # tie, so only the remaining entries are re-evaluated.
-    g = 4.0 * (n + 3) * np.finfo(float).eps * float(np.abs(arr).sum())
+    # If an entry's split value is below block_max - 2g, its canonical value
+    # is below that of the block's argmax; below best - g, below the best
+    # canonical value so far.  Neither can win or tie, so only the remaining
+    # entries are re-evaluated.
+    g = _rounding_guard(arr)
     best_val = -np.inf
     best_key = None
     blocks, vals, tmp = _blocks_with_tables(n)
@@ -199,43 +217,90 @@ def beta_hypercube(b, *, max_enum_n: int = MAX_ENUM_N) -> tuple[float, np.ndarra
 def beta_opnorm(b, *, max_enum_n: int = MAX_ENUM_N) -> float:
     """Exact operator norm of B from the max-norm to the 1-norm.
 
-    Equals max ||B s||_1 over sign vectors; over a block of sign tables,
-    ||B s||_1 = sum_c |(H B_H:)_ic + (L B_L:)_jc|, accumulated one column c
-    at a time, for the rows i whose bound can still reach the best value.
-    Value only; no maximizer is tracked.
+    Equals max ||B s||_1 over sign vectors.  Only a sign vector whose value
+    (B s | s) comes near the maximum can reach it, so a first pass values
+    the split quadratic over every block, and a second takes
+    ||B s||_1 = sum_c |(H B_H:)_ic + (L B_L:)_jc|, from zero in column
+    order, only for the entries (i, j) whose value reaches the threshold
+    derived below.  Value only; no maximizer is tracked.
     """
     arr = _enumerable(b, max_enum_n)
     n = arr.shape[0]
-    best = -np.inf
-    blocks, norms, tmp = _blocks_with_tables(n)
-    for high, low in blocks:
+    blocks, vals, tmp = _blocks_with_tables(n)
+    # Each block's maximum, one float per block: every block has the shape
+    # of the first (see _sign_blocks), so there are 2^(n-1) / vals.size.
+    tops = np.empty((1 << (n - 1)) // vals.size)
+    for index, (high, low) in enumerate(blocks):
+        tops[index] = _split_values(arr, high, low, vals, tmp).max()
+    last = (high, low)
+    beta_hat = float(tops.max())
+    # Let e = 1.01 (n + 1) eps sum|B_ij|.  A computed split value q^(s) and
+    # a computed norm N^(s) are each within e of the exact (B s | s) and
+    # ||B s||_1: each sums the terms +-B_ij through products of depth at
+    # most n and then at most n further terms of total at most sum|B_ij|
+    # (see _rounding_guard).  With B + mu I positive semidefinite,
+    # Cauchy-Schwarz in its inner product gives for sign vectors s and t
+    #   (t | B s) = (t | (B + mu I) s) - mu (t | s)
+    #             <= sqrt(((B t | t) + mu n) ((B s | s) + mu n)) + mu n,
+    # so ||B s||_1 = max_t (t | B s) <= sqrt((beta + mu n)((B s | s) + mu n))
+    # + mu n with beta = max (B t | t) <= beta^ + e.  And t = s gives
+    # ||B s||_1 >= (B s | s), so the table's maximum is at least
+    # beta^ - 2e, the bound at the entry of beta^.  An entry s holding the
+    # maximum therefore has
+    #   beta^ - 3e - mu n <= sqrt((beta^ + e + mu n) (q^(s) + e + mu n)),
+    # and, if the left side a(e) is positive, q^(s) >= T(e) with
+    #   T(x) = a(x) (a(x) / (beta^ + x + mu n)) - mu n - x,
+    #   a(x) = beta^ - 3x - mu n.
+    # T falls as x grows while a(x) > 0, so T(e) - T(g) >= g - e >=
+    # 13 eps sum|B_ij| for g = _rounding_guard(B).  A positive computed
+    # a(g) means mu n < beta^ <= 1.01 sum|B_ij| and leaves a(e) positive.
+    # Evaluating T(g) in the order written takes ten roundings, each of a
+    # quantity of magnitude at most 1.01 sum|B_ij| (the quotient is below 1
+    # and is multiplied by a).  T grows with a at slope
+    # 2 a / (beta^ + g + mu n) < 2, so the four roundings that reach a count
+    # twice, and mu n's twice more, in the divisor and in the last
+    # subtraction: at most 16 u 1.01 sum|B_ij| < 9 eps sum|B_ij| in all,
+    # inside the 13.  So every entry that can hold the maximum has
+    # q^ >= fl(T(g)); skipping the others leaves the full table's maximum
+    # bit for bit.  Otherwise, as for an indefinite B, nothing is skipped.
+    # No step overflows where the squares of the exact formula would: the
+    # quotient is below 1, and an overflowed sum or bound only lowers the
+    # threshold (to -inf, or to NaN, which skips nothing either).
+    # mu: the top eigenvalue dsyevr computes of -B is within p(n) u ||B||_2
+    # of -lmin(B), with p(n) = n^2 assumed as in branch_and_bound.  For a
+    # symmetric B, ||B||_2 is at most its largest row sum of |B_ij|, so
+    # n^2 eps max_i sum_j |B_ij| is at least twice that, and the spare half
+    # covers the roundings of the row sums and of the sum.
+    g = _rounding_guard(arr)
+    eps = np.finfo(float).eps
+    row_sum = float(np.abs(arr).sum(axis=1).max())
+    mu = max(0.0, _top_eig(-arr, vectors=False)) + n * n * eps * row_sum
+    a = beta_hat - 3.0 * g - mu * n
+    threshold = a * (a / (beta_hat + g + mu * n)) - mu * n - g if a > 0.0 else -np.inf
+
+    def top_norm(high, low, table):
+        """Largest ||B s||_1 over the entries of ``table`` that reach the threshold."""
+        # "Not below", so that a value that overflowed to NaN is kept.
+        rows, cols = np.nonzero(~(table < threshold))
+        # The same full-block products as an unfiltered table, and the same
+        # sequential sum over columns (accumulate, unlike a reduction, adds
+        # in order), so each norm is the same float as its entry there.
         k = high.shape[1]
-        high_part, low_part = high @ arr[:k], low @ arr[k:]
-        if best > -np.inf:
-            # Row i's entries are fl-sums, from zero in column order, of
-            # |fl(h_c + l_jc)|.  Rounded addition is monotone, so lmin_c <=
-            # l_jc <= lmax_c gives |fl(h_c + l_jc)| <= max(fl(h_c + lmax_c),
-            # -fl(h_c + lmin_c)), and the sums of these bounds, taken in the
-            # same order (add.accumulate is sequential, unlike a pairwise
-            # sum), bound every entry of the row.  A row whose bound is below
-            # best holds no entry that can reach it and is skipped; its
-            # absence cannot change the maximum, so the result is
-            # bit-identical to the full table.  Before the first block there
-            # is no best value to prune against.
-            bound = np.add.accumulate(
-                np.maximum(high_part + low_part.max(axis=0), -(high_part + low_part.min(axis=0))),
-                axis=1,
-            )[:, -1]
-            high_part = high_part[bound >= best]
-            if len(high_part) == 0:
-                continue
-        part, scratch = norms[: len(high_part)], tmp[: len(high_part)]
-        part.fill(0.0)
-        for c in range(n):
-            np.add(high_part[:, c, None], low_part[:, c], out=scratch)
-            np.abs(scratch, out=scratch)
-            part += scratch
-        best = max(best, float(part.max()))
+        terms = (high @ arr[:k])[rows]
+        terms += (low @ arr[k:])[cols]
+        np.abs(terms, out=terms)
+        return float(np.add.accumulate(terms, axis=1, out=terms)[:, -1].max())
+
+    # The first pass let go of its sign tables, so the blocks before the
+    # last come from a fresh walk (none at all for a one-block call); the
+    # last block and its values in ``vals`` are still at hand.
+    best = -np.inf
+    spare = np.empty_like(vals)
+    for index, (high, low) in enumerate(itertools.islice(_sign_blocks(n), len(tops) - 1)):
+        if not tops[index] < threshold:
+            best = max(best, top_norm(high, low, _split_values(arr, high, low, spare, tmp)))
+    if not tops[-1] < threshold:
+        best = max(best, top_norm(*last, vals))
     return best
 
 
@@ -730,13 +795,13 @@ def solve_gap(
     passing ``tols`` alongside it is an error.
 
     n alone fixes the one exact route, which yields beta and a maximizer:
-    the sign-vector enumeration beta_hypercube up to ``max_enum_n``, past
-    it branch_and_bound when ``use_bnb`` is set (its result may be
-    uncertified if the node budget is hit) and TooLarge otherwise.
-    Within the cutoff ``use_bnb`` changes nothing, and ``cross_check``
-    adds the value-only routes beta_opnorm and, when the report's
-    functional u is constant, so that B annihilates the all-ones vector,
-    beta_binary.
+    the sign-vector enumeration beta_hypercube up to the cutoff
+    min(``max_enum_n``, ENUM_CEILING), past it branch_and_bound when
+    ``use_bnb`` is set (its result may be uncertified if the node budget
+    is hit) and TooLarge otherwise.  Within the cutoff ``use_bnb`` changes
+    nothing, and ``cross_check`` adds the value-only routes beta_opnorm
+    and, when the report's functional u is constant, so that B annihilates
+    the all-ones vector, beta_binary.
     """
     t0 = time.perf_counter()
     if isinstance(x, NegTypeReport):
@@ -754,12 +819,13 @@ def solve_gap(
     beta_bin = None
     bnb = {}
 
-    if n > max_enum_n:
+    if n > min(max_enum_n, ENUM_CEILING):
         if not use_bnb:
-            raise TooLarge(
-                f"n = {n} exceeds the enumeration cutoff {max_enum_n}; "
-                "enable branch-and-bound or raise the cutoff"
-            )
+            if n > max_enum_n:
+                raise TooLarge(f"n = {n} exceeds the enumeration cutoff {max_enum_n}; "
+                               "enable branch-and-bound or raise the cutoff")
+            raise TooLarge(f"n = {n} exceeds the hard enumeration ceiling {ENUM_CEILING}, "
+                           "whatever the cutoff; enable branch-and-bound")
         r = branch_and_bound(b, budget=bnb_budget)
         beta, s_star = r.beta, r.s_star
         method = "branch_and_bound"

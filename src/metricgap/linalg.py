@@ -7,16 +7,52 @@ leaves it, L and D packed into one n x n array beside the pivot vector, and
 solves and inverses hand that back to LAPACK (dsytrs, dsytri).  Singularity
 is a reported state of the factorization, not an exception; it only becomes
 an error when a solve is attempted.
+
+The LAPACK wrappers, these four and the dsyevr of gap._top_eig, come from
+scipy's compiled _flapack module, loaded from its file on its own:
+importing scipy.linalg.lapack to reach it would import all of scipy.linalg.
+The scipy package itself is imported first, since its light init (not
+scipy.linalg's) makes the bundled BLAS and LAPACK libraries loadable on
+some platforms.  The module is registered under its scipy name, so a
+later scipy.linalg import reuses it and hands out the very same wrapper
+objects.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytri, dsytrs
+import scipy
 
 from .errors import AsymmetricInput, DimensionMismatch, SingularSystem
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, from sys.modules or else from its file."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    folder = Path(scipy.__file__).parent / "linalg"
+    paths = [folder / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(f"no compiled _flapack module in {folder}")
+    loader = ExtensionFileLoader(name, str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(name, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+_flapack = _load_flapack()
+dsyevr, dsytrf, dsytrf_lwork, dsytri, dsytrs = (
+    _flapack.dsyevr, _flapack.dsytrf, _flapack.dsytrf_lwork, _flapack.dsytri, _flapack.dsytrs)
 
 # Pivot magnitudes below this fraction of the largest entry flag the matrix
 # as numerically singular.

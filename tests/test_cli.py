@@ -19,6 +19,7 @@ from metricgap.cli import (
     parse_input,
     realize,
 )
+from metricgap import gap
 from metricgap.closed_forms import gamma_cycle, gamma_tree
 from metricgap.errors import ParseError, SchemaError
 
@@ -429,6 +430,57 @@ class TestMainExitCodes:
         )
         assert code == 5
         assert "too large" in err
+
+    def test_negative_bnb_budget_is_2(self, capsys, monkeypatch):
+        code, out, err = run_main(
+            capsys, ["gap", "-", "--bnb", "--bnb-budget", "-5", "--max-n", "5"], '{"cycle": 9}',
+            monkeypatch,
+        )
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
+    def test_past_enumeration_ceiling_is_5(self, capsys, monkeypatch):
+        # Refused before any sign table is built, whatever --max-n says.
+        def no_tables(n):
+            raise AssertionError(f"sign tables built for n = {n}")
+
+        monkeypatch.setattr(gap, "_sign_blocks", no_tables)
+        code, out, err = run_main(
+            capsys, ["gap", "-", "--max-n", "100"], '{"discrete": 48}', monkeypatch
+        )
+        assert code == 5
+        assert out == ""
+        assert "ceiling" in err
+
+    def test_bnb_past_enumeration_ceiling(self, capsys, monkeypatch):
+        # --bnb takes over past the ceiling even when --max-n is above it.
+        def no_tables(n):
+            raise AssertionError(f"sign tables built for n = {n}")
+
+        monkeypatch.setattr(gap, "_sign_blocks", no_tables)
+        code, out, err = run_main(
+            capsys,
+            ["gap", "-", "--max-n", "100", "--bnb", "--bnb-budget", "3", "--report", "machine"],
+            '{"discrete": 48}', monkeypatch,
+        )
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["diagnostics"]["method"] == "branch_and_bound"
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_distances_keep_the_opnorm_check(self, capsys, monkeypatch):
+        # B is about 1e160 here, so beta^2 and ||B||_F^2 overflow; nothing
+        # may warn.
+        side = "1e-160"
+        rows = [",".join(side if i != j else "0" for j in range(3)) for i in range(3)]
+        code, out, err = run_main(
+            capsys, ["gap", "-", "--report", "machine"], "\n".join(rows) + "\n", monkeypatch
+        )
+        assert code == 0
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["cross_checks"]["beta_opnorm"] == payload["beta"] == pytest.approx(8e160 / 3)
 
     def test_oracle_fault_injection_is_6(self, capsys):
         code, out, err = run_main(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,11 @@ def indefinite_B(n, seed, centered=False):
         m = c @ m @ c
         m = (m + m.T) / 2.0
     return SymMatrix(m)
+
+
+# Exact scaling, one that rounds every entry, and one where the squares of
+# the entries, and of beta, overflow.
+SCALES = (1.0, 1e4, 2.0**-20, 1e200)
 
 
 def unpruned_opnorm(arr):
@@ -191,6 +198,85 @@ class TestBetaOpnormBinary:
             beta_opnorm(np.zeros((5, 5)), max_enum_n=4)
         with pytest.raises(TooLarge):
             beta_binary(np.zeros((5, 5)), max_enum_n=4)
+
+    @pytest.mark.parametrize(
+        "make", [lambda: tree_B(18, 31), lambda: cycle_B(19), lambda: cloud_B(20, 7)],
+        ids=["tree18", "cycle19", "cloud20"],
+    )
+    def test_filtered_opnorm_multi_block(self, make):
+        # 2, 4 and 8 blocks at the default block size.  Scaling by 2^-20 is
+        # exact and by 1e4 or 1e200 moves each entry by at most half an
+        # ulp, so the oracle's value for B, scaled, serves every scale to
+        # within 1e-12.
+        base = make()
+        brute = opnorm_brute(base.a)
+        for scale in SCALES:
+            b = SymMatrix(base.a * scale)
+            got = beta_opnorm(b)
+            assert got == unpruned_opnorm(b.a)
+            assert got == pytest.approx(scale * brute, rel=1e-12)
+
+    @pytest.mark.parametrize("block", [1, 8, 64, gap._BLOCK])
+    def test_filtered_opnorm_any_block_size(self, monkeypatch, block):
+        monkeypatch.setattr(gap, "_BLOCK", block)
+        bases = [tree_B(10, 5), cycle_B(11), cloud_B(10, 3), discrete_B(10),
+                 indefinite_B(10, 17, centered=True)]
+        for base in bases:
+            brute = opnorm_brute(base.a)
+            for scale in SCALES:
+                b = SymMatrix(base.a * scale)
+                got = beta_opnorm(b)
+                assert got == unpruned_opnorm(b.a)
+                assert got == pytest.approx(scale * brute, rel=1e-12)
+
+    @pytest.mark.parametrize("block", [64, gap._BLOCK])
+    def test_filtered_opnorm_near_ties(self, monkeypatch, block):
+        # Every balanced sign vector of the 16-point discrete space maximizes
+        # (B s | s), so C(15, 7) = 6,435 near-ties must all pass the filter.
+        b = discrete_B(16)
+        signs = np.ones((1 << 15, 16))
+        signs[:, 1:] = gap._sign_rows(0, 1 << 15, 15)
+        values = np.einsum("ij,jk,ik->i", signs, b.a, signs)
+        assert np.count_nonzero(values >= values.max() * (1.0 - 1e-9)) == 6435
+        monkeypatch.setattr(gap, "_BLOCK", block)
+        got = beta_opnorm(b)
+        assert got == unpruned_opnorm(b.a)
+        assert got == pytest.approx(opnorm_brute(b.a), rel=1e-12)
+
+    def test_filtered_opnorm_indefinite_filters_nothing(self):
+        # -lmin(B) n exceeds beta, so the threshold is -inf and every entry
+        # of the table is evaluated.
+        b = indefinite_B(14, 5, centered=True)
+        assert -np.linalg.eigvalsh(b.a)[0] * b.n > beta_hypercube(b)[0]
+        got = beta_opnorm(b)
+        assert got == unpruned_opnorm(b.a)
+        assert got == pytest.approx(opnorm_brute(b.a), rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e152, 1e153, 1e200])
+    def test_filtered_opnorm_near_overflow(self, scale):
+        # Nearly rank one, so beta is about n times ||B||_F: at 1e152 and
+        # 1e153 beta^2 overflows while ||B||_F^2 does not, and at 1e200 both
+        # do.  The threshold must stay finite or fall to -inf, never rise to
+        # +inf and skip the maximum, and nothing may warn.
+        rng = np.random.default_rng(3)
+        v = rng.choice([-1.0, 1.0], 16) * rng.uniform(0.5, 1.0, 16)
+        base = np.outer(v, v) + np.diag(rng.uniform(0.1, 0.2, 16))
+        b = SymMatrix(base * scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = beta_opnorm(b)
+        assert got == unpruned_opnorm(b.a)
+        assert got == pytest.approx(scale * opnorm_brute(base), rel=1e-12)
+
+    def test_ceiling_refuses_before_any_table(self, monkeypatch):
+        def no_tables(n):
+            raise AssertionError(f"sign tables built for n = {n}")
+
+        monkeypatch.setattr(gap, "_sign_blocks", no_tables)
+        b = SymMatrix(np.eye(gap.ENUM_CEILING + 1))
+        for route in (beta_hypercube, beta_opnorm, beta_binary):
+            with pytest.raises(TooLarge, match="ceiling"):
+                route(b, max_enum_n=100)
 
 
 @pytest.mark.parametrize("block", [1, gap._BLOCK])
@@ -484,6 +570,21 @@ class TestSolveGap:
         assert res.bnb_certified
         full = solve_gap(space, cross_check=False)
         assert res.beta == full.beta
+
+    def test_bnb_takes_over_past_ceiling(self, monkeypatch):
+        # Past ENUM_CEILING, whatever max_enum_n says, branch-and-bound is
+        # the route when asked for, and TooLarge otherwise; no sign table
+        # is built either way.
+        def no_tables(n):
+            raise AssertionError(f"sign tables built for n = {n}")
+
+        monkeypatch.setattr(gap, "_sign_blocks", no_tables)
+        report = classify(power_matrix(gen_discrete(gap.ENUM_CEILING + 1), 1.0))
+        res = solve_gap(report, max_enum_n=100, use_bnb=True, bnb_budget=3)
+        assert res.method == "branch_and_bound"
+        assert res.nodes_expanded <= 3
+        with pytest.raises(TooLarge, match="ceiling"):
+            solve_gap(report, max_enum_n=100)
 
     def test_bnb_certificate_fields(self):
         space = path_metric(gen_cycle(11))

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import metricgap
+from metricgap import linalg
 from metricgap.errors import AsymmetricInput, DimensionMismatch, SingularSystem
 from metricgap.linalg import (
     DEFAULT_PIVOT_TOL,
@@ -231,3 +238,29 @@ class TestEigQuad:
         vals = eigenvalues_sym(random_sym(9, seed))
         assert np.all(np.diff(vals) >= 0)
 
+
+class TestLapackWrappers:
+    NAMES = ("dsytrf", "dsytrf_lwork", "dsytrs", "dsytri", "dsyevr")
+
+    def test_same_objects_as_scipy(self):
+        for name in self.NAMES:
+            assert getattr(linalg, name) is getattr(scipy.linalg.lapack, name)
+
+    def test_cli_import_leaves_scipy_linalg_out(self):
+        # In a fresh interpreter, where the package loads the wrappers before
+        # anything imports scipy.linalg, which then reuses them.
+        code = (
+            "import sys\n"
+            "import metricgap.cli\n"
+            "assert 'scipy.linalg' not in sys.modules, 'scipy.linalg imported'\n"
+            "import scipy.linalg.lapack\n"
+            "from metricgap import linalg\n"
+            f"for name in {self.NAMES!r}:\n"
+            "    assert getattr(linalg, name) is getattr(scipy.linalg.lapack, name), name\n"
+        )
+        src = str(Path(metricgap.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
