@@ -38,22 +38,26 @@ its delta and need not be the enumeration's.  On the 19-cycle it returns
 67.7894736842107 where beta_hypercube returns 67.78947368421072, and on
 the 22-point discrete space 22.0 where it returns 22.000000000000004.
 
-Past the cutoff, branch_and_bound searches sign prefixes best first.  A
+Past the cutoff, branch_and_bound searches sign prefixes best first.  Each
+queued node carries its prefix as its own array of signs, made from its
+parent's when the node is queued, so the search reaches any depth.  A
 node's bound is the shifted-eigenvalue bound of Poljak and Rendl,
 qf + (m+1) lmax(Q + Diag d) - sum d over the m free coordinates, tightened
 by a few subgradient steps on the shifts d.  Its result carries delta, a
 derived allowance for the rounding of every bound that pruned, and states
 the certificate beta_true <= max(best_bound, beta) + delta.  Each bound
-takes one LAPACK solve for the top eigenpair alone (_top_eig).  With one
-BLAS thread on a 2-core Xeon, odd cycles with n = 29-45 certified in
-0.13-0.77 s, and 3-D point clouds with n = 30-50 (three draws of each size)
-in 0.04-1.9 s but for one draw at n = 50, which took 20.6k nodes and 9.4 s.
+takes one LAPACK solve for the top eigenpair alone (_top_eig), and these
+solves take about half the search's time.  With one BLAS thread on a
+2-core Xeon, cycle51 certified in 0.99 s, cycle61 in 2.47 s, and the
+random trees gen_random_tree(n, seed=0) with n = 66 and 100 in 0.14 and
+1.17 s; the README gives more sizes.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -366,6 +370,8 @@ _SHIFT_STEPS = 6
 # each other on cycles 29-41 and clouds with n = 30-40.
 _MIN_REFINED_FREE = 8
 
+_EPS = float(np.finfo(float).eps)
+
 
 def _node_bound(arr: np.ndarray, lam: np.ndarray, signs: np.ndarray) -> float:
     """Cheap bound of a fixed sign prefix: its exact quadratic value, its
@@ -380,7 +386,7 @@ def _node_bound(arr: np.ndarray, lam: np.ndarray, signs: np.ndarray) -> float:
 
 def _bound_error(k: int, depth: int, prefix_abs: float, a_norm: float, shifts_abs: float) -> float:
     """Rounding error of a node bound of order k; derived in branch_and_bound."""
-    return np.finfo(float).eps * (
+    return _EPS * (
         (k + 2) * (depth + 2) * prefix_abs + (k**3 + 4 * k) * a_norm + (k + 3) * shifts_abs
     )
 
@@ -401,45 +407,56 @@ def _top_eig(a: np.ndarray, vectors: bool = True):
     it can return finite values; at order 1 it returns the NaN itself.
     """
     k = a.shape[0]
-    w, z, m, _, info = dsyevr(a, compute_v=int(vectors), range="I", il=k, iu=k)
+    # compute_v, range, lower, vl, vu, il and iu, passed by position: f2py
+    # takes about a microsecond longer to match keywords.
+    w, z, m, _, info = dsyevr(a, vectors, "I", 0, 0.0, 1.0, k, k)
     if (info != 0 or m != 1) and np.isfinite(a).all():
-        w, z, m, _, info = dsyevr(a, compute_v=int(vectors), range="A")
+        w, z, m, _, info = dsyevr(a, compute_v=vectors, range="A")
         w, z, m = w[k - 1 :], z[:, k - 1 :], m - k + 1
-    if info != 0 or m != 1 or not np.isfinite(w[0]):
+    top = float(w[0])
+    if info != 0 or m != 1 or not math.isfinite(top):
         raise np.linalg.LinAlgError(f"dsyevr found {m} top eigenvalues (info {info})")
-    return (float(w[0]), z[:, 0]) if vectors else float(w[0])
+    return (top, z[:, 0]) if vectors else top
 
 
-def _shifted_bound(q: np.ndarray, shifts: np.ndarray, qf: float, incumbent: float):
+def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: float):
     """Polyak subgradient steps on f(shifts) = k lmax(Q + Diag shifts) - sum shifts.
 
-    Stops once qf + f reaches ``incumbent``.  Returns the smallest f seen
-    with its shifts, top eigenpair and the Frobenius norm of Q + Diag shifts.
+    ``a`` holds Q on entry and Q + Diag shifts, for the returned shifts, on
+    exit.  Stops once qf + f reaches ``incumbent``.  Returns the smallest f
+    seen with its shifts, top eigenpair and the Frobenius norm of
+    Q + Diag shifts.
     """
-    k = q.shape[0]
-    a = q.copy()
-    diag = a.reshape(-1)[:: k + 1]
+    k = a.shape[0]
+    flat = a.reshape(-1)
+    diag = flat[:: k + 1]
     q_diag = diag.copy()
     scale = 1.0
     best = None
-    for _ in range(_SHIFT_STEPS):
+    for step in range(_SHIFT_STEPS):
         np.add(q_diag, shifts, out=diag)
         top, v = _top_eig(a)
-        f = k * top - shifts.sum()
+        f = k * top - float(np.add.reduce(shifts))
         if best is None or f < best[0]:
             best = (f, shifts, top, v)
         else:
             scale /= 2.0
-        if qf + best[0] <= incumbent:
+        if qf + best[0] <= incumbent or step == _SHIFT_STEPS - 1:
             break
-        grad = k * v**2 - 1.0
+        # The subgradient k v^2 - 1 and the Polyak step along it, which the
+        # break above skips after the last solve.
+        grad = v * v
+        grad *= k
+        grad -= 1.0
         norm2 = float(grad @ grad)
         if norm2 == 0.0:
             break
-        shifts = shifts - (scale * (f - (incumbent - qf)) / norm2) * grad
+        grad *= scale * (f - (incumbent - qf)) / norm2
+        shifts = shifts - grad
     f, shifts, top, v = best
     np.add(q_diag, shifts, out=diag)
-    return f, shifts, top, v, float(np.linalg.norm(a))
+    # The Frobenius norm, as np.linalg.norm computes it.
+    return f, shifts, top, v, math.sqrt(flat @ flat)
 
 
 def _local_search(arr: np.ndarray, val: float, key: tuple) -> tuple[float, tuple]:
@@ -554,12 +571,11 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     # (B s | s) <= bound + err <= incumbent + delta, and the same holds for
     # its canonical value; an evaluated leaf is within the canonical
     # rounding of its value, which is at most the incumbent.
-    def cheap_error(depth: int) -> float:
-        return _bound_error(n - depth + 1, depth, prefix_abs[depth], tail_norm[depth], 0.0)
-
-    def signs_of(bits: int, depth: int) -> np.ndarray:
-        picked = (bits >> np.arange(depth)) & 1
-        return np.where(picked == 1, 1.0, -1.0)
+    # The cheap bound's eigenvalue term m lmax(B_FF) and its error, by depth.
+    cheap_lam = [float(lam[d] * (n - d)) for d in range(n + 1)]
+    cheap_err = [_bound_error(n - d + 1, d, prefix_abs[d], tail_norm[d], 0.0)
+                 for d in range(n + 1)]
+    diag = arr.diagonal().tolist()
 
     # Greedy descent, then 1-flip local search, for the initial incumbent.
     g_signs = np.ones(1)
@@ -573,33 +589,38 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     best_val, best_key = _local_search(arr, _canonical(arr, g_signs), tuple(g_signs))
 
     # A queue entry: (-bound, depth, prefix bits, bound error, the parent's
-    # shifts, the first entry of this node's starting shifts).
-    heap = [(-_node_bound(arr, lam, np.ones(1)), 1, 1, cheap_error(1), None, 0.0)]
+    # shifts, the first entry of this node's starting shifts, sign prefix).
+    # The node's sign prefix is its own array, made from its parent's when
+    # it is queued.  Bit i of the prefix bits is set where s_i = +1; an int
+    # of any size, it only breaks ties of bound and depth in the queue's
+    # order, so no entry compares past it.
+    root = np.ones(1)
+    heap = [(-_node_bound(arr, lam, root), 1, 1, cheap_err[1], None, 0.0, root)]
     pops = 0
     pruned = 0
     delta = 0.0
     certified = False
     while heap:
         entry = heapq.heappop(heap)
-        neg_bound, depth, bits, err, parent_shifts, first = entry
+        neg_bound, depth, bits, err, parent_shifts, first, prefix = entry
         top_bound = -neg_bound
         if top_bound <= best_val or pops >= budget:
             certified = bool(top_bound <= best_val)
             heap.append(entry)
             break
         pops += 1
-        prefix = signs_of(bits, depth)
         qf = float(prefix @ arr[:depth, :depth] @ prefix)
         h = arr[depth:, :depth] @ prefix
         refined = n - depth >= _MIN_REFINED_FREE
         if refined:
             k = n - depth + 1
-            q = np.zeros((k, k))
+            q = np.empty((k, k))
+            q[0, 0] = 0.0
             q[0, 1:] = h
             q[1:, 0] = h
             q[1:, 1:] = arr[depth:, depth:]
             if parent_shifts is None:
-                shifts = -np.diag(q)
+                shifts = -q.diagonal()
             else:
                 shifts = np.concatenate(([first], parent_shifts[2:]))
             f, shifts, top_eig, vec, a_norm = _shifted_bound(q, shifts, qf, best_val)
@@ -610,35 +631,47 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
                 best_val, best_key = _local_search(arr, v, tuple(s))
             if qf + f < top_bound:
                 top_bound = qf + f
-                err = _bound_error(k, depth, prefix_abs[depth], a_norm, float(np.abs(shifts).sum()))
+                err = _bound_error(k, depth, prefix_abs[depth], a_norm,
+                                   float(np.add.reduce(np.abs(shifts))))
         if top_bound <= best_val:
             pruned += 1
             delta = max(delta, err)
             continue
-        for sign_bit, sign in ((1, 1.0), (0, -1.0)):
-            child_bits = bits | (sign_bit << depth)
-            child_q = qf + 2.0 * sign * float(h[0]) + arr[depth, depth]
-            if depth + 1 == n:
+        if depth + 1 == n:
+            for sign in (1.0, -1.0):
                 s = np.append(prefix, sign)
                 v = _canonical(arr, s)
                 key = tuple(s)
                 if v > best_val or (v == best_val and key < best_key):
                     best_val = v
                     best_key = key
-                continue
-            child_h = h[1:] + sign * arr[depth + 1 :, depth]
-            bound = (child_q + 2.0 * float(np.sum(np.abs(child_h)))
-                     + lam[depth + 1] * (n - depth - 1))
+            continue
+        # Both children's prefix values qf + 2 sign h_0 + B_dd and coupling
+        # vectors h_rest + sign B_rest,d, for the cheap bound.
+        twice_h0 = 2.0 * float(h[0])
+        child_h = np.empty((2, n - depth - 1))
+        col = arr[depth + 1 :, depth]
+        np.add(h[1:], col, out=child_h[0])
+        np.subtract(h[1:], col, out=child_h[1])
+        np.abs(child_h, out=child_h)
+        abs_sums = np.add.reduce(child_h, axis=1).tolist()
+        children = ((bits | (1 << depth), 1.0, qf + twice_h0 + diag[depth], abs_sums[0]),
+                    (bits, -1.0, qf - twice_h0 + diag[depth], abs_sums[1]))
+        for child_bits, sign, child_q, abs_sum in children:
+            bound = child_q + 2.0 * abs_sum + cheap_lam[depth + 1]
             if bound < top_bound:
-                child_err = cheap_error(depth + 1)
+                child_err = cheap_err[depth + 1]
             else:
                 bound, child_err = top_bound, err
             if bound <= best_val:
                 pruned += 1
                 delta = max(delta, child_err)
                 continue
+            child = np.empty(depth + 1)
+            child[:depth] = prefix
+            child[depth] = sign
             if not refined:
-                heapq.heappush(heap, (-bound, depth + 1, child_bits, child_err, None, 0.0))
+                heapq.heappush(heap, (-bound, depth + 1, child_bits, child_err, None, 0.0, child))
                 continue
             # Fixing x_d = sign x_0 in x^T (Q + Diag d) x <= mu |x|^2, mu the
             # top eigenvalue, merges coordinates 0 and d: the child's
@@ -646,7 +679,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
             # d_rest), whose bound is exactly the parent's.  The child's
             # steps start there.
             start = shifts[0] + shifts[1] + (child_q - qf) - top_eig
-            heapq.heappush(heap, (-bound, depth + 1, child_bits, child_err, shifts, start))
+            heapq.heappush(heap, (-bound, depth + 1, child_bits, child_err, shifts, start, child))
     else:
         certified = True
         top_bound = best_val
@@ -654,7 +687,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     if certified:
         pruned += len(heap)
     delta = max([delta] + [e[3] for e in heap])
-    delta += float(np.finfo(float).eps) * (n + 1) * float(prefix_abs[n])
+    delta += _EPS * (n + 1) * float(prefix_abs[n])
     return BnbResult(best_val, np.array(best_key), certified, pops, float(top_bound), float(delta),
                      pruned)
 

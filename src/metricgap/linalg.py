@@ -63,8 +63,10 @@ class SymMatrix:
     """A real symmetric matrix, checked and frozen at construction.
 
     Entry pairs within ``sym_tol * max(1, max|a|)`` of each other are
-    averaged; anything worse raises AsymmetricInput.  The backing array is
-    marked read-only so downstream code can share it without copying.
+    averaged; anything worse raises AsymmetricInput.  An exactly symmetric
+    input is kept as it is, and another is averaged as a / 2 + a^T / 2,
+    which cannot overflow.  The backing array is marked read-only so
+    downstream code can share it without copying.
     """
 
     __slots__ = ("a",)
@@ -77,14 +79,17 @@ class SymMatrix:
             raise DimensionMismatch("matrix must have at least one row")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        scale = float(np.max(np.abs(a)))
-        gap = float(np.max(np.abs(a - a.T)))
-        if gap > sym_tol * max(scale, 1.0):
-            i, j = np.unravel_index(int(np.argmax(np.abs(a - a.T))), a.shape)
-            raise AsymmetricInput(
-                f"entries ({i},{j}) and ({j},{i}) differ by {gap:.3e}"
-            )
-        a = (a + a.T) / 2.0
+        if not (a == a.T).all():
+            scale = float(np.max(np.abs(a)))
+            with np.errstate(over="ignore"):
+                diff = np.abs(a - a.T)
+            gap = float(np.max(diff))
+            if gap > sym_tol * max(scale, 1.0):
+                i, j = np.unravel_index(int(np.argmax(diff)), a.shape)
+                raise AsymmetricInput(
+                    f"entries ({i},{j}) and ({j},{i}) differ by {gap:.3e}"
+                )
+            a = 0.5 * a + 0.5 * a.T
         a.setflags(write=False)
         self.a = a
 

@@ -145,11 +145,13 @@ def validate_metric(raw) -> MetricSpace:
         raise NegativeDistance(f"d({i},{j}) = {a[i, j]:.17g}")
 
     # Full triangle check on the original matrix; this also catches
-    # inconsistent rows among would-be duplicate points.
+    # inconsistent rows among would-be duplicate points.  A sum that
+    # overflows to inf is above every finite distance, as it should be.
     for k in range(n):
         lhs = a
-        rhs = a[:, k, None] + a[None, k, :]
-        bad = lhs > rhs + tol
+        with np.errstate(over="ignore"):
+            rhs = a[:, k, None] + a[None, k, :] + tol
+        bad = lhs > rhs
         bad[k, :] = False
         bad[:, k] = False
         np.fill_diagonal(bad, False)

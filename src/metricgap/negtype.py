@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    InvalidSize,
     NotStrict,
     PositiveDirectionMissing,
     ZeroFunctional,
@@ -55,6 +56,8 @@ STRICT_NEGATIVE_TYPE = "StrictNegativeType"
 # Quantities within this factor of their tolerance set the marginal flag on
 # the report.
 MARGINAL_FACTOR = 10.0
+
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -212,6 +215,13 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
             m_val = 1.0 / aud
             z = m_val * ainv_u
             b = SymMatrix(np.outer(z, z) / m_val - a_inv.a, sym_tol=1e-8)
+            # Where eps max|B| is subnormal, B's entries have lost bits to
+            # underflow and the rounding bounds of the gap routes, relative
+            # to max|B|, fail (a triangle of side 1e308 gives beta 2.0e-308
+            # against 2.67e-308).
+            if _EPS * b.max_abs < np.finfo(float).tiny:
+                raise InvalidSize(f"B reaches only {b.max_abs:.3e}: its rounding falls "
+                                  "below the smallest normal float")
             _check_kernel("B u", b, u)
 
     return NegTypeReport(

@@ -273,6 +273,15 @@ class TestMainGap:
         assert 0.0 < payload["diagnostics"]["bnb_delta"] <= 1e-9 * payload["beta"]
         assert payload["diagnostics"]["bnb_pruned"] >= 0
 
+    def test_bnb_past_depth_64(self, capsys, monkeypatch):
+        code, out, err = run_main(
+            capsys, ["gap", "-", "--bnb", "--report", "machine"],
+            '{"random_tree": {"n": 66, "seed": 0}}', monkeypatch,
+        )
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["diagnostics"]["bnb_certified"] is True
+
     def test_bnb_on_discrete_space_exits_0(self, capsys, monkeypatch):
         # Its nodes have tightly clustered top eigenvalues.
         code, out, _ = run_main(capsys, ["gap", "-", "--bnb", "--max-n", "13", "--report",
@@ -481,6 +490,27 @@ class TestMainExitCodes:
         assert err == ""
         payload = json.loads(out)
         assert payload["cross_checks"]["beta_opnorm"] == payload["beta"] == pytest.approx(8e160 / 3)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", [
+        '{"distances": [[0, 1.5e308], [1.5e308, 0]]}',
+        '{"distances": [[0, 1e308, 1e308], [1e308, 0, 1e308], [1e308, 1e308, 0]]}',
+    ])
+    def test_huge_distances_are_3(self, capsys, monkeypatch, text):
+        # B falls below the normal range; nothing may overflow or warn on
+        # the way there.
+        code, out, err = run_main(capsys, ["gap", "-"], text, monkeypatch)
+        assert code == 3
+        assert out == ""
+        assert "smallest normal" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_triangle_gap(self, capsys, monkeypatch):
+        text = '{"distances": [[0, 1e200, 1e200], [1e200, 0, 1e200], [1e200, 1e200, 0]]}'
+        code, out, err = run_main(capsys, ["gap", "-", "--report", "machine"], text, monkeypatch)
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["gamma"] == pytest.approx(0.75e200, rel=1e-12)
 
     def test_oracle_fault_injection_is_6(self, capsys):
         code, out, err = run_main(

@@ -443,6 +443,18 @@ class TestBranchAndBound:
         assert r.certified
         assert r.nodes_expanded <= 1000
 
+    @pytest.mark.parametrize("n", [66, 100])
+    def test_random_tree_past_depth_64(self, n):
+        # Nodes reach depth 64 and beyond, where a sign prefix held in one
+        # int64 would overflow.
+        from metricgap.closed_forms import gamma_tree
+
+        tree = gen_random_tree(n, seed=0)
+        r = branch_and_bound(build_B(power_matrix(path_metric(tree), 1.0)).B)
+        beta = gamma_tree(tree).beta
+        assert r.certified
+        assert abs(r.beta - beta) <= r.delta + 1e-12 * beta
+
     def test_cloud_24_certifies_within_small_budget(self):
         r = branch_and_bound(cloud_B(24, 0), budget=5000)
         assert r.certified

@@ -110,6 +110,19 @@ class TestSymMatrix:
         with pytest.raises(AsymmetricInput):
             SymMatrix([[0.0, 1.0], [2.0, 0.0]])
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_entries_average_without_overflow(self):
+        big = 1.5e308
+        m = SymMatrix([[0.0, big], [np.nextafter(big, np.inf), 0.0]])
+        assert m[0, 1] == m[1, 0]
+        assert big <= m[0, 1] <= np.nextafter(big, np.inf)
+        assert SymMatrix([[0.0, big], [big, 0.0]])[0, 1] == big
+
+    def test_exact_symmetry_kept_below_normal_range(self):
+        # Halving each entry first would round a subnormal one.
+        tiny = 5e-324 * 3
+        assert SymMatrix([[0.0, tiny], [tiny, 0.0]])[0, 1] == tiny
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             SymMatrix([[1.0, 2.0, 3.0]])

@@ -61,6 +61,14 @@ class TestValidateMetric:
         assert space.merged == ((0, 1),)
         assert space.d[0, 1] == 2.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_huge_triangle_validates_without_overflow(self):
+        d = np.full((3, 3), 1e308)
+        np.fill_diagonal(d, 0.0)
+        space = validate_metric(d)
+        assert space.merged == ()
+        assert space.d[0, 1] == 1e308
+
     def test_inconsistent_duplicates_rejected(self):
         # Points 0 and 1 coincide but disagree about point 2; that is a
         # zero-side triangle violation, not a mergeable duplicate.

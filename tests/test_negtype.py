@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from metricgap.errors import (
+    InvalidSize,
     NotStrict,
     PositiveDirectionMissing,
     ZeroFunctional,
@@ -126,6 +127,19 @@ class TestClassify:
     def test_raw_negative_definite_refused(self):
         with pytest.raises(PositiveDirectionMissing):
             classify(SymMatrix(-np.eye(3)))
+
+    @pytest.mark.parametrize("side, refused", [(1e308, True), (1.5e307, True), (1e200, False)])
+    def test_B_below_normal_range_refused(self, side, refused):
+        # B of a triangle of side L is about 1 / L: at L = 1e308 its entries
+        # are subnormal and its beta would come out 2.0e-308, not 2.67e-308.
+        d = np.full((3, 3), side)
+        np.fill_diagonal(d, 0.0)
+        ntm = power_matrix(validate_metric(d), 1.0)
+        if refused:
+            with pytest.raises(InvalidSize):
+                classify(ntm)
+        else:
+            assert classify(ntm).verdict == STRICT_NEGATIVE_TYPE
 
     def test_single_point_refused(self):
         with pytest.raises(PositiveDirectionMissing):
