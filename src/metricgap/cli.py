@@ -430,6 +430,7 @@ def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
             report.diagnostics["bnb_certified"] = result.bnb_certified
             report.diagnostics["bnb_nodes"] = result.nodes_expanded
             report.diagnostics["bnb_pruned"] = result.nodes_pruned
+            report.diagnostics["bnb_enumerated"] = result.bnb_enumerated
             report.diagnostics["bnb_gap"] = result.bnb_gap
             report.diagnostics["bnb_delta"] = result.bnb_delta
         report.s_star = _plain(result.s_star)

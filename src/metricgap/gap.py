@@ -31,30 +31,38 @@ re-evaluated with the canonical expression float(s @ B @ s), maxima are
 compared exactly on those values, and exact ties resolve to the
 lexicographically smallest sign vector (-1 before +1).  The result is
 therefore bit-identical whatever the block layout.  The contract covers
-the enumeration routes only.  branch_and_bound prunes a node once its raw
-bound falls to the incumbent, so it may discard a sign vector whose
-canonical value is an ulp or two higher: its maximizer is a maximum up to
-its delta and need not be the enumeration's.  On the 19-cycle it returns
-67.7894736842107 where beta_hypercube returns 67.78947368421072, and on
-the 22-point discrete space 22.0 where it returns 22.000000000000004.
+the enumeration routes, and branch_and_bound on at most _ENUM_FREE + 1
+points, where it solves the root outright.  Past that, branch_and_bound
+prunes a node once its raw bound falls to the incumbent, so it may discard
+a sign vector whose canonical value is an ulp or two higher: its maximizer
+is a maximum up to its delta and need not be the enumeration's.  On the
+22-point discrete space it returns 22.0 where beta_hypercube returns
+22.000000000000007, and on the 18-point one the same 18.0 with another
+maximizer.
 
 Past the cutoff, branch_and_bound searches sign prefixes best first.  Each
-queued node carries its prefix as its own array of signs, made from its
-parent's when the node is queued, so the search reaches any depth.  A
+queued node carries its prefix, and the prefix's coupling to the free
+coordinates, as its own arrays, made from its parent's when the node is
+queued, so the search reaches any depth.  A node with at most _ENUM_FREE
+free coordinates is solved outright: the sign-table kernel values all its
+completions as one block, in the sign tables the three routes share
+(_one_block), and the tie-break contract picks among them.  Any other
 node's bound is the shifted-eigenvalue bound of Poljak and Rendl,
 qf + (m+1) lmax(Q + Diag d) - sum d over the m free coordinates, tightened
 by a few subgradient steps on the shifts d.  Its result carries delta, a
 derived allowance for the rounding of every bound that pruned, and states
 the certificate beta_true <= max(best_bound, beta) + delta.  Each bound
 takes one LAPACK solve for the top eigenpair alone (_top_eig), and these
-solves take about half the search's time.  With one BLAS thread on a
-2-core Xeon, cycle51 certified in 0.99 s, cycle61 in 2.47 s, and the
-random trees gen_random_tree(n, seed=0) with n = 66 and 100 in 0.14 and
-1.17 s; the README gives more sizes.
+solves take over half the search's time.  With one BLAS thread on a
+2-core Xeon, the odd cycles with n = 29, 31, 51, 61 and 71 certified in
+0.05, 0.06, 0.74, 2.05 and 5.0 s, and the random trees
+gen_random_tree(n, seed=0) with n = 66 and 100 in 0.11 and 0.81 s; the
+README gives node counts.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -117,6 +125,30 @@ def _sign_rows(start: int, stop: int, width: int) -> np.ndarray:
     return 1.0 - 2.0 * ((t >> np.arange(width)) & 1)
 
 
+def _high_rows(start: int, stop: int, width: int) -> np.ndarray:
+    """Prefix rows [1, s_1..s_width] for t = start..stop-1, as in _sign_rows."""
+    high = np.ones((stop - start, width + 1))
+    high[:, 1:] = _sign_rows(start, stop, width)
+    return high
+
+
+@functools.cache
+def _one_block(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (H, L) sign tables of order n as one block, read-only.
+
+    They are the one block _sign_blocks(n) yields when 2^(n-1) <= _BLOCK.
+    Made on the first call for each n and kept; the orders n <= 17 that
+    the default _BLOCK takes in one block need 34 KiB at n = 17 and
+    104 KiB in all.
+    """
+    low_width = (n - 1) // 2
+    high_width = n - 1 - low_width
+    tables = _high_rows(0, 1 << high_width, high_width), _sign_rows(0, 1 << low_width, low_width)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _sign_blocks(n: int):
     """Yield (H, L) sign tables that cover {+1} x {-1,+1}^(n-1) exactly once.
 
@@ -138,9 +170,7 @@ def _sign_blocks(n: int):
         for start in range(0, 1 << low_width, low_step)
     ]
     for start in range(0, 1 << high_width, high_step):
-        stop = min(start + high_step, 1 << high_width)
-        high = np.ones((stop - start, high_width + 1))
-        high[:, 1:] = _sign_rows(start, stop, high_width)
+        high = _high_rows(start, min(start + high_step, 1 << high_width), high_width)
         for low in lows:
             yield high, low
 
@@ -150,11 +180,15 @@ def _blocks_with_tables(n: int):
 
     A route writes each block's values into these tables, so a call
     allocates them once; a table read after the next block is overwritten.
+    An order that fits one block takes its sign tables from _one_block.
     """
-    blocks = _sign_blocks(n)
-    high, low = next(blocks)
+    if 1 << (n - 1) <= _BLOCK:
+        blocks = iter([_one_block(n)])
+    else:
+        blocks = _sign_blocks(n)
+    high, low = first = next(blocks)
     shape = (len(high), len(low))
-    return itertools.chain([(high, low)], blocks), np.empty(shape), np.empty(shape)
+    return itertools.chain([first], blocks), np.empty(shape), np.empty(shape)
 
 
 def _split_values(arr: np.ndarray, high: np.ndarray, low: np.ndarray, out: np.ndarray,
@@ -184,7 +218,44 @@ def _rounding_guard(arr: np.ndarray) -> float:
     # and at most two further additions of magnitude at most sum|B_ij|.  The
     # two values therefore differ by at most about (2n + 1) eps sum|B_ij|;
     # g = 4 (n + 3) eps sum|B_ij| doubles that.
+    # branch_and_bound values the completions of a sign prefix s_P of
+    # length d as qf + split(Q), Q = [[0, h^T], [h, B_FF]] of order
+    # k = n - d + 1.  With S_XY the sum of |B_ij| over rows X and columns
+    # Y: qf is within gamma_2d S_PP; each of the 2 (k - 1) entries of h in
+    # Q, a sequential sum of d terms, is within gamma_d of its row's sum
+    # over P, 2 gamma_d S_FP in all; the split of Q adds gamma_k (2 +
+    # gamma_k) and two roundings on S_FF + 2 S_FP (1 + gamma_d), and the
+    # sum with qf one rounding of at most sum|B_ij|.  In units of u that is
+    # at most (2d + 1) S_PP + (d + 2k + 3) 2 S_FP + (2k + 3) S_FF
+    # <= (2n + 4) sum|B_ij| to first order, a rounding depth of n + 2 in
+    # eps against the canonical value's n + 1, so g doubles this
+    # difference too.
     return 4.0 * (arr.shape[0] + 3) * np.finfo(float).eps * float(np.abs(arr).sum())
+
+
+def _best_in_block(arr: np.ndarray, vals: np.ndarray, high: np.ndarray, low: np.ndarray,
+                   prefix: np.ndarray, g: float, best_val: float, best_key):
+    """Fold a valued block into the best canonical value and its sign vector.
+
+    ``vals[i, j]`` is a computed (B s | s) of s = [prefix, high_i[1:], low_j]
+    that differs from its canonical value by at most ``g``.  Returns the
+    larger of (best_val, best_key) and the block's best under the tie-break
+    contract; best_key is None while best_val is -inf.
+    """
+    # If an entry's value is below the block's maximum - 2g, its canonical
+    # value is below that of the block's argmax; below best_val - g, below
+    # best_val.  Neither can win or tie, so only the remaining entries are
+    # re-evaluated.
+    top = float(vals.max())
+    if top < best_val - g:
+        return best_val, best_key
+    for i, j in zip(*np.nonzero(vals >= max(top - 2.0 * g, best_val - g))):
+        s = np.concatenate((prefix, high[i, 1:], low[j]))
+        v = _canonical(arr, s)
+        key = tuple(s)
+        if v > best_val or (v == best_val and key < best_key):
+            best_val, best_key = v, key
+    return best_val, best_key
 
 
 def beta_hypercube(b, *, max_enum_n: int = MAX_ENUM_N) -> tuple[float, np.ndarray]:
@@ -195,26 +266,13 @@ def beta_hypercube(b, *, max_enum_n: int = MAX_ENUM_N) -> tuple[float, np.ndarra
     that rounding could lift to the maximum is re-evaluated canonically.
     """
     arr = _enumerable(b, max_enum_n)
-    n = arr.shape[0]
-    # If an entry's split value is below block_max - 2g, its canonical value
-    # is below that of the block's argmax; below best - g, below the best
-    # canonical value so far.  Neither can win or tie, so only the remaining
-    # entries are re-evaluated.
     g = _rounding_guard(arr)
-    best_val = -np.inf
-    best_key = None
-    blocks, vals, tmp = _blocks_with_tables(n)
+    best_val, best_key = -np.inf, None
+    first = np.ones(1)
+    blocks, vals, tmp = _blocks_with_tables(arr.shape[0])
     for high, low in blocks:
-        _split_values(arr, high, low, vals, tmp)
-        top = float(vals.max())
-        if top < best_val - g:
-            continue
-        for i, j in zip(*np.nonzero(vals >= max(top - 2.0 * g, best_val - g))):
-            s = np.concatenate((high[i], low[j]))
-            v = _canonical(arr, s)
-            if v > best_val or (v == best_val and tuple(s) < best_key):
-                best_val = v
-                best_key = tuple(s)
+        best_val, best_key = _best_in_block(arr, _split_values(arr, high, low, vals, tmp),
+                                            high, low, first, g, best_val, best_key)
     return best_val, np.array(best_key)
 
 
@@ -339,10 +397,11 @@ class BnbResult:
     sign vector s has (B s | s) <= max(best_bound, beta) + delta, and so
     has float(s @ B @ s); ``certified`` means best_bound <= beta, so beta
     is the maximum up to ``delta``.  ``s_star`` is then a maximizer up to
-    ``delta``; it need not follow the tie-break contract of the enumeration
-    (module docstring), since a node is pruned on its raw bound.
-    ``nodes_pruned`` counts the nodes discarded because their bound fell to
-    the incumbent.
+    ``delta``; past n = _ENUM_FREE + 1 it need not follow the tie-break
+    contract of the enumeration (module docstring), since a node is pruned
+    on its raw bound.  ``nodes_pruned`` counts the nodes discarded because
+    their bound fell to the incumbent, and ``nodes_enumerated`` the expanded
+    nodes that were solved outright by enumerating their completions.
     """
 
     beta: float
@@ -352,6 +411,7 @@ class BnbResult:
     best_bound: float
     delta: float
     nodes_pruned: int
+    nodes_enumerated: int
 
 
 # Most subgradient steps on the shifts of one node's bound, each a top
@@ -361,14 +421,16 @@ class BnbResult:
 # fewer would not.
 _SHIFT_STEPS = 6
 
-# Nodes with fewer free coordinates (at most 128 completions) skip the
-# eigen-solves and keep their cheap bound.  Of thresholds 3-11, tried on
-# cycles 11-41 and 3-D clouds with n = 30-40, 8 took the least time: below
-# it the steps cost more than the nodes they prune, above it clouds with
-# n = 30 expanded up to twice the nodes.  With the cheaper top-eigenpair
-# solve, 6-10 steps and thresholds 5-10 took times within the noise of
-# each other on cycles 29-41 and clouds with n = 30-40.
-_MIN_REFINED_FREE = 8
+# Nodes with at most this many free coordinates are solved outright: the
+# sign-table kernel values all 2^m completions of one as a single block
+# (_one_block of order m + 1, which must stay within _BLOCK), instead of
+# reaching them one queued node at a time; on the odd cycles 29 and 31 a
+# third of all nodes lay in such subtrees.  Of 12-18, tried with one BLAS
+# thread on the odd cycles 29, 31, 41 and 51 and on 3-D clouds with n = 30,
+# 14-16 took times within the noise of each other; 12 and 13 took 5-10 %
+# longer, and 17 and 18, whose orders no longer fit one block, 15-50 %
+# longer on the n = 29-31 instances.
+_ENUM_FREE = 14
 
 _EPS = float(np.finfo(float).eps)
 
@@ -478,6 +540,22 @@ def _local_search(arr: np.ndarray, val: float, key: tuple) -> tuple[float, tuple
     return val, key
 
 
+def _node_buffers(arr: np.ndarray, k: int):
+    """A buffer for the node matrices Q of order k, its block B_FF filled
+    in, and, for an order solved outright, two tables of its block's shape.
+
+    Every node of order k has the same free coordinates, so only Q's first
+    row and column and its diagonal change from node to node.
+    """
+    depth = arr.shape[0] - k + 1
+    q = np.empty((k, k))
+    q[1:, 1:] = arr[depth:, depth:]
+    if k > _ENUM_FREE + 1:
+        return q, None, None
+    high, low = _one_block(k)
+    return q, np.empty((len(high), len(low))), np.empty((len(high), len(low)))
+
+
 def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     """Certified maximum of (B s | s) over sign vectors by best-first search.
 
@@ -485,16 +563,20 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     symmetry) and leaves the other m coordinates s_F free.  With
     qf = (B_PP s_P | s_P) and h = B_FP s_P, the node's best value is qf
     plus the maximum of x^T Q x over x in {-1, +1}^(m+1) with x_0 = 1, for
-    Q = [[0, h^T], [h, B_FF]].  Its bound is the shifted-eigenvalue bound
-    of Poljak and Rendl: for any shift vector d,
-    qf + (m+1) lmax(Q + Diag d) - sum d.  A node popped from the queue
-    takes a few subgradient steps on d, warm-started from its parent's,
-    and the top eigenvector of its best shift is rounded to a sign vector
-    that may raise the incumbent.  Children queue under the cheaper of
-    their spectral bound qf + 2 ||h||_1 + m lmax(B_FF) and their parent's
-    shifted bound.  The incumbent starts from a greedy descent and a 1-flip
-    local search, so even a zero budget returns a valid (uncertified)
-    candidate.
+    Q = [[0, h^T], [h, B_FF]].  A popped node with m <= _ENUM_FREE is solved
+    outright: the sign-table kernel values qf + x^T Q x for every
+    completion, and each one that rounding could make maximal is
+    re-evaluated canonically under the enumeration's tie-break.  Any other
+    popped node takes the shifted-eigenvalue bound of Poljak and Rendl: for
+    any shift vector d, qf + (m+1) lmax(Q + Diag d) - sum d.  It takes a few
+    subgradient steps on d, warm-started from its parent's, and the top
+    eigenvector of its best shift is rounded to a sign vector that may raise
+    the incumbent.  Children queue under the cheaper of their spectral
+    bound qf + 2 ||h||_1 + m lmax(B_FF) and their parent's shifted bound.
+    The incumbent starts from a greedy descent and a 1-flip local search,
+    so even a zero budget returns a valid (uncertified) candidate.  Any
+    other budget expands the root, so for n <= _ENUM_FREE + 1 the result is
+    beta_hypercube's, maximizer included.
 
     The result certifies when the best outstanding bound falls to the
     incumbent; if the node budget runs out first the best-found answer is
@@ -516,7 +598,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     if n == 1:
         s = np.ones(1)
         v = _canonical(arr, s)
-        return BnbResult(v, s, True, 0, v, 0.0, 0)
+        return BnbResult(v, s, True, 0, v, 0.0, 0, 0)
 
     lam = np.empty(n + 1)
     lam[n] = 0.0
@@ -527,11 +609,11 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
 
     # The bound of a node at depth d, with k = n - d + 1, is computed as
     # fl(qf^ + fl(fl(k lam^) - fl(sum d))), where lam^ is the top eigenvalue
-    # that _top_eig computes of A^ = fl(Q^ + Diag d), and Q^ holds
-    # h^ = fl(B_FP s_P).  Take the stored shifts d as exact; the bound is
-    # valid for the exact qf and h at any d.  With u = eps / 2,
-    # gamma_j = j u / (1 - j u) and S_P = sum over rows i in P of
-    # sum_j |B_ij|:
+    # that _top_eig computes of A^ = fl(Q^ + Diag d), and Q^ holds h^, the
+    # running sum B_F0 s_0 + ... + B_F,d-1 s_d-1 in that order.  Take the
+    # stored shifts d as exact; the bound is valid for the exact qf and h at
+    # any d.  With u = eps / 2, gamma_j = j u / (1 - j u) and S_P = sum
+    # over rows i in P of sum_j |B_ij|:
     #   |qf^ - qf|           <= gamma_2d S_P  (two products of d terms);
     #   ||A^ - A||_2         <= gamma_d S_P + u max|A^_ii|  (row 0 of h^,
     #                           and one rounding of each diagonal entry);
@@ -562,20 +644,26 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     # solve through _top_eig, without the vector) and four roundings:
     # 1.01 u ((4d + 2m + 6) S_P + (m^3 + 2m) ||B_FF||_F) in all, which
     # _bound_error with B_FF for A^ and no shifts covers by the same
-    # factor.  A child's prefix value qf + 2 sign h_0 + B_dd and its
-    # h_rest + sign B_rest,d carry the errors of the direct sums at depth
-    # d + 1.  Pruning and certification compare the raw floats; delta
-    # adds the largest error of a bound that discarded nodes to the
-    # rounding of a canonical value, at most gamma_2n sum|B_ij| <=
-    # (n + 1) eps sum|B_ij|.  A discarded sign vector s then has
-    # (B s | s) <= bound + err <= incumbent + delta, and the same holds for
-    # its canonical value; an evaluated leaf is within the canonical
-    # rounding of its value, which is at most the incumbent.
+    # factor.  A child's prefix value qf + 2 sign h_0 + B_dd carries the
+    # error of the direct sum at depth d + 1, and its h_rest + sign B_rest,d
+    # is the running sum one term longer.  Pruning and certification
+    # compare the raw floats; delta adds the largest error of a bound that
+    # discarded nodes to the rounding of a canonical value, at most
+    # gamma_2n sum|B_ij| <= (n + 1) eps sum|B_ij|.  A discarded sign vector
+    # s then has (B s | s) <= bound + err <= incumbent + delta, and the same
+    # holds for its canonical value; an evaluated sign vector is within the
+    # canonical rounding of its value, which is at most the incumbent.
+    # A node solved outright re-evaluates every completion whose computed
+    # value comes within the guard g of the incumbent (see _rounding_guard),
+    # so the completions it passes over have canonical values below the
+    # incumbent, and it adds nothing to delta.
     # The cheap bound's eigenvalue term m lmax(B_FF) and its error, by depth.
     cheap_lam = [float(lam[d] * (n - d)) for d in range(n + 1)]
     cheap_err = [_bound_error(n - d + 1, d, prefix_abs[d], tail_norm[d], 0.0)
                  for d in range(n + 1)]
-    diag = arr.diagonal().tolist()
+    diag = arr.diagonal()
+    diag_list = diag.tolist()
+    g = _rounding_guard(arr)
 
     # Greedy descent, then 1-flip local search, for the initial incumbent.
     g_signs = np.ones(1)
@@ -589,75 +677,81 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     best_val, best_key = _local_search(arr, _canonical(arr, g_signs), tuple(g_signs))
 
     # A queue entry: (-bound, depth, prefix bits, bound error, the parent's
-    # shifts, the first entry of this node's starting shifts, sign prefix).
-    # The node's sign prefix is its own array, made from its parent's when
-    # it is queued.  Bit i of the prefix bits is set where s_i = +1; an int
-    # of any size, it only breaks ties of bound and depth in the queue's
-    # order, so no entry compares past it.
+    # shifts, the first entry of this node's starting shifts, sign prefix,
+    # coupling h = B_FP s_P).  The node's sign prefix and h are its own
+    # arrays, made from its parent's when it is queued; h is the running
+    # sum of its columns, in prefix order.  Bit i of the prefix bits is set
+    # where s_i = +1; an int of any size, it only breaks ties of bound and
+    # depth in the queue's order, so no entry compares past it.
     root = np.ones(1)
-    heap = [(-_node_bound(arr, lam, root), 1, 1, cheap_err[1], None, 0.0, root)]
+    heap = [(-_node_bound(arr, lam, root), 1, 1, cheap_err[1], None, 0.0, root,
+             arr[1:, 0].copy())]
+    buffers = {}
     pops = 0
     pruned = 0
+    enumerated = 0
     delta = 0.0
     certified = False
     while heap:
         entry = heapq.heappop(heap)
-        neg_bound, depth, bits, err, parent_shifts, first, prefix = entry
+        neg_bound, depth, bits, err, parent_shifts, first, prefix, h = entry
         top_bound = -neg_bound
-        if top_bound <= best_val or pops >= budget:
+        # The root is expanded whatever its bound, so that up to
+        # _ENUM_FREE + 1 points the tie-break, not the greedy incumbent,
+        # picks the maximizer.
+        if pops >= budget or (pops and top_bound <= best_val):
             certified = bool(top_bound <= best_val)
             heap.append(entry)
             break
         pops += 1
+        k = n - depth + 1
+        buffer = buffers.get(k)
+        if buffer is None:
+            buffer = buffers[k] = _node_buffers(arr, k)
+        q, vals, tmp = buffer
+        q[0, 1:] = h
+        q[1:, 0] = h
+        q_diag = q.reshape(-1)[:: k + 1]
+        q_diag[0] = 0.0
+        q_diag[1:] = diag[depth:]
         qf = float(prefix @ arr[:depth, :depth] @ prefix)
-        h = arr[depth:, :depth] @ prefix
-        refined = n - depth >= _MIN_REFINED_FREE
-        if refined:
-            k = n - depth + 1
-            q = np.empty((k, k))
-            q[0, 0] = 0.0
-            q[0, 1:] = h
-            q[1:, 0] = h
-            q[1:, 1:] = arr[depth:, depth:]
-            if parent_shifts is None:
-                shifts = -q.diagonal()
-            else:
-                shifts = np.concatenate(([first], parent_shifts[2:]))
-            f, shifts, top_eig, vec, a_norm = _shifted_bound(q, shifts, qf, best_val)
-            tail = np.where(vec[1:] * vec[0] >= 0.0, 1.0, -1.0)
-            s = np.concatenate((prefix, tail))
-            v = _canonical(arr, s)
-            if v > best_val or (v == best_val and tuple(s) < best_key):
-                best_val, best_key = _local_search(arr, v, tuple(s))
-            if qf + f < top_bound:
-                top_bound = qf + f
-                err = _bound_error(k, depth, prefix_abs[depth], a_norm,
-                                   float(np.add.reduce(np.abs(shifts))))
+        if vals is not None:
+            enumerated += 1
+            high, low = _one_block(k)
+            _split_values(q, high, low, vals, tmp)
+            vals += qf
+            best_val, best_key = _best_in_block(arr, vals, high, low, prefix, g, best_val,
+                                                best_key)
+            continue
+        if parent_shifts is None:
+            shifts = -q_diag
+        else:
+            shifts = np.concatenate(([first], parent_shifts[2:]))
+        f, shifts, top_eig, vec, a_norm = _shifted_bound(q, shifts, qf, best_val)
+        tail = np.where(vec[1:] * vec[0] >= 0.0, 1.0, -1.0)
+        s = np.concatenate((prefix, tail))
+        v = _canonical(arr, s)
+        if v > best_val or (v == best_val and tuple(s) < best_key):
+            best_val, best_key = _local_search(arr, v, tuple(s))
+        if qf + f < top_bound:
+            top_bound = qf + f
+            err = _bound_error(k, depth, prefix_abs[depth], a_norm,
+                               float(np.add.reduce(np.abs(shifts))))
         if top_bound <= best_val:
             pruned += 1
             delta = max(delta, err)
             continue
-        if depth + 1 == n:
-            for sign in (1.0, -1.0):
-                s = np.append(prefix, sign)
-                v = _canonical(arr, s)
-                key = tuple(s)
-                if v > best_val or (v == best_val and key < best_key):
-                    best_val = v
-                    best_key = key
-            continue
         # Both children's prefix values qf + 2 sign h_0 + B_dd and coupling
-        # vectors h_rest + sign B_rest,d, for the cheap bound.
+        # vectors h_rest + sign B_rest,d.
         twice_h0 = 2.0 * float(h[0])
         child_h = np.empty((2, n - depth - 1))
         col = arr[depth + 1 :, depth]
         np.add(h[1:], col, out=child_h[0])
         np.subtract(h[1:], col, out=child_h[1])
-        np.abs(child_h, out=child_h)
-        abs_sums = np.add.reduce(child_h, axis=1).tolist()
-        children = ((bits | (1 << depth), 1.0, qf + twice_h0 + diag[depth], abs_sums[0]),
-                    (bits, -1.0, qf - twice_h0 + diag[depth], abs_sums[1]))
-        for child_bits, sign, child_q, abs_sum in children:
+        abs_sums = np.add.reduce(np.abs(child_h), axis=1).tolist()
+        children = ((bits | (1 << depth), 1.0, qf + twice_h0 + diag_list[depth], abs_sums[0]),
+                    (bits, -1.0, qf - twice_h0 + diag_list[depth], abs_sums[1]))
+        for child_h_row, (child_bits, sign, child_q, abs_sum) in zip(child_h, children):
             bound = child_q + 2.0 * abs_sum + cheap_lam[depth + 1]
             if bound < top_bound:
                 child_err = cheap_err[depth + 1]
@@ -670,16 +764,14 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
             child = np.empty(depth + 1)
             child[:depth] = prefix
             child[depth] = sign
-            if not refined:
-                heapq.heappush(heap, (-bound, depth + 1, child_bits, child_err, None, 0.0, child))
-                continue
             # Fixing x_d = sign x_0 in x^T (Q + Diag d) x <= mu |x|^2, mu the
             # top eigenvalue, merges coordinates 0 and d: the child's
             # Q' + Diag d' <= mu I for d' = (d_0 + d_d + child_q - qf - mu,
             # d_rest), whose bound is exactly the parent's.  The child's
             # steps start there.
             start = shifts[0] + shifts[1] + (child_q - qf) - top_eig
-            heapq.heappush(heap, (-bound, depth + 1, child_bits, child_err, shifts, start, child))
+            heapq.heappush(heap, (-bound, depth + 1, child_bits, child_err, shifts, start, child,
+                                  child_h_row))
     else:
         certified = True
         top_bound = best_val
@@ -689,7 +781,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     delta = max([delta] + [e[3] for e in heap])
     delta += _EPS * (n + 1) * float(prefix_abs[n])
     return BnbResult(best_val, np.array(best_key), certified, pops, float(top_bound), float(delta),
-                     pruned)
+                     pruned, enumerated)
 
 
 def make_witness(report: NegTypeReport, s_star) -> np.ndarray:
@@ -791,7 +883,8 @@ class GapResult:
     "gray_scan" or "branch_and_bound"; the ``bnb_*`` fields and the node
     counts are set only for the latter.  ``bnb_gap`` is
     max(0, best_bound - beta) and ``bnb_delta`` the rounding allowance of
-    its certificate (see BnbResult).
+    its certificate (see BnbResult); ``bnb_enumerated`` is
+    BnbResult.nodes_enumerated.
     """
 
     gamma: float
@@ -807,6 +900,7 @@ class GapResult:
     nodes_pruned: int | None = None
     bnb_gap: float | None = None
     bnb_delta: float | None = None
+    bnb_enumerated: int | None = None
 
 
 def solve_gap(
@@ -864,7 +958,7 @@ def solve_gap(
         method = "branch_and_bound"
         bnb = dict(bnb_certified=r.certified, nodes_expanded=r.nodes_expanded,
                    nodes_pruned=r.nodes_pruned, bnb_gap=max(0.0, r.best_bound - r.beta),
-                   bnb_delta=r.delta)
+                   bnb_delta=r.delta, bnb_enumerated=r.nodes_enumerated)
     else:
         beta, s_star = beta_hypercube(b, max_enum_n=max_enum_n)
         method = "gray_scan"

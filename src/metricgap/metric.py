@@ -210,18 +210,32 @@ def power_matrix(x: MetricSpace, p: float) -> NegTypeMatrix:
 
 
 def path_metric(g: WeightedGraph) -> MetricSpace:
-    """Shortest-path metric of a connected weighted graph."""
+    """Shortest-path metric of a connected weighted graph.
+
+    Raises DisconnectedGraph when some pair has no path, and InvalidSize
+    when the graph is connected but a shortest path is longer than the
+    largest float.
+    """
     n = g.n
     dist = np.full((n, n), np.inf)
     np.fill_diagonal(dist, 0.0)
     for i, j, w in g.edges:
         if w < dist[i, j]:
             dist[i, j] = dist[j, i] = w
-    for k in range(n):
-        np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
+    # A path length that overflows reads as inf, no shorter than any path.
+    with np.errstate(over="ignore"):
+        for k in range(n):
+            np.minimum(dist, dist[:, k, None] + dist[None, k, :], out=dist)
     if not np.all(np.isfinite(dist)):
-        i, j = map(int, np.argwhere(~np.isfinite(dist))[0])
-        raise DisconnectedGraph(f"no path between vertices {i} and {j}")
+        uf = _UnionFind(n)
+        for i, j, _ in g.edges:
+            uf.union(i, j)
+        roots = np.array([uf.find(i) for i in range(n)])
+        apart = np.argwhere(roots[:, None] != roots[None, :])
+        if len(apart):
+            i, j = map(int, apart[0])
+            raise DisconnectedGraph(f"no path between vertices {i} and {j}")
+        raise InvalidSize("shortest-path distances overflow the float range")
     return MetricSpace(SymMatrix(dist))
 
 

@@ -272,6 +272,8 @@ class TestMainGap:
         assert payload["diagnostics"]["bnb_gap"] == 0.0
         assert 0.0 < payload["diagnostics"]["bnb_delta"] <= 1e-9 * payload["beta"]
         assert payload["diagnostics"]["bnb_pruned"] >= 0
+        # Seven points: the root is solved by enumerating its completions.
+        assert payload["diagnostics"]["bnb_nodes"] == payload["diagnostics"]["bnb_enumerated"] == 1
 
     def test_bnb_past_depth_64(self, capsys, monkeypatch):
         code, out, err = run_main(
@@ -503,6 +505,27 @@ class TestMainExitCodes:
         assert code == 3
         assert out == ""
         assert "smallest normal" in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_path_is_3(self, capsys, monkeypatch):
+        # Connected, but the path from vertex 0 to vertex 2 is longer than
+        # the largest float.
+        text = '{"edges": [[1, 2, 1e308], [2, 3, 1e308]]}'
+        code, out, err = run_main(capsys, ["gap", "-"], text, monkeypatch)
+        assert code == 3
+        assert out == ""
+        assert "overflow" in err and "no path" not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", [
+        '{"n": 4, "edges": [[1, 2, 1.0], [3, 4, 1.0]]}',
+        '{"edges": [[1, 2, 1e308], [2, 3, 1e308], [4, 5, 1.0]]}',
+    ])
+    def test_disconnected_reports_no_path(self, capsys, monkeypatch, text):
+        code, out, err = run_main(capsys, ["gap", "-"], text, monkeypatch)
+        assert code == 3
+        assert out == ""
+        assert "no path between vertices 0 and" in err
 
     @pytest.mark.filterwarnings("error")
     def test_large_triangle_gap(self, capsys, monkeypatch):

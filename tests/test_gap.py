@@ -128,6 +128,16 @@ class TestBetaHypercube:
             assert got_v == exp_v
             assert np.array_equal(got_s, exp_s)
 
+    @pytest.mark.parametrize("n", [1, 2, 9, 17])
+    def test_one_block_tables_shared_and_read_only(self, n):
+        # Orders that fit one block reuse one pair of tables, equal to the
+        # block _sign_blocks yields, and no route can write into them.
+        (high, low), = list(gap._blocks_with_tables(n)[0])
+        assert high is gap._one_block(n)[0] and low is gap._one_block(n)[1]
+        assert not high.flags.writeable and not low.flags.writeable
+        (first_high, first_low), = list(gap._sign_blocks(n))
+        assert np.array_equal(high, first_high) and np.array_equal(low, first_low)
+
     @pytest.mark.parametrize("scale", [1.0, 2.0**-20])
     def test_two_blocks_match_brute(self, scale):
         # n = 18 has 2^17 sign vectors, two blocks of the default size.
@@ -370,8 +380,43 @@ class TestBranchAndBound:
         assert r.beta == v
         assert float(r.s_star @ b.a @ r.s_star) == r.beta
 
+    @pytest.mark.parametrize("n", range(1, gap._ENUM_FREE + 2))
+    def test_small_instances_match_enumeration_bit_for_bit(self, n):
+        # Up to _ENUM_FREE + 1 points the root is solved by enumerating its
+        # completions under the enumeration's tie-break.
+        makes = [lambda: indefinite_B(n, 700 + n), lambda: indefinite_B(n, 800 + n, True)]
+        if n >= 2:
+            makes += [lambda: tree_B(n, 40 + n), lambda: cloud_B(n, 60 + n),
+                      lambda: discrete_B(n)]
+        if n >= 3 and n % 2:
+            makes.append(lambda: cycle_B(n))
+        for make in makes:
+            b = make()
+            r = branch_and_bound(b)
+            v, s = beta_hypercube(b)
+            assert r.certified
+            assert r.beta == v
+            assert np.array_equal(r.s_star, s)
+            assert r.nodes_expanded == r.nodes_enumerated == min(1, n - 1)
+
+    @pytest.mark.parametrize("n", [15, 17])
+    def test_odd_discrete_space_certifies(self, n):
+        # Every sign vector with a balanced split ties here, so all the
+        # work is in re-evaluating ties.
+        b = discrete_B(n)
+        r = branch_and_bound(b, budget=2000)
+        assert r.certified
+        assert abs(r.beta - (n - 1.0 / n)) <= r.delta + 1e-12 * n
+        assert r.nodes_enumerated >= 1
+
+    def test_enumerated_nodes_are_expanded(self):
+        r = branch_and_bound(cycle_B(29))
+        assert r.certified
+        assert 0 < r.nodes_enumerated < r.nodes_expanded
+
     def test_budget_exhaustion_returns_best_found(self):
-        b = tree_B(14, 21)
+        # Past _ENUM_FREE + 1 points, so the root is bounded, not solved.
+        b = tree_B(20, 21)
         r = branch_and_bound(b, budget=3)
         assert not r.certified
         v, _ = beta_hypercube(b)
@@ -599,21 +644,24 @@ class TestSolveGap:
             solve_gap(report, max_enum_n=100)
 
     def test_bnb_certificate_fields(self):
-        space = path_metric(gen_cycle(11))
-        res = solve_gap(space, max_enum_n=10, use_bnb=True)
+        # Past _ENUM_FREE + 1 points, so some nodes are pruned.
+        space = path_metric(gen_cycle(21))
+        res = solve_gap(space, max_enum_n=20, use_bnb=True)
         r = branch_and_bound(build_B(power_matrix(space, 1.0)).B)
         assert res.bnb_gap == max(0.0, r.best_bound - r.beta) == 0.0
         assert res.bnb_delta == r.delta > 0.0
         assert res.nodes_pruned == r.nodes_pruned > 0
+        assert res.bnb_enumerated == r.nodes_enumerated > 0
         plain = solve_gap(space)
         assert plain.bnb_gap is None and plain.bnb_delta is None and plain.nodes_pruned is None
+        assert plain.bnb_enumerated is None
 
     def test_bnb_inside_cutoff_runs_enumeration_alone(self):
         space = path_metric(gen_cycle(11))
         res = solve_gap(space, use_bnb=True)
         assert res.method == "gray_scan"
         assert (res.bnb_certified, res.nodes_expanded, res.nodes_pruned, res.bnb_gap,
-                res.bnb_delta) == (None,) * 5
+                res.bnb_delta, res.bnb_enumerated) == (None,) * 6
         assert res.beta == solve_gap(space).beta
 
     def test_accepts_prepared_matrix(self):
