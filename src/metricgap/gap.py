@@ -49,15 +49,17 @@ completions as one block, in the sign tables the three routes share
 (_one_block), and the tie-break contract picks among them.  Any other
 node's bound is the shifted-eigenvalue bound of Poljak and Rendl,
 qf + (m+1) lmax(Q + Diag d) - sum d over the m free coordinates, tightened
-by a few subgradient steps on the shifts d.  Its result carries delta, a
-derived allowance for the rounding of every bound that pruned, and states
-the certificate beta_true <= max(best_bound, beta) + delta.  Each bound
-takes one LAPACK solve for the top eigenpair alone (_top_eig), and these
-solves take over half the search's time.  With one BLAS thread on a
-2-core Xeon, the odd cycles with n = 29, 31, 51, 61 and 71 certified in
-0.05, 0.06, 0.74, 2.05 and 5.0 s, and the random trees
-gen_random_tree(n, seed=0) with n = 66 and 100 in 0.11 and 0.81 s; the
-README gives node counts.
+by at most _SHIFT_STEPS over-relaxed subgradient steps on the shifts d
+(the comment there says how both constants were chosen).  Its result
+carries delta, a derived allowance for the rounding of every bound that
+pruned, and states the certificate beta_true <= max(best_bound, beta) +
+delta.  Each step takes one LAPACK solve for the top eigenpair alone
+(_top_eig), and these solves take over half the search's time.  With one
+BLAS thread on a 2-core Xeon, the odd cycles with n = 29, 31, 51, 61 and
+71 certified in 0.04, 0.06, 0.53, 1.3 and 3.1 s, the random trees
+gen_random_tree(n, seed=0) with n = 66 and 100 in 0.08 and 0.45 s, and
+3-D clouds of 60 standard normal points (seeds 0-2) in 4.6-6.8 s; the
+README gives node and eigen-solve counts.
 """
 
 from __future__ import annotations
@@ -400,8 +402,10 @@ class BnbResult:
     ``delta``; past n = _ENUM_FREE + 1 it need not follow the tie-break
     contract of the enumeration (module docstring), since a node is pruned
     on its raw bound.  ``nodes_pruned`` counts the nodes discarded because
-    their bound fell to the incumbent, and ``nodes_enumerated`` the expanded
-    nodes that were solved outright by enumerating their completions.
+    their bound fell to the incumbent, ``nodes_enumerated`` the expanded
+    nodes that were solved outright by enumerating their completions, and
+    ``eigen_solves`` the top-eigenvalue solves (_top_eig) of the search,
+    the root's one per depth included.
     """
 
     beta: float
@@ -412,14 +416,29 @@ class BnbResult:
     delta: float
     nodes_pruned: int
     nodes_enumerated: int
+    eigen_solves: int
 
 
 # Most subgradient steps on the shifts of one node's bound, each a top
-# eigenpair (_top_eig) of order n - depth + 1.  Of 3-12 steps, 5-8 took the
-# fewest eigen-solves and nodes to certify odd cycles and 3-D clouds with
-# n = 29-41: fewer leave the bounds too loose, more rarely prune a node that
-# fewer would not.
+# eigenpair (_top_eig) of order n - depth + 1, and the over-relaxation mu of
+# each step (_shifted_bound).  The Polyak step moves the shifts to where the
+# linear model f(d) + g.(d' - d) of the bound reaches the prune level.  f is
+# convex, so it lies above that model, and at the point aimed at it is
+# still above the level: the plain step (mu = 1) falls short, and the node
+# takes further solves or is branched on.  Both were chosen by one sweep,
+# mu = 1.0-1.3 with 5-7 steps, over the odd cycles 29-61,
+# gen_random_tree(n, seed) with n = 40-100 and seeds 0-1, and 3-D clouds
+# with n = 30-60 and seeds 0-2.  Against the plain step with 6 steps,
+# mu = 1.2 with 6 steps took 26-44 % fewer eigen-solves on each family, with
+# beta unchanged bit for bit and every run certified.  mu = 1.15-1.25 with
+# 6-7 steps came within 13 % of it on every family, and 5 steps took more
+# nodes on every family.  The safe range is narrow: longer steps overshoot
+# on random trees (mu = 1.3 took half again as many solves as 1.2 on them,
+# 1.35 took gen_random_tree(60, seed=0) from 137 nodes to 2,077, and 1.5
+# left it uncertified after 5,000), and mu = 0.95 took cycle29 from 1,419
+# solves to 1,701.
 _SHIFT_STEPS = 6
+_SHIFT_RELAX = 1.2
 
 # Nodes with at most this many free coordinates are solved outright: the
 # sign-table kernel values all 2^m completions of one as a single block
@@ -482,12 +501,13 @@ def _top_eig(a: np.ndarray, vectors: bool = True):
 
 
 def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: float):
-    """Polyak subgradient steps on f(shifts) = k lmax(Q + Diag shifts) - sum shifts.
+    """Over-relaxed Polyak subgradient steps on
+    f(shifts) = k lmax(Q + Diag shifts) - sum shifts.
 
     ``a`` holds Q on entry and Q + Diag shifts, for the returned shifts, on
     exit.  Stops once qf + f reaches ``incumbent``.  Returns the smallest f
-    seen with its shifts, top eigenpair and the Frobenius norm of
-    Q + Diag shifts.
+    seen with its shifts, top eigenpair, the Frobenius norm of
+    Q + Diag shifts and the number of eigen-solves taken.
     """
     k = a.shape[0]
     flat = a.reshape(-1)
@@ -505,20 +525,20 @@ def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: floa
             scale /= 2.0
         if qf + best[0] <= incumbent or step == _SHIFT_STEPS - 1:
             break
-        # The subgradient k v^2 - 1 and the Polyak step along it, which the
-        # break above skips after the last solve.
+        # The subgradient k v^2 - 1 and the over-relaxed Polyak step along
+        # it, which the break above skips after the last solve.
         grad = v * v
         grad *= k
         grad -= 1.0
         norm2 = float(grad @ grad)
         if norm2 == 0.0:
             break
-        grad *= scale * (f - (incumbent - qf)) / norm2
+        grad *= _SHIFT_RELAX * scale * (f - (incumbent - qf)) / norm2
         shifts = shifts - grad
     f, shifts, top, v = best
     np.add(q_diag, shifts, out=diag)
     # The Frobenius norm, as np.linalg.norm computes it.
-    return f, shifts, top, v, math.sqrt(flat @ flat)
+    return f, shifts, top, v, math.sqrt(flat @ flat), step + 1
 
 
 def _local_search(arr: np.ndarray, val: float, key: tuple) -> tuple[float, tuple]:
@@ -598,12 +618,13 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     if n == 1:
         s = np.ones(1)
         v = _canonical(arr, s)
-        return BnbResult(v, s, True, 0, v, 0.0, 0, 0)
+        return BnbResult(v, s, True, 0, v, 0.0, 0, 0, 0)
 
     lam = np.empty(n + 1)
     lam[n] = 0.0
     for d in range(n - 1, -1, -1):
         lam[d] = _top_eig(arr[d:, d:], vectors=False)
+    solves = n
     tail_norm = [float(np.linalg.norm(arr[d:, d:])) for d in range(n + 1)]
     prefix_abs = np.concatenate(([0.0], np.cumsum(np.abs(arr).sum(axis=1))))
 
@@ -727,7 +748,8 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
             shifts = -q_diag
         else:
             shifts = np.concatenate(([first], parent_shifts[2:]))
-        f, shifts, top_eig, vec, a_norm = _shifted_bound(q, shifts, qf, best_val)
+        f, shifts, top_eig, vec, a_norm, steps = _shifted_bound(q, shifts, qf, best_val)
+        solves += steps
         tail = np.where(vec[1:] * vec[0] >= 0.0, 1.0, -1.0)
         s = np.concatenate((prefix, tail))
         v = _canonical(arr, s)
@@ -781,7 +803,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     delta = max([delta] + [e[3] for e in heap])
     delta += _EPS * (n + 1) * float(prefix_abs[n])
     return BnbResult(best_val, np.array(best_key), certified, pops, float(top_bound), float(delta),
-                     pruned, enumerated)
+                     pruned, enumerated, solves)
 
 
 def make_witness(report: NegTypeReport, s_star) -> np.ndarray:
@@ -883,8 +905,9 @@ class GapResult:
     "gray_scan" or "branch_and_bound"; the ``bnb_*`` fields and the node
     counts are set only for the latter.  ``bnb_gap`` is
     max(0, best_bound - beta) and ``bnb_delta`` the rounding allowance of
-    its certificate (see BnbResult); ``bnb_enumerated`` is
-    BnbResult.nodes_enumerated.
+    its certificate (see BnbResult); ``bnb_enumerated`` and
+    ``bnb_eigen_solves`` are BnbResult.nodes_enumerated and
+    BnbResult.eigen_solves.
     """
 
     gamma: float
@@ -901,6 +924,7 @@ class GapResult:
     bnb_gap: float | None = None
     bnb_delta: float | None = None
     bnb_enumerated: int | None = None
+    bnb_eigen_solves: int | None = None
 
 
 def solve_gap(
@@ -958,7 +982,8 @@ def solve_gap(
         method = "branch_and_bound"
         bnb = dict(bnb_certified=r.certified, nodes_expanded=r.nodes_expanded,
                    nodes_pruned=r.nodes_pruned, bnb_gap=max(0.0, r.best_bound - r.beta),
-                   bnb_delta=r.delta, bnb_enumerated=r.nodes_enumerated)
+                   bnb_delta=r.delta, bnb_enumerated=r.nodes_enumerated,
+                   bnb_eigen_solves=r.eigen_solves)
     else:
         beta, s_star = beta_hypercube(b, max_enum_n=max_enum_n)
         method = "gray_scan"

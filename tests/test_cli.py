@@ -274,6 +274,8 @@ class TestMainGap:
         assert payload["diagnostics"]["bnb_pruned"] >= 0
         # Seven points: the root is solved by enumerating its completions.
         assert payload["diagnostics"]["bnb_nodes"] == payload["diagnostics"]["bnb_enumerated"] == 1
+        # Its one top eigenvalue per depth seeds the greedy incumbent.
+        assert payload["diagnostics"]["bnb_eigen_solves"] == 7
 
     def test_bnb_past_depth_64(self, capsys, monkeypatch):
         code, out, err = run_main(

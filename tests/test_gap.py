@@ -398,6 +398,8 @@ class TestBranchAndBound:
             assert r.beta == v
             assert np.array_equal(r.s_star, s)
             assert r.nodes_expanded == r.nodes_enumerated == min(1, n - 1)
+            # Only the root's one eigenvalue per depth, for the greedy start.
+            assert r.eigen_solves == (n if n > 1 else 0)
 
     @pytest.mark.parametrize("n", [15, 17])
     def test_odd_discrete_space_certifies(self, n):
@@ -482,11 +484,34 @@ class TestBranchAndBound:
 
     @pytest.mark.parametrize("n", [29, 31])
     def test_odd_cycle_certifies_within_node_budget(self, n):
-        # Both take about 500-600 nodes; a looser node bound or a broken
-        # warm start of the shifts needs many times more.
+        # They take 258 and 330 nodes; a looser node bound or a broken warm
+        # start of the shifts needs many times more.  They take 1,078 and
+        # 1,419 eigen-solves; the plain Polyak step took 1,419 and 1,811.
         r = branch_and_bound(cycle_B(n), budget=1000)
         assert r.certified
         assert r.nodes_expanded <= 1000
+        assert r.eigen_solves <= {29: 1250, 31: 1600}[n]
+
+    def test_random_tree_60_certifies_within_node_budget(self):
+        # 137 nodes; over-long steps (an over-relaxation of 1.35) take
+        # 2,077.
+        tree = gen_random_tree(60, seed=0)
+        r = branch_and_bound(build_B(power_matrix(path_metric(tree), 1.0)).B, budget=1000)
+        assert r.certified
+
+    def test_eigen_solves_count_every_top_eig_call(self, monkeypatch):
+        calls = []
+        top_eig = gap._top_eig
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return top_eig(*args, **kwargs)
+
+        monkeypatch.setattr(gap, "_top_eig", counted)
+        for b in (cycle_B(29), tree_B(20, 21)):
+            calls.clear()
+            r = branch_and_bound(b)
+            assert r.eigen_solves == len(calls) > b.n
 
     @pytest.mark.parametrize("n", [66, 100])
     def test_random_tree_past_depth_64(self, n):
@@ -652,16 +677,17 @@ class TestSolveGap:
         assert res.bnb_delta == r.delta > 0.0
         assert res.nodes_pruned == r.nodes_pruned > 0
         assert res.bnb_enumerated == r.nodes_enumerated > 0
+        assert res.bnb_eigen_solves == r.eigen_solves > 21
         plain = solve_gap(space)
         assert plain.bnb_gap is None and plain.bnb_delta is None and plain.nodes_pruned is None
-        assert plain.bnb_enumerated is None
+        assert plain.bnb_enumerated is None and plain.bnb_eigen_solves is None
 
     def test_bnb_inside_cutoff_runs_enumeration_alone(self):
         space = path_metric(gen_cycle(11))
         res = solve_gap(space, use_bnb=True)
         assert res.method == "gray_scan"
         assert (res.bnb_certified, res.nodes_expanded, res.nodes_pruned, res.bnb_gap,
-                res.bnb_delta, res.bnb_enumerated) == (None,) * 6
+                res.bnb_delta, res.bnb_enumerated, res.bnb_eigen_solves) == (None,) * 7
         assert res.beta == solve_gap(space).beta
 
     def test_accepts_prepared_matrix(self):
