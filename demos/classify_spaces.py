@@ -3,7 +3,9 @@ strictly.
 
 Five inputs, three verdicts. The interesting edge is the even cycle, whose
 distance matrix is exactly singular: it is of negative type but not
-strictly, so its gap constant is zero.
+strictly, so its gap constant is zero.  Each line of margins gives every
+zero test the classifier made as its measured quantity over its
+tolerance: the call flips at 1.
 """
 
 import numpy as np
@@ -17,8 +19,8 @@ def show(label, ntm):
     print(f"{label:28s} {report.verdict:24s} top projected eigenvalue {top: .3e}")
     if report.M is not None:
         print(f"{'':28s} M = {report.M:.6g}, z = {np.round(report.z, 6)}")
-    if report.notes:
-        print(f"{'':28s} notes: {'; '.join(report.notes)}")
+    margins = "  ".join(f"{k} {v:.3g}" for k, v in report.margins.items())
+    print(f"{'':28s} margins: {margins}")
 
 
 def main() -> int:

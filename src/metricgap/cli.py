@@ -374,6 +374,8 @@ def emit_report(report: Report, mode: str = "text") -> str:
     for label, value in sorted(report.diagnostics.items()):
         if isinstance(value, float):
             value = num(value)
+        elif isinstance(value, dict):
+            value = " ".join(f"{k}={num(v)}" for k, v in value.items())
         lines.append(f"{label}: {value}")
     if report.timing is not None:
         lines.append(f"wall_time: {report.timing:.3f} s")
@@ -415,8 +417,7 @@ def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
         p=p,
         diagnostics={
             "projected_spectrum": _plain(analysis.projected_spectrum),
-            "marginal": analysis.marginal,
-            "notes": list(analysis.notes),
+            "margins": analysis.margins,
         },
     )
     if space.merged:

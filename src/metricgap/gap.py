@@ -454,15 +454,20 @@ _ENUM_FREE = 14
 _EPS = float(np.finfo(float).eps)
 
 
-def _node_bound(arr: np.ndarray, lam: np.ndarray, signs: np.ndarray) -> float:
-    """Cheap bound of a fixed sign prefix: its exact quadratic value, its
-    worst-case coupling to the free coordinates, and a spectral cap on the
-    free block."""
-    d = signs.shape[0]
-    n = arr.shape[0]
-    qf = float(signs @ arr[:d, :d] @ signs)
-    h = arr[d:, :d] @ signs
-    return qf + 2.0 * float(np.sum(np.abs(h))) + lam[d] * (n - d)
+def _children(arr: np.ndarray, diag: list, cheap_lam: list, depth: int, qf: float, h):
+    """Both children, s_d = +1 first, of the node at depth d with prefix value
+    qf and coupling h: their prefix values qf + 2 s_d h_0 + B_dd, couplings
+    h_rest + s_d B_rest,d (rows of one array) and cheap bounds."""
+    twice_h0 = 2.0 * float(h[0])
+    child_h = np.empty((2, h.shape[0] - 1))
+    col = arr[depth + 1 :, depth]
+    np.add(h[1:], col, out=child_h[0])
+    np.subtract(h[1:], col, out=child_h[1])
+    abs_sums = np.add.reduce(np.abs(child_h), axis=1).tolist()
+    child_q = (qf + twice_h0 + diag[depth], qf - twice_h0 + diag[depth])
+    lam = cheap_lam[depth + 1]
+    bounds = (child_q[0] + 2.0 * abs_sums[0] + lam, child_q[1] + 2.0 * abs_sums[1] + lam)
+    return child_q, child_h, bounds
 
 
 def _bound_error(k: int, depth: int, prefix_abs: float, a_norm: float, shifts_abs: float) -> float:
@@ -686,15 +691,15 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     diag_list = diag.tolist()
     g = _rounding_guard(arr)
 
-    # Greedy descent, then 1-flip local search, for the initial incumbent.
-    g_signs = np.ones(1)
+    # Greedy descent to the child of the larger cheap bound, +1 on a tie,
+    # then 1-flip local search, for the initial incumbent.
+    g_signs = np.ones(n)
+    g_q, g_h = diag_list[0], arr[1:, 0]
     for depth in range(1, n):
-        cand = []
-        for sign_bit, sign in ((1, 1.0), (0, -1.0)):
-            ext = np.append(g_signs, sign)
-            cand.append((_node_bound(arr, lam, ext), sign_bit, ext))
-        cand.sort(key=lambda c: (-c[0], -c[1]))
-        g_signs = cand[0][2]
+        child_q, child_h, bounds = _children(arr, diag_list, cheap_lam, depth, g_q, g_h)
+        pick = 0 if bounds[0] >= bounds[1] else 1
+        g_signs[depth] = 1.0 - 2.0 * pick
+        g_q, g_h = child_q[pick], child_h[pick]
     best_val, best_key = _local_search(arr, _canonical(arr, g_signs), tuple(g_signs))
 
     # A queue entry: (-bound, depth, prefix bits, bound error, the parent's
@@ -704,9 +709,9 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     # sum of its columns, in prefix order.  Bit i of the prefix bits is set
     # where s_i = +1; an int of any size, it only breaks ties of bound and
     # depth in the queue's order, so no entry compares past it.
-    root = np.ones(1)
-    heap = [(-_node_bound(arr, lam, root), 1, 1, cheap_err[1], None, 0.0, root,
-             arr[1:, 0].copy())]
+    h = arr[1:, 0].copy()
+    heap = [(-(diag_list[0] + 2.0 * float(np.sum(np.abs(h))) + cheap_lam[1]), 1, 1,
+             cheap_err[1], None, 0.0, np.ones(1), h)]
     buffers = {}
     pops = 0
     pruned = 0
@@ -763,18 +768,9 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
             pruned += 1
             delta = max(delta, err)
             continue
-        # Both children's prefix values qf + 2 sign h_0 + B_dd and coupling
-        # vectors h_rest + sign B_rest,d.
-        twice_h0 = 2.0 * float(h[0])
-        child_h = np.empty((2, n - depth - 1))
-        col = arr[depth + 1 :, depth]
-        np.add(h[1:], col, out=child_h[0])
-        np.subtract(h[1:], col, out=child_h[1])
-        abs_sums = np.add.reduce(np.abs(child_h), axis=1).tolist()
-        children = ((bits | (1 << depth), 1.0, qf + twice_h0 + diag_list[depth], abs_sums[0]),
-                    (bits, -1.0, qf - twice_h0 + diag_list[depth], abs_sums[1]))
-        for child_h_row, (child_bits, sign, child_q, abs_sum) in zip(child_h, children):
-            bound = child_q + 2.0 * abs_sum + cheap_lam[depth + 1]
+        child_qs, child_h, bounds = _children(arr, diag_list, cheap_lam, depth, qf, h)
+        for child_bits, sign, child_q, child_h_row, bound in zip(
+                (bits | (1 << depth), bits), (1.0, -1.0), child_qs, child_h, bounds):
             if bound < top_bound:
                 child_err = cheap_err[depth + 1]
             else:

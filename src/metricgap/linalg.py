@@ -62,7 +62,7 @@ DEFAULT_PIVOT_TOL = 1e-10
 class SymMatrix:
     """A real symmetric matrix, checked and frozen at construction.
 
-    Entry pairs within ``sym_tol * max(1, max|a|)`` of each other are
+    Entry pairs within ``1e-12 * max(1, max|a|)`` of each other are
     averaged; anything worse raises AsymmetricInput.  An exactly symmetric
     input is kept as it is, and another is averaged as a / 2 + a^T / 2,
     which cannot overflow.  The backing array is marked read-only so
@@ -71,7 +71,7 @@ class SymMatrix:
 
     __slots__ = ("a",)
 
-    def __init__(self, entries, sym_tol: float = 1e-12):
+    def __init__(self, entries):
         a = np.array(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
@@ -84,7 +84,7 @@ class SymMatrix:
             with np.errstate(over="ignore"):
                 diff = np.abs(a - a.T)
             gap = float(np.max(diff))
-            if gap > sym_tol * max(scale, 1.0):
+            if gap > 1e-12 * max(scale, 1.0):
                 i, j = np.unravel_index(int(np.argmax(diff)), a.shape)
                 raise AsymmetricInput(
                     f"entries ({i},{j}) and ({j},{i}) differ by {gap:.3e}"

@@ -53,11 +53,9 @@ NOT_NEGATIVE_TYPE = "NotNegativeType"
 NEGATIVE_TYPE_NON_STRICT = "NegativeTypeNonStrict"
 STRICT_NEGATIVE_TYPE = "StrictNegativeType"
 
-# Quantities within this factor of their tolerance set the marginal flag on
-# the report.
-MARGINAL_FACTOR = 10.0
-
 _EPS = float(np.finfo(float).eps)
+# The smallest positive float, below which no tolerance may underflow.
+_TINIEST = 5e-324
 
 
 @dataclass(frozen=True)
@@ -67,7 +65,7 @@ class Tolerances:
     Each is scaled by the natural magnitude of the quantity it guards:
     factorization pivots by max|A|, projected eigenvalues by max|A|, and
     the strictness test on (A^{-1} u | u) by max|A^{-1}| times the squared
-    1-norm of u.
+    1-norm of u.  All three must be positive.
     """
 
     factor_pivot: float = DEFAULT_PIVOT_TOL
@@ -85,13 +83,19 @@ class NegTypeReport:
     factorization exists once A is of negative type, and M, z and B only
     in the strict case.  B is built eagerly with its B u residual checked;
     C is built on first read, when its C z residual is checked.
+
+    ``margins`` holds each zero test made, as its quantity over its
+    threshold, signed so that the call flips at 1: ``eig`` (the top
+    projected eigenvalue; above 1 is NotNegativeType), ``eig_full`` (the
+    same for the whole of a bare matrix; at most 1 is refused), ``pivot``
+    (the smallest LDL^T pivot ratio; below 1 is singular, so non-strict),
+    ``strict`` (|(A^-1 u | u)|; above 1 is strict) and ``B_u`` (max|B u|;
+    above 1 is refused as broken numerics).
     """
 
     verdict: str
     projected_spectrum: np.ndarray
-    has_positive_direction: bool
-    marginal: bool
-    notes: tuple[str, ...]
+    margins: dict[str, float]
     A: SymMatrix
     u: np.ndarray
     factorization: Factorization | None = None
@@ -104,7 +108,7 @@ class NegTypeReport:
         """C = M u u^T - A, positive semidefinite with kernel spanned by z."""
         if self.verdict != STRICT_NEGATIVE_TYPE:
             raise NotStrict(f"verdict is {self.verdict}; C is defined only in the strict case")
-        c = SymMatrix(self.M * np.outer(self.u, self.u) - self.A.a, sym_tol=1e-8)
+        c = SymMatrix(self.M * np.outer(self.u, self.u) - self.A.a)
         _check_kernel("C z", c, self.z)
         return c
 
@@ -115,6 +119,7 @@ def project_to_F(a: SymMatrix, u) -> SymMatrix:
     The basis is the trailing n-1 columns of the Householder reflection
     sending u to a multiple of the first coordinate axis, so the output is
     (n-1) x (n-1) and its spectrum is the spectrum of A restricted to F.
+    The product q^T A q is symmetric only up to rounding and is averaged.
     """
     u = np.asarray(u, dtype=float)
     n = a.n
@@ -132,7 +137,8 @@ def project_to_F(a: SymMatrix, u) -> SymMatrix:
     v /= np.linalg.norm(v)
     h = np.eye(n) - 2.0 * np.outer(v, v)
     q = h[:, 1:]
-    return SymMatrix(q.T @ a.a @ q, sym_tol=1e-10)
+    m = q.T @ a.a @ q
+    return SymMatrix(0.5 * m + 0.5 * m.T)
 
 
 def oscillation(x, u) -> float:
@@ -158,13 +164,14 @@ def oscillation(x, u) -> float:
     return best
 
 
-def _check_kernel(label: str, m: SymMatrix, v: np.ndarray) -> None:
+def _check_kernel(label: str, m: SymMatrix, v: np.ndarray) -> float:
     # Construction guarantees m v = 0; a large residual indicates broken
-    # numerics rather than bad input.
+    # numerics rather than bad input.  Returns the residual over its bound.
     res = float(np.max(np.abs(m.a @ v)))
-    scale = max(m.max_abs * float(np.sum(np.abs(v))), 1e-300)
-    if res > 1e-8 * scale:
+    margin = res / (1e-8 * max(m.max_abs * float(np.sum(np.abs(v))), 1e-300))
+    if margin > 1.0:
         raise ArithmeticError(f"kernel residual too large: |{label}| = {res:.3e}")
+    return margin
 
 
 def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -> NegTypeReport:
@@ -173,48 +180,34 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
         raise PositiveDirectionMissing(
             "a single point admits no direction of positive quadratic form"
         )
-    scale = max(a.max_abs, 0.0)
-    eig_tol = tols.eig * max(scale, 1e-300)
-    notes: list[str] = []
-
+    eig_tol = max(tols.eig * max(a.max_abs, 1e-300), _TINIEST)
     spectrum = eigenvalues_sym(project_to_F(a, u))
-    top = float(spectrum[-1])
-    not_negative = top > eig_tol
-    if abs(top) <= MARGINAL_FACTOR * eig_tol:
-        notes.append("largest projected eigenvalue within marginal band of zero")
+    margins = {"eig": float(spectrum[-1]) / eig_tol}
+    if not from_metric:
+        margins["eig_full"] = float(eigenvalues_sym(a)[-1]) / eig_tol
 
-    if from_metric:
-        has_positive = True
-    else:
-        full_top = float(eigenvalues_sym(a)[-1])
-        has_positive = full_top > eig_tol
-        if abs(full_top) <= MARGINAL_FACTOR * eig_tol:
-            notes.append("largest unconstrained eigenvalue within marginal band of zero")
-
-    verdict = NOT_NEGATIVE_TYPE if not_negative else NEGATIVE_TYPE_NON_STRICT
+    verdict = NOT_NEGATIVE_TYPE if margins["eig"] > 1.0 else NEGATIVE_TYPE_NON_STRICT
     f = m_val = z = b = None
     if verdict == NEGATIVE_TYPE_NON_STRICT:
-        if not has_positive:
+        if not from_metric and margins["eig_full"] <= 1.0:
             raise PositiveDirectionMissing(
                 "quadratic form is nonpositive in every direction; "
                 "the constrained maximum is not defined"
             )
         f = factor(a, tols.factor_pivot)
-        if not f.singular_flag and f.min_pivot_ratio <= MARGINAL_FACTOR * tols.factor_pivot:
-            notes.append("smallest pivot within marginal band of the singularity cutoff")
+        margins["pivot"] = f.min_pivot_ratio / max(tols.factor_pivot, _TINIEST)
 
     if f is not None and not f.singular_flag:
         a_inv = invert(f)
         ainv_u = solve(f, u)
         aud = float(ainv_u @ u)
         strict_tol = tols.strict * a_inv.max_abs * float(np.sum(np.abs(u))) ** 2
-        if abs(aud) <= MARGINAL_FACTOR * strict_tol:
-            notes.append("(A^-1 u | u) within marginal band of zero")
-        if abs(aud) > strict_tol:
+        margins["strict"] = abs(aud) / max(strict_tol, _TINIEST)
+        if margins["strict"] > 1.0:
             verdict = STRICT_NEGATIVE_TYPE
             m_val = 1.0 / aud
             z = m_val * ainv_u
-            b = SymMatrix(np.outer(z, z) / m_val - a_inv.a, sym_tol=1e-8)
+            b = SymMatrix(np.outer(z, z) / m_val - a_inv.a)
             # Where eps max|B| is subnormal, B's entries have lost bits to
             # underflow and the rounding bounds of the gap routes, relative
             # to max|B|, fail (a triangle of side 1e308 gives beta 2.0e-308
@@ -222,14 +215,12 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
             if _EPS * b.max_abs < np.finfo(float).tiny:
                 raise InvalidSize(f"B reaches only {b.max_abs:.3e}: its rounding falls "
                                   "below the smallest normal float")
-            _check_kernel("B u", b, u)
+            margins["B_u"] = _check_kernel("B u", b, u)
 
     return NegTypeReport(
         verdict=verdict,
         projected_spectrum=spectrum,
-        has_positive_direction=has_positive,
-        marginal=bool(notes),
-        notes=tuple(notes),
+        margins=margins,
         A=a,
         u=u,
         factorization=f,

@@ -211,6 +211,29 @@ class TestMainGap:
         )
         assert "timing" in json.loads(out)
 
+    def test_text_report_with_witness_and_timing(self, capsys, monkeypatch):
+        code, out, _ = run_main(
+            capsys, ["gap", "-", "--witness", "--timing"], '{"cycle": 5}', monkeypatch
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert "s_star:   + - + - -" in lines
+        for start in ("witness:  ", "check beta_opnorm: ", "margins: eig=", "wall_time: "):
+            assert sum(line.startswith(start) for line in lines) == 1, start
+
+    def test_tol_scales_the_margins(self, capsys, monkeypatch):
+        margins = []
+        for flags in ([], ["--tol", "1e-6"]):
+            code, out, _ = run_main(
+                capsys, ["gap", "-", "--report", "machine", *flags], '{"cycle": 7}', monkeypatch
+            )
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["verdict"] == "StrictNegativeType"
+            margins.append(payload["diagnostics"]["margins"])
+        assert margins[1]["eig"] == pytest.approx(1e-3 * margins[0]["eig"], rel=1e-12)
+        assert margins[1]["strict"] == pytest.approx(1e-3 * margins[0]["strict"], rel=1e-12)
+
     def test_witness_flag(self, capsys, monkeypatch):
         code, out, _ = run_main(
             capsys, ["gap", "-", "--report", "machine", "--witness"],
@@ -413,6 +436,9 @@ class TestMainExitCodes:
             pytest.param('{"cycle":5}', 2, ["--tol", "inf"], id="tol-flag-inf"),
             pytest.param('{"cycle":5}', 2, ["--tol", "-1"], id="tol-flag-negative"),
             pytest.param('{"cycle":5}', 2, ["--tol", "0"], id="tol-flag-zero"),
+            # A tolerance that underflows to zero once scaled by max|A^-1|.
+            pytest.param('{"distances":[[0,1e5],[1e5,0]]}', 0, ["--tol", "1e-320"],
+                         id="tol-flag-underflows"),
             # Sizes past MAX_POINTS, rejected before anything of that size is built.
             ('{"cycle":%d}' % 10**20, 2, []),
             ('{"path":%d}' % 10**20, 2, []),

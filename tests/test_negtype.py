@@ -32,6 +32,12 @@ def cycle_ntm(n, p=1.0):
     return power_matrix(path_metric(gen_cycle(n)), p)
 
 
+def cloud(n, seed):
+    # Distances of n standard normal points in R^3.
+    pts = np.random.default_rng(seed).standard_normal((n, 3))
+    return np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=-1)
+
+
 def claw_ntm_p2():
     # Star with three unit legs, distances squared: positive somewhere on
     # the zero-sum hyperplane, so not of negative type at exponent 2.
@@ -87,8 +93,13 @@ class TestClassify:
     def test_discrete_is_strict(self):
         rep = classify(power_matrix(gen_discrete(5), 1.0))
         assert rep.verdict == STRICT_NEGATIVE_TYPE
-        assert rep.has_positive_direction
-        assert not rep.marginal
+        # Every zero test is decided by at least a factor 10: the projected
+        # eigenvalue lies 10 tolerances below zero, the other margins a
+        # factor 10 past 1.
+        m = rep.margins
+        assert set(m) == {"eig", "pivot", "strict", "B_u"}
+        assert m["eig"] <= -10.0 and m["pivot"] >= 10.0 and m["strict"] >= 10.0
+        assert m["B_u"] <= 0.1
         # M = (n-1)/n and z = (1/n) ones, from the closed-form inverse.
         assert rep.M == pytest.approx(4.0 / 5.0, rel=1e-12)
         assert np.allclose(rep.z, np.full(5, 0.2), atol=1e-12)
@@ -149,21 +160,60 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(power_matrix(gen_discrete(3), 1.0), u=np.ones(3))
 
-    def test_marginal_flag_near_singularity(self):
+    def test_eig_margin_near_singularity(self):
         # A hair away from the singular even cycle: still non-strict, and
-        # flagged as a tolerance-sensitive call.
+        # the projected eigenvalue is within 10 tolerances of zero.
         d = path_metric(gen_cycle(6)).d.a.copy()
         d[0, 3] = d[3, 0] = 3.0 - 1e-9
         rep = classify(power_matrix(validate_metric(d), 1.0))
         assert rep.verdict == NEGATIVE_TYPE_NON_STRICT
-        assert rep.marginal
-        assert rep.notes
+        assert abs(rep.margins["eig"]) <= 10.0
+
+    @pytest.mark.parametrize("make, bare, verdict", [
+        (lambda: power_matrix(path_metric(gen_random_tree(9, seed=3)), 1.0), False,
+         STRICT_NEGATIVE_TYPE),
+        (lambda: power_matrix(validate_metric(cloud(8, 0)), 1.0), False, STRICT_NEGATIVE_TYPE),
+        (lambda: power_matrix(validate_metric(cloud(8, 1)), 2.0), False,
+         NEGATIVE_TYPE_NON_STRICT),
+        (lambda: power_matrix(validate_metric(cloud(8, 2)), 3.0), False, NOT_NEGATIVE_TYPE),
+        (lambda: cycle_ntm(9), False, STRICT_NEGATIVE_TYPE),
+        (lambda: cycle_ntm(8), False, NEGATIVE_TYPE_NON_STRICT),
+        (lambda: SymMatrix(np.ones((4, 4)) - np.eye(4)), True, STRICT_NEGATIVE_TYPE),
+        (lambda: cycle_ntm(6).A, True, NEGATIVE_TYPE_NON_STRICT),
+        (lambda: claw_ntm_p2().A, True, NOT_NEGATIVE_TYPE),
+    ], ids=["tree", "cloud-p1", "cloud-p2", "cloud-p3", "cycle9", "cycle8", "bare-discrete4",
+            "bare-cycle6", "bare-claw-p2"])
+    def test_margins_on_their_verdicts_side(self, make, bare, verdict):
+        rep = classify(make())
+        assert rep.verdict == verdict
+        # The side of 1 each margin must lie on: True for above.  Only a
+        # nonsingular factorization goes on to the strictness test.
+        above = {
+            "eig": verdict == NOT_NEGATIVE_TYPE,
+            "eig_full": True,
+            "pivot": "strict" in rep.margins,
+            "strict": verdict == STRICT_NEGATIVE_TYPE,
+            "B_u": False,
+        }
+        keys = {"eig"} | ({"eig_full"} if bare else set())
+        if verdict != NOT_NEGATIVE_TYPE:
+            keys |= {"pivot"} | ({"strict"} if above["pivot"] else set())
+        if verdict == STRICT_NEGATIVE_TYPE:
+            keys |= {"strict", "B_u"}
+        assert set(rep.margins) == keys
+        for key, margin in rep.margins.items():
+            assert (margin > 1.0) == above[key], key
 
 
 class TestComputeMZ:
     def test_requires_strict(self):
         with pytest.raises(NotStrict):
             build_B(cycle_ntm(6))
+
+    def test_C_requires_strict(self):
+        rep = classify(cycle_ntm(6))
+        with pytest.raises(NotStrict):
+            rep.C
 
     def test_discrete_values(self):
         rep = build_B(power_matrix(gen_discrete(4), 1.0))
