@@ -358,6 +358,11 @@ def emit_report(report: Report, mode: str = "text") -> str:
     def num(v):
         return "none" if v is None else f"{v:.6g}"
 
+    def listed(v):
+        if isinstance(v, list):
+            return "[" + ", ".join(listed(x) for x in v) + "]"
+        return num(v) if isinstance(v, float) else str(v)
+
     lines = [
         f"verdict:  {report.verdict}",
         f"n:        {report.n}",
@@ -376,6 +381,8 @@ def emit_report(report: Report, mode: str = "text") -> str:
             value = num(value)
         elif isinstance(value, dict):
             value = " ".join(f"{k}={num(v)}" for k, v in value.items())
+        elif isinstance(value, list):
+            value = listed(value)
         lines.append(f"{label}: {value}")
     if report.timing is not None:
         lines.append(f"wall_time: {report.timing:.3f} s")
@@ -433,6 +440,7 @@ def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
             report.diagnostics["bnb_pruned"] = result.nodes_pruned
             report.diagnostics["bnb_enumerated"] = result.bnb_enumerated
             report.diagnostics["bnb_eigen_solves"] = result.bnb_eigen_solves
+            report.diagnostics["bnb_tied"] = result.bnb_tied
             report.diagnostics["bnb_gap"] = result.bnb_gap
             report.diagnostics["bnb_delta"] = result.bnb_delta
         report.s_star = _plain(result.s_star)

@@ -50,7 +50,14 @@ completions as one block, in the sign tables the three routes share
 node's bound is the shifted-eigenvalue bound of Poljak and Rendl,
 qf + (m+1) lmax(Q + Diag d) - sum d over the m free coordinates, tightened
 by at most _SHIFT_STEPS over-relaxed subgradient steps on the shifts d
-(the comment there says how both constants were chosen).  Its result
+(the comment there says how both constants were chosen).  No bound can
+prune a node that holds a maximizer, so once the search has met a second
+one (a sign vector other than the incumbent's whose canonical value is
+within the rounding guard of it), a node also stops stepping when the
+completion that rounds its top eigenvector is such a vector.  It keeps
+its best bound and is branched on as before.  The incumbent's own path
+keeps stepping: the shifts its nodes refine, inherited by their
+children, are what prune its siblings.  Its result
 carries delta, a derived allowance for the rounding of every bound that
 pruned, and states the certificate beta_true <= max(best_bound, beta) +
 delta.  Each step takes one LAPACK solve for the top eigenpair alone
@@ -235,14 +242,29 @@ def _rounding_guard(arr: np.ndarray) -> float:
     return 4.0 * (arr.shape[0] + 3) * np.finfo(float).eps * float(np.abs(arr).sum())
 
 
+def _fold(v: float, key: tuple, best_val: float, best_key, second: float):
+    """Meet sign vector ``key`` of canonical value ``v``.
+
+    Returns the best (best_val, best_key) under the tie-break contract, and
+    ``second`` raised to the canonical value of every other vector met,
+    a former best included; best_key is None while best_val is -inf.
+    """
+    if v > best_val or (v == best_val and key < best_key):
+        return v, key, max(second, best_val)
+    if key != best_key:
+        second = max(second, v)
+    return best_val, best_key, second
+
+
 def _best_in_block(arr: np.ndarray, vals: np.ndarray, high: np.ndarray, low: np.ndarray,
-                   prefix: np.ndarray, g: float, best_val: float, best_key):
+                   prefix: np.ndarray, g: float, best_val: float, best_key,
+                   second: float = -np.inf):
     """Fold a valued block into the best canonical value and its sign vector.
 
     ``vals[i, j]`` is a computed (B s | s) of s = [prefix, high_i[1:], low_j]
-    that differs from its canonical value by at most ``g``.  Returns the
-    larger of (best_val, best_key) and the block's best under the tie-break
-    contract; best_key is None while best_val is -inf.
+    that differs from its canonical value by at most ``g``.  Returns
+    (best_val, best_key, second) after _fold has met every entry that is
+    re-evaluated.
     """
     # If an entry's value is below the block's maximum - 2g, its canonical
     # value is below that of the block's argmax; below best_val - g, below
@@ -250,14 +272,12 @@ def _best_in_block(arr: np.ndarray, vals: np.ndarray, high: np.ndarray, low: np.
     # re-evaluated.
     top = float(vals.max())
     if top < best_val - g:
-        return best_val, best_key
+        return best_val, best_key, second
     for i, j in zip(*np.nonzero(vals >= max(top - 2.0 * g, best_val - g))):
         s = np.concatenate((prefix, high[i, 1:], low[j]))
-        v = _canonical(arr, s)
-        key = tuple(s)
-        if v > best_val or (v == best_val and key < best_key):
-            best_val, best_key = v, key
-    return best_val, best_key
+        best_val, best_key, second = _fold(_canonical(arr, s), tuple(s), best_val, best_key,
+                                           second)
+    return best_val, best_key, second
 
 
 def beta_hypercube(b, *, max_enum_n: int = MAX_ENUM_N) -> tuple[float, np.ndarray]:
@@ -273,8 +293,8 @@ def beta_hypercube(b, *, max_enum_n: int = MAX_ENUM_N) -> tuple[float, np.ndarra
     first = np.ones(1)
     blocks, vals, tmp = _blocks_with_tables(arr.shape[0])
     for high, low in blocks:
-        best_val, best_key = _best_in_block(arr, _split_values(arr, high, low, vals, tmp),
-                                            high, low, first, g, best_val, best_key)
+        best_val, best_key, _ = _best_in_block(arr, _split_values(arr, high, low, vals, tmp),
+                                               high, low, first, g, best_val, best_key)
     return best_val, np.array(best_key)
 
 
@@ -405,7 +425,9 @@ class BnbResult:
     their bound fell to the incumbent, ``nodes_enumerated`` the expanded
     nodes that were solved outright by enumerating their completions, and
     ``eigen_solves`` the top-eigenvalue solves (_top_eig) of the search,
-    the root's one per depth included.
+    the root's one per depth included, and ``nodes_tied`` the bounded
+    nodes that stopped their subgradient steps early because they hold
+    another maximizer (branch_and_bound).
     """
 
     beta: float
@@ -417,6 +439,7 @@ class BnbResult:
     nodes_pruned: int
     nodes_enumerated: int
     eigen_solves: int
+    nodes_tied: int
 
 
 # Most subgradient steps on the shifts of one node's bound, each a top
@@ -437,6 +460,11 @@ class BnbResult:
 # 1.35 took gen_random_tree(60, seed=0) from 137 nodes to 2,077, and 1.5
 # left it uncertified after 5,000), and mu = 0.95 took cycle29 from 1,419
 # solves to 1,701.
+# A node that holds another maximizer stops stepping early (see
+# branch_and_bound): on the odd cycles 29 and 31 the nodes on the paths to
+# their n tied maximizers took 60 % of the subgradient solves, and
+# stopping them took 16-38 % of the solves off the odd cycles 29-71, with
+# beta unchanged bit for bit.
 _SHIFT_STEPS = 6
 _SHIFT_RELAX = 1.2
 
@@ -505,14 +533,16 @@ def _top_eig(a: np.ndarray, vectors: bool = True):
     return (top, z[:, 0]) if vectors else top
 
 
-def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: float):
+def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: float,
+                   holds_tie=None):
     """Over-relaxed Polyak subgradient steps on
     f(shifts) = k lmax(Q + Diag shifts) - sum shifts.
 
     ``a`` holds Q on entry and Q + Diag shifts, for the returned shifts, on
-    exit.  Stops once qf + f reaches ``incumbent``.  Returns the smallest f
-    seen with its shifts, top eigenpair, the Frobenius norm of
-    Q + Diag shifts and the number of eigen-solves taken.
+    exit.  Stops once qf + f reaches ``incumbent``, or once ``holds_tie``,
+    when given, is true of a top eigenvector.  Returns the smallest f seen
+    with its shifts, top eigenpair, the Frobenius norm of Q + Diag shifts,
+    the number of eigen-solves taken and whether ``holds_tie`` stopped it.
     """
     k = a.shape[0]
     flat = a.reshape(-1)
@@ -520,6 +550,7 @@ def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: floa
     q_diag = diag.copy()
     scale = 1.0
     best = None
+    tied = False
     for step in range(_SHIFT_STEPS):
         np.add(q_diag, shifts, out=diag)
         top, v = _top_eig(a)
@@ -529,6 +560,9 @@ def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: floa
         else:
             scale /= 2.0
         if qf + best[0] <= incumbent or step == _SHIFT_STEPS - 1:
+            break
+        if holds_tie is not None and holds_tie(v):
+            tied = True
             break
         # The subgradient k v^2 - 1 and the over-relaxed Polyak step along
         # it, which the break above skips after the last solve.
@@ -543,14 +577,32 @@ def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: floa
     f, shifts, top, v = best
     np.add(q_diag, shifts, out=diag)
     # The Frobenius norm, as np.linalg.norm computes it.
-    return f, shifts, top, v, math.sqrt(flat @ flat), step + 1
+    return f, shifts, top, v, math.sqrt(flat @ flat), step + 1, tied
 
 
-def _local_search(arr: np.ndarray, val: float, key: tuple) -> tuple[float, tuple]:
+def _completion(prefix: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """The completion of a node's sign prefix that rounds its top eigenvector
+    ``vec``: the sign of vec_i vec_0, +1 on a zero."""
+    return np.concatenate((prefix, np.where(vec[1:] * vec[0] >= 0.0, 1.0, -1.0)))
+
+
+def _holds_tie(arr: np.ndarray, g: float, incumbent: float, incumbent_key: tuple,
+               prefix: np.ndarray, vec: np.ndarray) -> bool:
+    """Whether the completion that rounds ``vec`` is another maximizer: a
+    sign vector other than the incumbent's whose canonical value is within
+    ``g`` of it."""
+    s = _completion(prefix, vec)
+    return abs(_canonical(arr, s) - incumbent) <= g and tuple(s) != incumbent_key
+
+
+def _local_search(arr: np.ndarray, val: float, key: tuple,
+                  second: float = -np.inf) -> tuple[float, tuple, float]:
     """1-flip ascent from sign vector ``key`` with canonical value ``val``.
 
     Flips any coordinate but the first while that raises the canonical
     value, or keeps it and gives a lexicographically smaller vector.
+    Returns the value reached, its vector and ``second`` raised to the
+    value of every other vector evaluated on the way.
     """
     improved = True
     while improved:
@@ -561,8 +613,10 @@ def _local_search(arr: np.ndarray, val: float, key: tuple) -> tuple[float, tuple
             v = _canonical(arr, s)
             t = tuple(s)
             if v > val or (v == val and t < key):
-                val, key, improved = v, t, True
-    return val, key
+                val, key, second, improved = v, t, max(second, val), True
+            else:
+                second = max(second, v)
+    return val, key, second
 
 
 def _node_buffers(arr: np.ndarray, k: int):
@@ -596,8 +650,11 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     any shift vector d, qf + (m+1) lmax(Q + Diag d) - sum d.  It takes a few
     subgradient steps on d, warm-started from its parent's, and the top
     eigenvector of its best shift is rounded to a sign vector that may raise
-    the incumbent.  Children queue under the cheaper of their spectral
-    bound qf + 2 ||h||_1 + m lmax(B_FF) and their parent's shifted bound.
+    the incumbent.  Once the search has met a second maximizer, a node
+    whose rounded top eigenvector is another one stops stepping early, but
+    never on the incumbent's own path.  Children queue under the cheaper
+    of their spectral bound qf + 2 ||h||_1 + m lmax(B_FF) and their
+    parent's shifted bound.
     The incumbent starts from a greedy descent and a 1-flip local search,
     so even a zero budget returns a valid (uncertified) candidate.  Any
     other budget expands the root, so for n <= _ENUM_FREE + 1 the result is
@@ -623,7 +680,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     if n == 1:
         s = np.ones(1)
         v = _canonical(arr, s)
-        return BnbResult(v, s, True, 0, v, 0.0, 0, 0, 0)
+        return BnbResult(v, s, True, 0, v, 0.0, 0, 0, 0, 0)
 
     lam = np.empty(n + 1)
     lam[n] = 0.0
@@ -700,7 +757,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
         pick = 0 if bounds[0] >= bounds[1] else 1
         g_signs[depth] = 1.0 - 2.0 * pick
         g_q, g_h = child_q[pick], child_h[pick]
-    best_val, best_key = _local_search(arr, _canonical(arr, g_signs), tuple(g_signs))
+    best_val, best_key, second = _local_search(arr, _canonical(arr, g_signs), tuple(g_signs))
 
     # A queue entry: (-bound, depth, prefix bits, bound error, the parent's
     # shifts, the first entry of this node's starting shifts, sign prefix,
@@ -716,6 +773,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     pops = 0
     pruned = 0
     enumerated = 0
+    tied = 0
     delta = 0.0
     certified = False
     while heap:
@@ -746,20 +804,31 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
             high, low = _one_block(k)
             _split_values(q, high, low, vals, tmp)
             vals += qf
-            best_val, best_key = _best_in_block(arr, vals, high, low, prefix, g, best_val,
-                                                best_key)
+            best_val, best_key, second = _best_in_block(arr, vals, high, low, prefix, g,
+                                                        best_val, best_key, second)
             continue
         if parent_shifts is None:
             shifts = -q_diag
         else:
             shifts = np.concatenate(([first], parent_shifts[2:]))
-        f, shifts, top_eig, vec, a_norm, steps = _shifted_bound(q, shifts, qf, best_val)
+        # ``second`` is the best canonical value met of a sign vector other
+        # than the incumbent's.  Only once it is within g of the incumbent
+        # does a node check its roundings for another maximizer, about a
+        # fifth of a solve each; without a second maximizer the search is
+        # the same, float for float.
+        holds_tie = None
+        if second >= best_val - g:
+            holds_tie = functools.partial(_holds_tie, arr, g, best_val, best_key, prefix)
+        f, shifts, top_eig, vec, a_norm, steps, stopped = _shifted_bound(q, shifts, qf, best_val,
+                                                                         holds_tie)
         solves += steps
-        tail = np.where(vec[1:] * vec[0] >= 0.0, 1.0, -1.0)
-        s = np.concatenate((prefix, tail))
+        tied += stopped
+        s = _completion(prefix, vec)
         v = _canonical(arr, s)
         if v > best_val or (v == best_val and tuple(s) < best_key):
-            best_val, best_key = _local_search(arr, v, tuple(s))
+            best_val, best_key, second = _local_search(arr, v, tuple(s), max(second, best_val))
+        elif v > second and tuple(s) != best_key:
+            second = v
         if qf + f < top_bound:
             top_bound = qf + f
             err = _bound_error(k, depth, prefix_abs[depth], a_norm,
@@ -799,7 +868,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     delta = max([delta] + [e[3] for e in heap])
     delta += _EPS * (n + 1) * float(prefix_abs[n])
     return BnbResult(best_val, np.array(best_key), certified, pops, float(top_bound), float(delta),
-                     pruned, enumerated, solves)
+                     pruned, enumerated, solves, tied)
 
 
 def make_witness(report: NegTypeReport, s_star) -> np.ndarray:
@@ -901,9 +970,9 @@ class GapResult:
     "gray_scan" or "branch_and_bound"; the ``bnb_*`` fields and the node
     counts are set only for the latter.  ``bnb_gap`` is
     max(0, best_bound - beta) and ``bnb_delta`` the rounding allowance of
-    its certificate (see BnbResult); ``bnb_enumerated`` and
-    ``bnb_eigen_solves`` are BnbResult.nodes_enumerated and
-    BnbResult.eigen_solves.
+    its certificate (see BnbResult); ``bnb_enumerated``,
+    ``bnb_eigen_solves`` and ``bnb_tied`` are BnbResult.nodes_enumerated,
+    BnbResult.eigen_solves and BnbResult.nodes_tied.
     """
 
     gamma: float
@@ -921,6 +990,7 @@ class GapResult:
     bnb_delta: float | None = None
     bnb_enumerated: int | None = None
     bnb_eigen_solves: int | None = None
+    bnb_tied: int | None = None
 
 
 def solve_gap(
@@ -979,7 +1049,7 @@ def solve_gap(
         bnb = dict(bnb_certified=r.certified, nodes_expanded=r.nodes_expanded,
                    nodes_pruned=r.nodes_pruned, bnb_gap=max(0.0, r.best_bound - r.beta),
                    bnb_delta=r.delta, bnb_enumerated=r.nodes_enumerated,
-                   bnb_eigen_solves=r.eigen_solves)
+                   bnb_eigen_solves=r.eigen_solves, bnb_tied=r.nodes_tied)
     else:
         beta, s_star = beta_hypercube(b, max_enum_n=max_enum_n)
         method = "gray_scan"

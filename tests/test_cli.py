@@ -220,6 +220,8 @@ class TestMainGap:
         assert "s_star:   + - + - -" in lines
         for start in ("witness:  ", "check beta_opnorm: ", "margins: eig=", "wall_time: "):
             assert sum(line.startswith(start) for line in lines) == 1, start
+        # Each number of a list at 6 significant digits, as everywhere else.
+        assert "projected_spectrum: [-2.61803, -2.61803, -0.381966, -0.381966]" in lines
 
     def test_tol_scales_the_margins(self, capsys, monkeypatch):
         margins = []
@@ -299,6 +301,7 @@ class TestMainGap:
         assert payload["diagnostics"]["bnb_nodes"] == payload["diagnostics"]["bnb_enumerated"] == 1
         # Its one top eigenvalue per depth seeds the greedy incumbent.
         assert payload["diagnostics"]["bnb_eigen_solves"] == 7
+        assert payload["diagnostics"]["bnb_tied"] == 0
 
     def test_bnb_past_depth_64(self, capsys, monkeypatch):
         code, out, err = run_main(

@@ -484,13 +484,34 @@ class TestBranchAndBound:
 
     @pytest.mark.parametrize("n", [29, 31])
     def test_odd_cycle_certifies_within_node_budget(self, n):
-        # They take 258 and 330 nodes; a looser node bound or a broken warm
-        # start of the shifts needs many times more.  They take 1,078 and
-        # 1,419 eigen-solves; the plain Polyak step took 1,419 and 1,811.
+        # They take 254 and 342 nodes; a looser node bound or a broken warm
+        # start of the shifts needs many times more.  They take 669 and 896
+        # eigen-solves; stepping on every node that holds a tied maximizer
+        # took 1,078 and 1,419, and the plain Polyak step 1,419 and 1,811.
         r = branch_and_bound(cycle_B(n), budget=1000)
         assert r.certified
         assert r.nodes_expanded <= 1000
-        assert r.eigen_solves <= {29: 1250, 31: 1600}[n]
+        assert r.eigen_solves <= {29: 800, 31: 1050}[n]
+
+    @pytest.mark.parametrize("make, ties", [
+        (lambda: tree_B(60, 0), False),
+        (lambda: tree_B(66, 0), False),
+        (lambda: cloud_B(30, 0), False),
+        (lambda: cycle_B(29), True),
+        (lambda: cycle_B(31), True),
+    ], ids=["tree60", "tree66", "cloud30", "cycle29", "cycle31"])
+    def test_tie_exit_only_on_tied_maximizers(self, make, ties):
+        # An odd n-cycle has n maximizers with s_0 = +1, so nodes on their
+        # paths stop stepping; an input with one maximizer never meets a
+        # second, and runs no tie check at all.
+        from metricgap.closed_forms import gamma_cycle
+
+        b = make()
+        r = branch_and_bound(b, budget=5000)
+        assert r.certified
+        assert (r.nodes_tied > 0) == ties
+        if ties:
+            assert abs(r.beta - gamma_cycle(b.n).beta) <= r.delta
 
     def test_random_tree_60_certifies_within_node_budget(self):
         # 137 nodes; over-long steps (an over-relaxation of 1.35) take
@@ -678,16 +699,19 @@ class TestSolveGap:
         assert res.nodes_pruned == r.nodes_pruned > 0
         assert res.bnb_enumerated == r.nodes_enumerated > 0
         assert res.bnb_eigen_solves == r.eigen_solves > 21
+        assert res.bnb_tied == r.nodes_tied
         plain = solve_gap(space)
         assert plain.bnb_gap is None and plain.bnb_delta is None and plain.nodes_pruned is None
         assert plain.bnb_enumerated is None and plain.bnb_eigen_solves is None
+        assert plain.bnb_tied is None
 
     def test_bnb_inside_cutoff_runs_enumeration_alone(self):
         space = path_metric(gen_cycle(11))
         res = solve_gap(space, use_bnb=True)
         assert res.method == "gray_scan"
         assert (res.bnb_certified, res.nodes_expanded, res.nodes_pruned, res.bnb_gap,
-                res.bnb_delta, res.bnb_enumerated, res.bnb_eigen_solves) == (None,) * 7
+                res.bnb_delta, res.bnb_enumerated, res.bnb_eigen_solves,
+                res.bnb_tied) == (None,) * 8
         assert res.beta == solve_gap(space).beta
 
     def test_accepts_prepared_matrix(self):
