@@ -441,6 +441,8 @@ def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
             report.diagnostics["bnb_enumerated"] = result.bnb_enumerated
             report.diagnostics["bnb_eigen_solves"] = result.bnb_eigen_solves
             report.diagnostics["bnb_tied"] = result.bnb_tied
+            report.diagnostics["bnb_group_order"] = result.bnb_group_order
+            report.diagnostics["bnb_symmetric"] = result.bnb_symmetric
             report.diagnostics["bnb_gap"] = result.bnb_gap
             report.diagnostics["bnb_delta"] = result.bnb_delta
         report.s_star = _plain(result.s_star)

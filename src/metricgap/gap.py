@@ -38,7 +38,10 @@ a sign vector whose canonical value is an ulp or two higher: its maximizer
 is a maximum up to its delta and need not be the enumeration's.  On the
 22-point discrete space it returns 22.0 where beta_hypercube returns
 22.000000000000007, and on the 18-point one the same 18.0 with another
-maximizer.
+maximizer.  Handed the input's automorphism group, as solve_gap does,
+branch_and_bound also drops every node whose completions a symmetry maps
+onto larger sign vectors, so its maximizer may be another member of the
+orbit of the enumeration's, again a maximum up to its delta.
 
 Past the cutoff, branch_and_bound searches sign prefixes best first.  Each
 queued node carries its prefix, and the prefix's coupling to the free
@@ -57,13 +60,17 @@ within the rounding guard of it), a node also stops stepping when the
 completion that rounds its top eigenvector is such a vector.  It keeps
 its best bound and is branched on as before.  The incumbent's own path
 keeps stepping: the shifts its nodes refine, inherited by their
-children, are what prune its siblings.  Its result
+children, are what prune its siblings.  Given the input's automorphism
+group, it drops each child whose completions are none of them the
+lexicographic leader of their orbit; on an odd n-cycle, whose n tied
+maximizers form one orbit of its dihedral group of order 2n, that walks
+one path where the plain search walks n.  Its result
 carries delta, a derived allowance for the rounding of every bound that
 pruned, and states the certificate beta_true <= max(best_bound, beta) +
 delta.  Each step takes one LAPACK solve for the top eigenpair alone
 (_top_eig), and these solves take over half the search's time.  With one
-BLAS thread on a 2-core Xeon, the odd cycles with n = 29, 31, 51, 61 and
-71 certified in 0.04, 0.06, 0.53, 1.3 and 3.1 s, the random trees
+BLAS thread on a 2-core Xeon, the odd cycles with n = 29, 31, 51, 71 and
+101 certified with their group in 0.03, 0.04, 0.33, 1.9 and 16 s, the random trees
 gen_random_tree(n, seed=0) with n = 66 and 100 in 0.08 and 0.45 s, and
 3-D clouds of 60 standard normal points (seeds 0-2) in 4.6-6.8 s; the
 README gives node and eigen-solve counts.
@@ -83,7 +90,7 @@ import numpy as np
 from .errors import NotStrict, TooLarge
 from .linalg import SymMatrix, dsyevr, solve
 from .metric import NegTypeMatrix, power_matrix
-from .negtype import STRICT_NEGATIVE_TYPE, NegTypeReport, Tolerances, classify
+from .negtype import STRICT_NEGATIVE_TYPE, NegTypeReport, Tolerances, automorphisms, classify
 
 # Default cutoff for exact enumeration: 2^(n-1) sign vectors at 3-6 ns
 # each through the sign-table kernel, for the maximum and for each
@@ -421,13 +428,19 @@ class BnbResult:
     is the maximum up to ``delta``.  ``s_star`` is then a maximizer up to
     ``delta``; past n = _ENUM_FREE + 1 it need not follow the tie-break
     contract of the enumeration (module docstring), since a node is pruned
-    on its raw bound.  ``nodes_pruned`` counts the nodes discarded because
-    their bound fell to the incumbent, ``nodes_enumerated`` the expanded
-    nodes that were solved outright by enumerating their completions, and
-    ``eigen_solves`` the top-eigenvalue solves (_top_eig) of the search,
-    the root's one per depth included, and ``nodes_tied`` the bounded
-    nodes that stopped their subgradient steps early because they hold
-    another maximizer (branch_and_bound).
+    on its raw bound.  With an automorphism group, ``s_star`` may also be
+    another member of the maximizer's orbit, and ``delta`` then adds the
+    asymmetry of the computed B under the group, max over sigma of
+    sum |B_ij - B_sigma(i)sigma(j)| with its rounding, which covers the
+    sign vectors of the nodes the group dropped.  ``nodes_pruned`` counts
+    the nodes discarded because their bound fell to the incumbent,
+    ``nodes_enumerated`` the expanded nodes that were solved outright by
+    enumerating their completions, ``eigen_solves`` the top-eigenvalue
+    solves (_top_eig) of the search, the root's one per depth included,
+    ``nodes_tied`` the bounded nodes that stopped their subgradient steps
+    early because they hold another maximizer, and ``nodes_symmetric`` the
+    nodes dropped because a sigma of the group maps each of their
+    completions onto a larger one (branch_and_bound).
     """
 
     beta: float
@@ -440,6 +453,7 @@ class BnbResult:
     nodes_enumerated: int
     eigen_solves: int
     nodes_tied: int
+    nodes_symmetric: int
 
 
 # Most subgradient steps on the shifts of one node's bound, each a top
@@ -580,19 +594,146 @@ def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: floa
     return f, shifts, top, v, math.sqrt(flat @ flat), step + 1, tied
 
 
-def _completion(prefix: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """The completion of a node's sign prefix that rounds its top eigenvector
-    ``vec``: the sign of vec_i vec_0, +1 on a zero."""
-    return np.concatenate((prefix, np.where(vec[1:] * vec[0] >= 0.0, 1.0, -1.0)))
+def _completion(prefix: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The completion of a node's sign prefix by ``signs``, true for +1."""
+    return np.concatenate((prefix, np.where(signs, 1.0, -1.0)))
 
 
-def _holds_tie(arr: np.ndarray, g: float, incumbent: float, incumbent_key: tuple,
-               prefix: np.ndarray, vec: np.ndarray) -> bool:
-    """Whether the completion that rounds ``vec`` is another maximizer: a
-    sign vector other than the incumbent's whose canonical value is within
-    ``g`` of it."""
-    s = _completion(prefix, vec)
-    return abs(_canonical(arr, s) - incumbent) <= g and tuple(s) != incumbent_key
+def _rounder(arr: np.ndarray, prefix: np.ndarray):
+    """The rounding of a node's top eigenvectors vec: the completion of
+    ``prefix`` by the sign of vec_i vec_0, +1 on a zero, and its canonical
+    value.  The node's steps and its rounding after them share it, and
+    each distinct completion is built and valued once."""
+    memo = {}
+
+    def rounded(vec: np.ndarray) -> tuple[np.ndarray, float]:
+        signs = vec[1:] * vec[0] >= 0.0
+        key = signs.tobytes()
+        found = memo.get(key)
+        if found is None:
+            s = _completion(prefix, signs)
+            found = memo[key] = (s, _canonical(arr, s))
+        return found
+
+    return rounded
+
+
+def _holds_tie(rounded, g: float, incumbent: float, incumbent_key: tuple,
+               vec: np.ndarray) -> bool:
+    """Whether the completion that rounds ``vec`` (by ``rounded``, a
+    _rounder) is another maximizer: a sign vector other than the
+    incumbent's whose canonical value is within ``g`` of it."""
+    s, v = rounded(vec)
+    return abs(v - incumbent) <= g and tuple(s) != incumbent_key
+
+
+def _check_group(group, n: int) -> np.ndarray | None:
+    """The rows of ``group`` other than the identity, or None if there are
+    none.  Raises ValueError unless every row is a permutation of range(n)
+    and the rows are closed under composition."""
+    group = np.asarray(group, dtype=np.intp).reshape(-1, n)
+    if not np.array_equal(np.sort(group, axis=1), np.broadcast_to(np.arange(n), group.shape)):
+        raise ValueError("every automorphism must be a permutation of range(n)")
+    if len(group) == 0:
+        return None
+    rows = group[np.lexsort(group.T[::-1])]
+    rows = rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
+    count = len(rows)
+    not_closed = ValueError("the automorphisms are not closed under composition")
+    index = {row.tobytes(): k for k, row in enumerate(rows)}
+
+    def index_of(perms):
+        try:
+            return np.array([index[perm.tobytes()] for perm in perms])
+        except KeyError:
+            raise not_closed from None
+
+    # The rows are closed if they hold the identity, each row s o t is a row
+    # for every t of a set T of rows, and the products of T reach every row
+    # from the identity: then T generates no more than the rows, and the
+    # rows no more than T.  T takes each row the products do not yet reach,
+    # which at least doubles the group they generate, so it has at most
+    # log2(count) + 1 rows, and a group costs O(count n log count).
+    if not np.array_equal(rows[0], np.arange(n)):
+        raise not_closed
+    products = []
+    reached = np.zeros(count, dtype=bool)
+    reached[0] = True
+    frontier = np.empty(0, dtype=np.intp)
+    while True:
+        while len(frontier):
+            fresh = np.zeros(count, dtype=bool)
+            for images in products:
+                fresh[images[frontier]] = True
+            fresh &= ~reached
+            reached |= fresh
+            frontier = np.flatnonzero(fresh)
+        if reached.all():
+            break
+        products.append(index_of(rows[:, rows[reached.argmin()]]))
+        frontier = np.flatnonzero(reached)
+    return rows[1:] if count > 1 else None
+
+
+def _asymmetry(arr: np.ndarray, group: np.ndarray) -> float:
+    """The most by which (B s | s) and (B t | t) differ, t the image of a
+    sign vector s under a sigma of ``group``: max over sigma of
+    sum |B_ij - B_sigma(i)sigma(j)|, with the rounding of that sum."""
+    # Each difference rounds by at most u of itself and the sum of the n^2
+    # terms by at most gamma_(n^2) of the exact sum, so the exact maximum
+    # is within (n^2 + 2) u (1.01) <= n^2 eps of the computed one for n >= 2.
+    n = arr.shape[0]
+    rows = max(1, (1 << 13) // (n * n))
+    most = max(
+        float(np.abs(arr[block[:, :, None], block[:, None, :]] - arr).sum(axis=(1, 2)).max())
+        for block in np.split(group, range(rows, len(group), rows))
+    )
+    return most + n * n * _EPS * most
+
+
+def _symmetry_tables(group: np.ndarray, length: int):
+    """What _non_leader needs of ``group`` for sign prefixes of ``length``
+    coordinates, or None if no sigma of it can tell a prefix from its image.
+
+    Those are the sigma with sigma(0) and sigma(1) in the prefix.  For each,
+    the image's coordinate i, x_sigma(0) x_sigma(i), is fixed by the prefix
+    for i below the first i with sigma(i) outside it, and the tables weigh
+    positions 1 to at most 52 of that run by 2^-i: row sigma of the first
+    block puts the weight of i on coordinate sigma(i), and of the second
+    block on coordinate i.  Returns sigma(0) for each sigma and the two
+    blocks stacked.
+    """
+    head = group[:, :length]
+    inside = head < length
+    fixed = np.where(inside.all(axis=1), length, inside.argmin(axis=1))
+    keep = fixed >= 2
+    if not keep.any():
+        return None
+    head, fixed = head[keep], np.minimum(fixed[keep], 53)
+    count = len(head)
+    position = np.arange(length)
+    weighed = (position >= 1) & (position < fixed[:, None])
+    weights = np.where(weighed, 0.5**position, 0.0)
+    # Coordinates off the run go to a spare last column, which is dropped.
+    image = np.zeros((count, length + 1))
+    image[np.arange(count)[:, None], np.where(weighed, head, length)] = weights
+    return head[:, 0].copy(), np.concatenate((image[:, :length], weights))
+
+
+def _non_leader(tables, prefix: np.ndarray) -> bool:
+    """Whether some sigma of the tables (_symmetry_tables) makes every
+    completion x of ``prefix`` lexicographically smaller, +1 above -1, than
+    its image x_sigma(0) x o sigma."""
+    # Over positions 1..r-1 of a run where both are fixed, the image and
+    # the prefix differ by -2, 0 or 2 at each, and the weights 2^-i make
+    # the sign of sum (image_i - x_i) 2^-i that of the first difference:
+    # the later terms add up to less than 2^(1-i).  The sums of at most 52
+    # signed powers of two from 2^-1 to 2^-52 are exact.  An image above
+    # the prefix on the run is above every completion's image.
+    first, stacked = tables
+    sums = stacked @ prefix
+    count = len(first)
+    return bool((prefix[first] * sums[:count] > sums[count:]).any())
 
 
 def _local_search(arr: np.ndarray, val: float, key: tuple,
@@ -635,7 +776,7 @@ def _node_buffers(arr: np.ndarray, k: int):
     return q, np.empty((len(high), len(low))), np.empty((len(high), len(low)))
 
 
-def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
+def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbResult:
     """Certified maximum of (B s | s) over sign vectors by best-first search.
 
     A node fixes a sign prefix s_P (the first coordinate is +1 by sign
@@ -655,6 +796,15 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     never on the incumbent's own path.  Children queue under the cheaper
     of their spectral bound qf + 2 ||h||_1 + m lmax(B_FF) and their
     parent's shifted bound.
+
+    ``automorphisms``, when given, lists permutations sigma of the points,
+    one per row, closed under composition (ValueError otherwise), such as
+    negtype.automorphisms finds for the input B came from.  A child is then
+    dropped before it is queued when some sigma makes every completion x
+    of its prefix lexicographically smaller, +1 above -1, than the image
+    x_sigma(0) x o sigma, which also has first coordinate +1.  Without
+    it, or with no sigma but the identity, the search is the same float
+    for float.
     The incumbent starts from a greedy descent and a 1-flip local search,
     so even a zero budget returns a valid (uncertified) candidate.  Any
     other budget expands the root, so for n <= _ENUM_FREE + 1 the result is
@@ -667,6 +817,21 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     where delta covers the rounding of every bound that discarded nodes
     and of the canonical incumbent (see BnbResult).
     """
+    # Dropping by symmetry.  Under the group G the list generates, call the
+    # largest image of a sign vector x with x_0 = +1 its leader.  The
+    # leader's images are none of them larger, so no node on its path is
+    # dropped: it is valued, or its node is pruned on a bound.  The list is
+    # closed, so it is all of G, and a dropped x has a listed sigma with
+    # leader x* = x_sigma(0) x o sigma.  (B x* | x*) = (B (x o sigma) | x o
+    # sigma) = sum_kl B_sigma^-1(k)sigma^-1(l) x_k x_l, which differs from
+    # (B x | x) by at most sum_ij |B_ij - B_sigma(i)sigma(j)|: nothing for a
+    # symmetry of B, but B is computed, and its entries differ by rounding
+    # across an orbit.  So delta adds the largest such sum over the group,
+    # with its rounding (_asymmetry), once a node has been dropped.  The
+    # test reads only the coordinates the prefix fixes: scanning i = 1, 2,
+    # ..., image and prefix agree up to a position where the image is
+    # larger, and so is every completion's image, or the scan stops
+    # without dropping, at a smaller image or one that is not fixed.
     # The cheap bound is one of the shifted bounds: with L >= lmax(B_FF),
     # d_0 = -||h||_1 and d_i = -L - |h_i|, the inequality
     # 2 h_i x_0 x_i <= |h_i| (x_0^2 + x_i^2) gives Q + Diag d <= 0, so the
@@ -677,10 +842,11 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     # cheaper of the two.
     arr = _as_array(b)
     n = arr.shape[0]
+    group = None if automorphisms is None else _check_group(automorphisms, n)
     if n == 1:
         s = np.ones(1)
         v = _canonical(arr, s)
-        return BnbResult(v, s, True, 0, v, 0.0, 0, 0, 0, 0)
+        return BnbResult(v, s, True, 0, v, 0.0, 0, 0, 0, 0, 0)
 
     lam = np.empty(n + 1)
     lam[n] = 0.0
@@ -774,6 +940,8 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
     pruned = 0
     enumerated = 0
     tied = 0
+    symmetric = 0
+    sym_tables = {}
     delta = 0.0
     certified = False
     while heap:
@@ -815,16 +983,17 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
         # than the incumbent's.  Only once it is within g of the incumbent
         # does a node check its roundings for another maximizer, about a
         # fifth of a solve each; without a second maximizer the search is
-        # the same, float for float.
+        # the same, float for float.  The checks and the rounding after the
+        # steps value each distinct completion once.
+        rounded = _rounder(arr, prefix)
         holds_tie = None
         if second >= best_val - g:
-            holds_tie = functools.partial(_holds_tie, arr, g, best_val, best_key, prefix)
+            holds_tie = functools.partial(_holds_tie, rounded, g, best_val, best_key)
         f, shifts, top_eig, vec, a_norm, steps, stopped = _shifted_bound(q, shifts, qf, best_val,
                                                                          holds_tie)
         solves += steps
         tied += stopped
-        s = _completion(prefix, vec)
-        v = _canonical(arr, s)
+        s, v = rounded(vec)
         if v > best_val or (v == best_val and tuple(s) < best_key):
             best_val, best_key, second = _local_search(arr, v, tuple(s), max(second, best_val))
         elif v > second and tuple(s) != best_key:
@@ -851,6 +1020,13 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
             child = np.empty(depth + 1)
             child[:depth] = prefix
             child[depth] = sign
+            if group is not None:
+                if depth + 1 not in sym_tables:
+                    sym_tables[depth + 1] = _symmetry_tables(group, depth + 1)
+                tables = sym_tables[depth + 1]
+                if tables is not None and _non_leader(tables, child):
+                    symmetric += 1
+                    continue
             # Fixing x_d = sign x_0 in x^T (Q + Diag d) x <= mu |x|^2, mu the
             # top eigenvalue, merges coordinates 0 and d: the child's
             # Q' + Diag d' <= mu I for d' = (d_0 + d_d + child_q - qf - mu,
@@ -867,8 +1043,10 @@ def branch_and_bound(b, *, budget: int = 2_000_000) -> BnbResult:
         pruned += len(heap)
     delta = max([delta] + [e[3] for e in heap])
     delta += _EPS * (n + 1) * float(prefix_abs[n])
+    if symmetric:
+        delta += _asymmetry(arr, group)
     return BnbResult(best_val, np.array(best_key), certified, pops, float(top_bound), float(delta),
-                     pruned, enumerated, solves, tied)
+                     pruned, enumerated, solves, tied, symmetric)
 
 
 def make_witness(report: NegTypeReport, s_star) -> np.ndarray:
@@ -971,8 +1149,11 @@ class GapResult:
     counts are set only for the latter.  ``bnb_gap`` is
     max(0, best_bound - beta) and ``bnb_delta`` the rounding allowance of
     its certificate (see BnbResult); ``bnb_enumerated``,
-    ``bnb_eigen_solves`` and ``bnb_tied`` are BnbResult.nodes_enumerated,
-    BnbResult.eigen_solves and BnbResult.nodes_tied.
+    ``bnb_eigen_solves``, ``bnb_tied`` and ``bnb_symmetric`` are
+    BnbResult.nodes_enumerated, BnbResult.eigen_solves,
+    BnbResult.nodes_tied and BnbResult.nodes_symmetric, and
+    ``bnb_group_order`` the order of the automorphism group the search was
+    handed (negtype.automorphisms), 1 when that is trivial.
     """
 
     gamma: float
@@ -991,6 +1172,8 @@ class GapResult:
     bnb_enumerated: int | None = None
     bnb_eigen_solves: int | None = None
     bnb_tied: int | None = None
+    bnb_group_order: int | None = None
+    bnb_symmetric: int | None = None
 
 
 def solve_gap(
@@ -1018,7 +1201,8 @@ def solve_gap(
     is hit) and TooLarge otherwise.  Within the cutoff ``use_bnb`` changes
     nothing, and ``cross_check`` adds the value-only routes beta_opnorm
     and, when the report's functional u is constant, so that B annihilates
-    the all-ones vector, beta_binary.
+    the all-ones vector, beta_binary.  branch_and_bound is handed the
+    automorphism group of the report's A and u.
     """
     t0 = time.perf_counter()
     if isinstance(x, NegTypeReport):
@@ -1043,13 +1227,15 @@ def solve_gap(
                                "enable branch-and-bound or raise the cutoff")
             raise TooLarge(f"n = {n} exceeds the hard enumeration ceiling {ENUM_CEILING}, "
                            "whatever the cutoff; enable branch-and-bound")
-        r = branch_and_bound(b, budget=bnb_budget)
+        group = automorphisms(report.A, report.u)
+        r = branch_and_bound(b, budget=bnb_budget, automorphisms=group)
         beta, s_star = r.beta, r.s_star
         method = "branch_and_bound"
         bnb = dict(bnb_certified=r.certified, nodes_expanded=r.nodes_expanded,
                    nodes_pruned=r.nodes_pruned, bnb_gap=max(0.0, r.best_bound - r.beta),
                    bnb_delta=r.delta, bnb_enumerated=r.nodes_enumerated,
-                   bnb_eigen_solves=r.eigen_solves, bnb_tied=r.nodes_tied)
+                   bnb_eigen_solves=r.eigen_solves, bnb_tied=r.nodes_tied,
+                   bnb_group_order=max(1, len(group)), bnb_symmetric=r.nodes_symmetric)
     else:
         beta, s_star = beta_hypercube(b, max_enum_n=max_enum_n)
         method = "gray_scan"

@@ -251,6 +251,111 @@ def classify(x, u=None, tols: Tolerances | None = None) -> NegTypeReport:
     return _analyze(a, u, from_metric, tols or Tolerances())
 
 
+# Most elements automorphisms lists; a larger group, such as the n! of the
+# discrete space on n >= 7 points, is reported as trivial.  The symmetry
+# test of branch_and_bound runs over the whole group at every node, a few
+# vectorized operations on at most this many rows.  The search for the
+# group stops, and reports it trivial, once a level holds more than
+# _GROUP_WORK partial maps.
+_GROUP_CAP = 1024
+_GROUP_WORK = 4 * _GROUP_CAP
+
+
+def _labels(keys: np.ndarray) -> np.ndarray:
+    """The rank of each row of ``keys`` among its distinct rows, in
+    lexicographic order."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(len(order), dtype=np.intp)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    labels = np.empty_like(new)
+    labels[order] = np.cumsum(new) - 1
+    return labels
+
+
+def automorphisms(a, u) -> np.ndarray:
+    """Every permutation sigma of the points with A[sigma][:, sigma] == A
+    and u[sigma] == u exactly, one per row of an int array.
+
+    The rows are in lexicographic order, so the identity comes first, and
+    form a group.  A trivial group, and one with more than _GROUP_CAP
+    elements, give an empty array of n columns.  Exact equality of A's
+    entries is what counts: B's entries differ by rounding across an
+    orbit, so a group of B is not looked for.
+    """
+    arr = a.a if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
+    u = np.asarray(u, dtype=float)
+    n = arr.shape[0]
+    trivial = np.empty((0, n), dtype=np.intp)
+    # Colour refinement.  Every sigma maps a point to one of its colour,
+    # first its u and the sorted entries of its row; a generic input ends
+    # after this one sort with every colour distinct.
+    colour = _labels(np.column_stack((u, np.sort(arr, axis=1))))
+    if colour.max() == n - 1:
+        return trivial
+    # Then, until the classes stop splitting, a point's colour and the
+    # sorted (colour, entry) pairs of its row, with equal entries sharing
+    # an integer code; each point's own entry gets the code 0, so a base
+    # point below is told apart from the rest.
+    codes = np.unique(arr, return_inverse=True)[1].reshape(n, n) + 1
+    np.fill_diagonal(codes, 0)
+    width = int(codes.max()) + 1
+    while True:
+        pairs = np.sort(colour[None, :] * width + codes, axis=1)
+        refined = _labels(np.column_stack((colour, pairs)))
+        if refined.max() == colour.max():
+            break
+        colour = refined
+    if colour.max() == n - 1:
+        return trivial
+
+    # Base points b_1, b_2, ..., each the first point of the smallest class
+    # of two or more, refining the keys by the codes to it, until the keys
+    # tell every point apart.  Level l keeps b_l's key before it, the
+    # sorted refined keys and their distinct values.  (np.unique without
+    # return_inverse would import numpy.ma, about 2 MB of resident memory.)
+    levels = []
+    key = colour
+    while key.max() < n - 1:
+        counts = np.bincount(key)
+        counts[counts < 2] = n + 1
+        base = int(np.flatnonzero(key == counts.argmin())[0])
+        step = key * width + codes[base]
+        ordered = np.sort(step)
+        distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+        levels.append((key[base], ordered, distinct))
+        key = np.searchsorted(distinct, step)
+
+    # The images sigma(b_1..b_l) are searched a level at a time, each row
+    # of ``maps`` one choice with the keys it gives every point.  Any
+    # sigma maps the key of each point under b_1..b_l to that of its image
+    # under sigma(b_1)..sigma(b_l), so a choice whose keys differ from the
+    # source's as a multiset extends to no sigma, and every element is
+    # met at the last level, where the keys fix sigma.
+    maps = colour[None, :]
+    for base_key, sorted_step, distinct in levels:
+        rows, images = np.nonzero(maps == base_key)
+        if len(rows) > _GROUP_WORK:
+            return trivial
+        steps = maps[rows] * width + codes[images]
+        steps = steps[(np.sort(steps, axis=1) == sorted_step).all(axis=1)]
+        maps = np.searchsorted(distinct, steps)
+    if len(maps) > _GROUP_CAP:
+        return trivial
+    # Row r of sigmas maps point i to the point whose key is key[i]; the
+    # check that it fixes A runs on blocks of about 2^13 entries.
+    sigmas = np.argsort(maps, axis=1)[:, key]
+    rows = max(1, (1 << 13) // (n * n))
+    fixed = np.concatenate([
+        (arr[block[:, :, None], block[:, None, :]] == arr).all(axis=(1, 2))
+        for block in np.split(sigmas, range(rows, len(sigmas), rows))
+    ]) & (u[sigmas] == u).all(axis=1)
+    sigmas = sigmas[fixed]
+    if len(sigmas) < 2:
+        return trivial
+    return sigmas[np.lexsort(sigmas.T[::-1])]
+
+
 def build_B(x, u=None, tols: Tolerances | None = None) -> NegTypeReport:
     """Classify x and insist on the strict verdict, under which the report
     carries B, C, M, z and u; raises NotStrict otherwise."""

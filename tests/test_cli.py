@@ -302,6 +302,22 @@ class TestMainGap:
         # Its one top eigenvalue per depth seeds the greedy incumbent.
         assert payload["diagnostics"]["bnb_eigen_solves"] == 7
         assert payload["diagnostics"]["bnb_tied"] == 0
+        # The 7-cycle's dihedral group; a root solved outright drops nothing.
+        assert payload["diagnostics"]["bnb_group_order"] == 14
+        assert payload["diagnostics"]["bnb_symmetric"] == 0
+
+    def test_bnb_symmetry_in_both_reports(self, capsys, monkeypatch):
+        # Past _ENUM_FREE + 1 points the 21-cycle's search drops nodes that
+        # a rotation or reflection maps onto kept ones.
+        argv = ["gap", "-", "--bnb", "--max-n", "20"]
+        _, out, _ = run_main(capsys, argv + ["--report", "machine"], '{"cycle": 21}', monkeypatch)
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics["bnb_certified"] is True
+        assert diagnostics["bnb_group_order"] == 42
+        assert diagnostics["bnb_symmetric"] > 0
+        _, text, _ = run_main(capsys, argv, '{"cycle": 21}', monkeypatch)
+        assert "bnb_group_order: 42\n" in text
+        assert f"bnb_symmetric: {diagnostics['bnb_symmetric']}\n" in text
 
     def test_bnb_past_depth_64(self, capsys, monkeypatch):
         code, out, err = run_main(

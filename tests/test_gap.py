@@ -18,11 +18,12 @@ from metricgap.linalg import SymMatrix, factor, solve
 from metricgap.metric import (
     gen_cycle,
     gen_discrete,
+    gen_path,
     gen_random_tree,
     path_metric,
     power_matrix,
 )
-from metricgap.negtype import Tolerances, build_B, classify
+from metricgap.negtype import Tolerances, automorphisms, build_B, classify
 
 from oracles import beta_brute, binary_brute, opnorm_brute, random_point_metric
 
@@ -553,6 +554,149 @@ class TestBranchAndBound:
         assert r.nodes_pruned > 0
 
 
+def report_of(space):
+    return build_B(power_matrix(space, 1.0))
+
+
+def cycle_group(n):
+    report = report_of(path_metric(gen_cycle(n)))
+    return report, automorphisms(report.A, report.u)
+
+
+class TestSymmetricBranchAndBound:
+    @pytest.mark.parametrize("free", [2, 6])
+    @pytest.mark.parametrize("n", range(5, 22, 2))
+    def test_odd_cycle_matches_enumeration(self, monkeypatch, n, free):
+        # A small _ENUM_FREE makes the search branch on small cycles.
+        monkeypatch.setattr(gap, "_ENUM_FREE", free)
+        report, group = cycle_group(n)
+        r = branch_and_bound(report.B, automorphisms=group)
+        v, _ = beta_hypercube(report.B)
+        assert r.certified
+        assert abs(r.beta - v) <= r.delta
+        assert r.beta == float(r.s_star @ report.B.a @ r.s_star)
+        assert r.s_star[0] == 1.0
+        assert (r.nodes_symmetric > 0) == (n > 7 or (n == 7 and free == 2))
+
+    @pytest.mark.parametrize("n", [29, 31])
+    def test_odd_cycle_fewer_nodes(self, n):
+        # 103 and 128 nodes, 307 and 396 eigen-solves, against 254 and 342
+        # nodes and 669 and 896 solves without the group.
+        from metricgap.closed_forms import gamma_cycle
+
+        report, group = cycle_group(n)
+        r = branch_and_bound(report.B, automorphisms=group)
+        assert r.certified
+        assert abs(r.beta - gamma_cycle(n).beta) <= r.delta
+        assert r.delta <= 1e-9 * r.beta
+        assert r.nodes_symmetric > 0
+        assert r.nodes_expanded <= {29: 150, 31: 180}[n]
+        assert r.eigen_solves <= {29: 450, 31: 560}[n]
+
+    @pytest.mark.parametrize("space", [
+        lambda: random_point_metric(30, 0),
+        lambda: random_point_metric(40, 0),
+        lambda: path_metric(gen_random_tree(40, seed=0)),
+        lambda: path_metric(gen_random_tree(60, seed=1)),
+    ], ids=["cloud30", "cloud40", "tree40", "tree60"])
+    def test_trivial_group_runs_the_same_search(self, space):
+        report = report_of(space())
+        n = report.B.n
+        group = automorphisms(report.A, report.u)
+        assert group.shape == (0, n)
+        plain = branch_and_bound(report.B)
+        fields = list(gap.BnbResult.__dataclass_fields__)
+        for trivial in (group, np.arange(n)[None, :]):
+            r = branch_and_bound(report.B, automorphisms=trivial)
+            assert np.array_equal(r.s_star, plain.s_star)
+            assert ([getattr(r, f) for f in fields if f != "s_star"]
+                    == [getattr(plain, f) for f in fields if f != "s_star"])
+            assert r.nodes_symmetric == 0
+
+    def test_group_not_closed_raises(self):
+        report, group = cycle_group(9)
+        b = report.B
+        rotations = group[(group[:, 1] - group[:, 0]) % 9 == 1]
+        bad_lists = [
+            group[:-1],                       # one reflection missing
+            group[1:],                        # no identity
+            rotations[[0, 1]],                # the identity and one rotation
+            np.concatenate((rotations, group[-1:], group[-1:])),
+        ]
+        for bad in bad_lists:
+            with pytest.raises(ValueError, match="closed"):
+                branch_and_bound(b, automorphisms=bad)
+        not_permutation = group.copy()
+        not_permutation[3, 0] = not_permutation[3, 1]
+        with pytest.raises(ValueError, match="permutation"):
+            branch_and_bound(b, automorphisms=not_permutation)
+        # Closed lists, duplicates and any order of the rows are accepted.
+        v, _ = beta_hypercube(b)
+        for good in (rotations, group[::-1], np.concatenate((group, group[:5]))):
+            r = branch_and_bound(b, automorphisms=good)
+            assert r.certified
+            assert abs(r.beta - v) <= r.delta
+
+    @pytest.mark.parametrize("make", [
+        lambda: path_metric(gen_cycle(9)),
+        lambda: path_metric(gen_cycle(31)),
+        lambda: path_metric(gen_cycle(61)),
+        lambda: gen_discrete(5),
+        lambda: path_metric(gen_path(12)),
+    ], ids=["cycle9", "cycle31", "cycle61", "discrete5", "path12"])
+    def test_leader_test_matches_loop(self, make):
+        # The reference scans i = 1, 2, ... while sigma(0) and sigma(i) lie
+        # in the prefix; the first image coordinate that differs decides.
+        def reference(group, x):
+            for sigma in group:
+                for i in range(1, len(x)):
+                    if sigma[0] >= len(x) or sigma[i] >= len(x):
+                        break
+                    image = x[sigma[0]] * x[sigma[i]]
+                    if image != x[i]:
+                        if image > x[i]:
+                            return True
+                        break
+            return False
+
+        report = report_of(make())
+        n = report.B.n
+        group = gap._check_group(automorphisms(report.A, report.u), n)
+        rng = np.random.default_rng(n)
+        for length in range(2, n + 1):
+            tables = gap._symmetry_tables(group, length)
+            for _ in range(40):
+                x = np.concatenate(([1.0], rng.choice([-1.0, 1.0], length - 1)))
+                if rng.random() < 0.3:
+                    # Periodic prefixes agree with many images for long.
+                    x = np.resize(x[: rng.integers(1, 4)], length)
+                got = tables is not None and gap._non_leader(tables, x)
+                # Runs are weighed up to position 52 at most.
+                if length <= 53:
+                    assert got == reference(group, x)
+                elif got:
+                    assert reference(group, x)
+
+    def test_delta_covers_asymmetry(self, monkeypatch):
+        # The 17-cycle's group, handed with a B that a symmetric
+        # perturbation of 1e-6 moves off it.  For this draw the perturbed
+        # maximum lies in a node the group drops, so beta falls short of it
+        # by more than the rounding of any bound; delta must cover it.
+        monkeypatch.setattr(gap, "_ENUM_FREE", 6)
+        report, group = cycle_group(17)
+        e = np.random.default_rng(2).standard_normal((17, 17)) * 1e-6
+        b = report.B.a + e + e.T
+        r = branch_and_bound(b, automorphisms=group)
+        v, _ = beta_hypercube(b)
+        assert r.certified
+        assert r.nodes_symmetric > 0
+        assert v - r.beta > 1e-6
+        assert v <= r.beta + r.delta
+        # max over sigma of sum |B_ij - B_sigma(i)sigma(j)| bounds the rest.
+        spread = max(float(np.abs(b[np.ix_(sigma, sigma)] - b).sum()) for sigma in group)
+        assert r.delta >= spread
+
+
 class TestWitness:
     @pytest.mark.parametrize("make", [
         lambda: power_matrix(gen_discrete(5), 1.0),
@@ -690,20 +834,27 @@ class TestSolveGap:
             solve_gap(report, max_enum_n=100)
 
     def test_bnb_certificate_fields(self):
-        # Past _ENUM_FREE + 1 points, so some nodes are pruned.
+        # Past _ENUM_FREE + 1 points, so some nodes are pruned.  solve_gap
+        # hands the search the 21-cycle's dihedral group, and so does the
+        # direct call.
         space = path_metric(gen_cycle(21))
         res = solve_gap(space, max_enum_n=20, use_bnb=True)
-        r = branch_and_bound(build_B(power_matrix(space, 1.0)).B)
+        report = build_B(power_matrix(space, 1.0))
+        group = automorphisms(report.A, report.u)
+        r = branch_and_bound(report.B, automorphisms=group)
         assert res.bnb_gap == max(0.0, r.best_bound - r.beta) == 0.0
         assert res.bnb_delta == r.delta > 0.0
         assert res.nodes_pruned == r.nodes_pruned > 0
         assert res.bnb_enumerated == r.nodes_enumerated > 0
         assert res.bnb_eigen_solves == r.eigen_solves > 21
         assert res.bnb_tied == r.nodes_tied
+        assert res.bnb_group_order == len(group) == 42
+        assert res.bnb_symmetric == r.nodes_symmetric > 0
         plain = solve_gap(space)
         assert plain.bnb_gap is None and plain.bnb_delta is None and plain.nodes_pruned is None
         assert plain.bnb_enumerated is None and plain.bnb_eigen_solves is None
         assert plain.bnb_tied is None
+        assert plain.bnb_group_order is None and plain.bnb_symmetric is None
 
     def test_bnb_inside_cutoff_runs_enumeration_alone(self):
         space = path_metric(gen_cycle(11))
@@ -711,7 +862,7 @@ class TestSolveGap:
         assert res.method == "gray_scan"
         assert (res.bnb_certified, res.nodes_expanded, res.nodes_pruned, res.bnb_gap,
                 res.bnb_delta, res.bnb_enumerated, res.bnb_eigen_solves,
-                res.bnb_tied) == (None,) * 8
+                res.bnb_tied, res.bnb_group_order, res.bnb_symmetric) == (None,) * 10
         assert res.beta == solve_gap(space).beta
 
     def test_accepts_prepared_matrix(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from metricgap.errors import (
 )
 from metricgap.linalg import SymMatrix, eigenvalues_sym
 from metricgap.metric import (
+    WeightedGraph,
     gen_cycle,
     gen_discrete,
+    gen_path,
     gen_random_tree,
     gen_tree,
     path_metric,
@@ -21,6 +25,7 @@ from metricgap.negtype import (
     NEGATIVE_TYPE_NON_STRICT,
     NOT_NEGATIVE_TYPE,
     STRICT_NEGATIVE_TYPE,
+    automorphisms,
     build_B,
     classify,
     oscillation,
@@ -273,3 +278,95 @@ class TestBuildB:
             lhs = float(ax @ gm.B.a @ ax)
             rhs = float(x @ gm.C.a @ x)
             assert abs(lhs - rhs) <= 1e-9 * scale * float(x @ x)
+
+
+def fixes_exactly(group, a, u):
+    """Every row is a permutation fixing A and u exactly; the rows are
+    distinct and sorted, with the identity first."""
+    n = a.shape[0]
+    assert group.shape[1] == n
+    for sigma in group:
+        assert sorted(sigma) == list(range(n))
+        assert np.array_equal(a[np.ix_(sigma, sigma)], a)
+        assert np.array_equal(u[sigma], u)
+    rows = [tuple(sigma) for sigma in group]
+    assert rows == sorted(set(rows))
+    return set(rows)
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize("n", range(5, 32, 2))
+    def test_odd_cycle_dihedral(self, n):
+        ntm = cycle_ntm(n)
+        group = automorphisms(ntm.A, ntm.u)
+        dihedral = {tuple((sign * i + r) % n for i in range(n)) for r in range(n)
+                    for sign in (1, -1)}
+        assert fixes_exactly(group, ntm.A.a, ntm.u) == dihedral
+        assert len(group) == 2 * n
+        assert np.array_equal(group[0], np.arange(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 30])
+    def test_path_reversal(self, n):
+        ntm = power_matrix(path_metric(gen_path(n)), 1.0)
+        group = automorphisms(ntm.A, ntm.u)
+        assert fixes_exactly(group, ntm.A.a, ntm.u) == {tuple(range(n)),
+                                                          tuple(range(n - 1, -1, -1))}
+
+    @pytest.mark.parametrize("n, seed", [(4, 0), (10, 1), (30, 0), (30, 3), (60, 2)])
+    def test_generic_clouds_trivial(self, n, seed):
+        ntm = power_matrix(validate_metric(cloud(n, seed)), 1.0)
+        assert automorphisms(ntm.A, ntm.u).shape == (0, n)
+
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_random_trees_trivial(self, n):
+        ntm = power_matrix(path_metric(gen_random_tree(n, seed=0)), 1.0)
+        assert automorphisms(ntm.A, ntm.u).shape == (0, n)
+
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_discrete_within_cap(self, n):
+        ntm = power_matrix(gen_discrete(n), 1.0)
+        group = automorphisms(ntm.A, ntm.u)
+        assert len(fixes_exactly(group, ntm.A.a, ntm.u)) == math.factorial(n)
+
+    @pytest.mark.parametrize("n", [7, 25, 41])
+    def test_discrete_above_cap_trivial(self, n):
+        ntm = power_matrix(gen_discrete(n), 1.0)
+        assert automorphisms(ntm.A, ntm.u).shape == (0, n)
+
+    def test_graph_groups(self):
+        # The Petersen graph's group is S_5, of order 120; the Frucht graph
+        # is 3-regular with no symmetry but the identity.
+        outer = [(i, (i + 1) % 5) for i in range(5)]
+        spokes = [(i, i + 5) for i in range(5)]
+        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        petersen = WeightedGraph(10, tuple((i, j, 1.0) for i, j in outer + spokes + inner))
+        ntm = power_matrix(path_metric(petersen), 1.0)
+        assert len(fixes_exactly(automorphisms(ntm.A, ntm.u), ntm.A.a, ntm.u)) == 120
+        edges = {tuple(sorted((i, (i + 1) % 12))) for i in range(12)}
+        for i, step in enumerate([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]):
+            edges.add(tuple(sorted((i, (i + step) % 12))))
+        frucht = WeightedGraph(12, tuple((i, j, 1.0) for i, j in sorted(edges)))
+        ntm = power_matrix(path_metric(frucht), 1.0)
+        assert automorphisms(ntm.A, ntm.u).shape == (0, 12)
+
+    def test_functional_breaks_symmetry(self):
+        # u marks point 0 and its two neighbours alike, so only the
+        # reflection through 0 survives of the 9-cycle's 18 symmetries.
+        a = cycle_ntm(9).A.a
+        u = np.ones(9)
+        u[0] = 2.0
+        u[[1, 8]] = 3.0
+        group = automorphisms(SymMatrix(a), u)
+        assert fixes_exactly(group, a, u) == {tuple(range(9)),
+                                              tuple((-i) % 9 for i in range(9))}
+        u[1] = 4.0
+        assert automorphisms(SymMatrix(a), u).shape == (0, 9)
+
+    def test_exact_entries_only(self):
+        # One distance off by an ulp leaves only the symmetries that fix
+        # that pair: the identity and the reflection swapping its ends.
+        a = cycle_ntm(7).A.a.copy()
+        a[0, 3] = a[3, 0] = np.nextafter(a[0, 3], 10.0)
+        group = automorphisms(a, np.ones(7))
+        assert fixes_exactly(group, a, np.ones(7)) == {
+            tuple(range(7)), tuple((3 - i) % 7 for i in range(7))}
