@@ -691,17 +691,21 @@ def _asymmetry(arr: np.ndarray, group: np.ndarray) -> float:
     return most + n * n * _EPS * most
 
 
+# 2^-i for i = 0..52, with 0 in place of 2^0: the weights of positions
+# 1..52 in _non_leader.
+_HALVES = np.concatenate(([0.0], 0.5 ** np.arange(1, 53)))
+
+
 def _symmetry_tables(group: np.ndarray, length: int):
     """What _non_leader needs of ``group`` for sign prefixes of ``length``
     coordinates, or None if no sigma of it can tell a prefix from its image.
 
     Those are the sigma with sigma(0) and sigma(1) in the prefix.  For each,
     the image's coordinate i, x_sigma(0) x_sigma(i), is fixed by the prefix
-    for i below the first i with sigma(i) outside it, and the tables weigh
-    positions 1 to at most 52 of that run by 2^-i: row sigma of the first
-    block puts the weight of i on coordinate sigma(i), and of the second
-    block on coordinate i.  Returns sigma(0) for each sigma and the two
-    blocks stacked.
+    for i below the first i with sigma(i) outside it.  Positions 1 to at
+    most 52 of that run are weighed by 2^-i (_HALVES).  Returns sigma(0)
+    for each sigma, a matrix whose row sigma puts the weight of i on
+    coordinate sigma(i), and the last position weighed.
     """
     head = group[:, :length]
     inside = head < length
@@ -709,15 +713,15 @@ def _symmetry_tables(group: np.ndarray, length: int):
     keep = fixed >= 2
     if not keep.any():
         return None
-    head, fixed = head[keep], np.minimum(fixed[keep], 53)
+    head, fixed = head[keep], np.minimum(fixed[keep], len(_HALVES))
     count = len(head)
     position = np.arange(length)
     weighed = (position >= 1) & (position < fixed[:, None])
-    weights = np.where(weighed, 0.5**position, 0.0)
     # Coordinates off the run go to a spare last column, which is dropped.
     image = np.zeros((count, length + 1))
-    image[np.arange(count)[:, None], np.where(weighed, head, length)] = weights
-    return head[:, 0].copy(), np.concatenate((image[:, :length], weights))
+    image[np.arange(count)[:, None], np.where(weighed, head, length)] = np.where(
+        weighed, 0.5**position, 0.0)
+    return head[:, 0].copy(), image[:, :length], fixed - 1
 
 
 def _non_leader(tables, prefix: np.ndarray) -> bool:
@@ -728,12 +732,12 @@ def _non_leader(tables, prefix: np.ndarray) -> bool:
     # the prefix differ by -2, 0 or 2 at each, and the weights 2^-i make
     # the sign of sum (image_i - x_i) 2^-i that of the first difference:
     # the later terms add up to less than 2^(1-i).  The sums of at most 52
-    # signed powers of two from 2^-1 to 2^-52 are exact.  An image above
-    # the prefix on the run is above every completion's image.
-    first, stacked = tables
-    sums = stacked @ prefix
-    count = len(first)
-    return bool((prefix[first] * sums[:count] > sums[count:]).any())
+    # signed powers of two from 2^-1 to 2^-52 are exact, in any order.  An
+    # image above the prefix on the run is above every completion's image.
+    first, image, last = tables
+    width = min(len(prefix), len(_HALVES))
+    weighed = np.cumsum(prefix[:width] * _HALVES[:width])
+    return bool((prefix[first] * (image @ prefix) > weighed[last]).any())
 
 
 def _local_search(arr: np.ndarray, val: float, key: tuple,
