@@ -157,6 +157,12 @@ def _require_exponent(value, what: str) -> float:
     return p
 
 
+def _require_keys(spec: dict, known: tuple, what: str) -> None:
+    for key in spec:
+        if key not in known:
+            raise SchemaError(f"unknown {what} key {key!r}; expected one of {list(known)}")
+
+
 def _require_numbers(values, what: str) -> list[float]:
     if not isinstance(values, list):
         raise SchemaError(f"{what} must be a list of numbers, got {values!r}")
@@ -253,6 +259,7 @@ def _realize_generator(name: str, spec) -> tuple[MetricSpace, tuple | None]:
         return path_metric(gen_cycle(n)), ("cycle", n)
     if name == "path":
         if isinstance(spec, dict):
+            _require_keys(spec, ("n", "weights"), "path")
             n = _require_size(spec.get("n"), "path.n")
             weights = spec.get("weights")
             if weights is not None:
@@ -264,6 +271,7 @@ def _realize_generator(name: str, spec) -> tuple[MetricSpace, tuple | None]:
     if name == "tree":
         if not isinstance(spec, dict) or not isinstance(spec.get("edges"), list):
             raise SchemaError('tree generator needs {"edges": [[i, j, w], ...]}')
+        _require_keys(spec, ("edges", "n"), "tree")
         n = spec.get("n")
         if n is not None:
             n = _require_size(n, "tree.n")
@@ -272,6 +280,7 @@ def _realize_generator(name: str, spec) -> tuple[MetricSpace, tuple | None]:
     if name == "random_tree":
         if not isinstance(spec, dict) or "n" not in spec:
             raise SchemaError('random_tree generator needs {"n": ..., "seed": ...}')
+        _require_keys(spec, ("n", "seed", "weight_range"), "random_tree")
         weight_range = _require_numbers(
             spec.get("weight_range", [0.1, 10.0]), "random_tree.weight_range"
         )

@@ -53,27 +53,29 @@ completions as one block, in the sign tables the three routes share
 node's bound is the shifted-eigenvalue bound of Poljak and Rendl,
 qf + (m+1) lmax(Q + Diag d) - sum d over the m free coordinates, tightened
 by at most _SHIFT_STEPS over-relaxed subgradient steps on the shifts d
-(the comment there says how both constants were chosen).  No bound can
-prune a node that holds a maximizer, so once the search has met a second
-one (a sign vector other than the incumbent's whose canonical value is
-within the rounding guard of it), a node also stops stepping when the
-completion that rounds its top eigenvector is such a vector.  It keeps
-its best bound and is branched on as before.  The incumbent's own path
-keeps stepping: the shifts its nodes refine, inherited by their
-children, are what prune its siblings.  Given the input's automorphism
-group, it drops each child whose completions are none of them the
-lexicographic leader of their orbit; on an odd n-cycle, whose n tied
-maximizers form one orbit of its dihedral group of order 2n, that walks
-one path where the plain search walks n.  Its result
-carries delta, a derived allowance for the rounding of every bound that
-pruned, and states the certificate beta_true <= max(best_bound, beta) +
-delta.  Each step takes one LAPACK solve for the top eigenpair alone
-(_top_eig), and these solves take over half the search's time.  With one
-BLAS thread on a 2-core Xeon, the odd cycles with n = 29, 31, 51, 71 and
-101 certified with their group in 0.03, 0.04, 0.33, 1.9 and 16 s, the random trees
-gen_random_tree(n, seed=0) with n = 66 and 100 in 0.08 and 0.45 s, and
-3-D clouds of 60 standard normal points (seeds 0-2) in 4.6-6.8 s; the
-README gives node and eigen-solve counts.
+(the comment there says how both constants were chosen).  It is the one
+node bound: a node is queued under its parent's, the root under the
+trivial sum |B_ij|.  No bound can prune a node that holds a maximizer,
+so once the search has met a second one (a sign vector other than the
+incumbent's whose canonical value is within the rounding guard of it), a
+node also stops stepping when the completion that rounds its top
+eigenvector is such a vector.  It keeps its best bound and is branched
+on as before.  The incumbent's own path keeps stepping: the shifts its
+nodes refine, inherited by their children, are what prune its siblings.
+Given the input's automorphism group, it drops each child whose
+completions are none of them the lexicographic leader of their orbit; on
+an odd n-cycle, whose n tied maximizers form one orbit of its dihedral
+group of order 2n, that walks one path where the plain search walks n.
+Its result carries delta, a derived allowance for the rounding of every
+bound that pruned, and states the certificate
+beta_true <= max(best_bound, beta) + delta.  Each step takes one LAPACK
+solve for the top eigenpair alone (_top_eig), and these solves take over
+half the search's time.  With one BLAS thread on a 2-core Xeon, the odd
+cycles with n = 29, 31, 51, 71 and 101 certified with their group in
+0.03, 0.04, 0.33, 1.9 and 16 s, the random trees gen_random_tree(n,
+seed=0) with n = 66 and 100 in 0.08 and 0.45 s, and 3-D clouds of 60
+standard normal points (seeds 0-2) in 4.6-6.8 s; the README gives node
+and eigen-solve counts.
 """
 
 from __future__ import annotations
@@ -433,10 +435,11 @@ class BnbResult:
     asymmetry of the computed B under the group, max over sigma of
     sum |B_ij - B_sigma(i)sigma(j)| with its rounding, which covers the
     sign vectors of the nodes the group dropped.  ``nodes_pruned`` counts
-    the nodes discarded because their bound fell to the incumbent,
-    ``nodes_enumerated`` the expanded nodes that were solved outright by
-    enumerating their completions, ``eigen_solves`` the top-eigenvalue
-    solves (_top_eig) of the search, the root's one per depth included,
+    the expanded nodes whose bound, after their subgradient steps, fell to
+    the incumbent and, when the result certifies, the nodes still queued,
+    whose bounds all have; ``nodes_enumerated`` counts the expanded nodes
+    that were solved outright by enumerating their completions,
+    ``eigen_solves`` the top-eigenvalue solves (_top_eig) of the search,
     ``nodes_tied`` the bounded nodes that stopped their subgradient steps
     early because they hold another maximizer, and ``nodes_symmetric`` the
     nodes dropped because a sigma of the group maps each of their
@@ -496,20 +499,16 @@ _ENUM_FREE = 14
 _EPS = float(np.finfo(float).eps)
 
 
-def _children(arr: np.ndarray, diag: list, cheap_lam: list, depth: int, qf: float, h):
+def _children(arr: np.ndarray, diag: list, depth: int, qf: float, h):
     """Both children, s_d = +1 first, of the node at depth d with prefix value
-    qf and coupling h: their prefix values qf + 2 s_d h_0 + B_dd, couplings
-    h_rest + s_d B_rest,d (rows of one array) and cheap bounds."""
+    qf and coupling h: their prefix values qf + 2 s_d h_0 + B_dd and
+    couplings h_rest + s_d B_rest,d (rows of one array)."""
     twice_h0 = 2.0 * float(h[0])
     child_h = np.empty((2, h.shape[0] - 1))
     col = arr[depth + 1 :, depth]
     np.add(h[1:], col, out=child_h[0])
     np.subtract(h[1:], col, out=child_h[1])
-    abs_sums = np.add.reduce(np.abs(child_h), axis=1).tolist()
-    child_q = (qf + twice_h0 + diag[depth], qf - twice_h0 + diag[depth])
-    lam = cheap_lam[depth + 1]
-    bounds = (child_q[0] + 2.0 * abs_sums[0] + lam, child_q[1] + 2.0 * abs_sums[1] + lam)
-    return child_q, child_h, bounds
+    return (qf + twice_h0 + diag[depth], qf - twice_h0 + diag[depth]), child_h
 
 
 def _bound_error(k: int, depth: int, prefix_abs: float, a_norm: float, shifts_abs: float) -> float:
@@ -797,9 +796,8 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     eigenvector of its best shift is rounded to a sign vector that may raise
     the incumbent.  Once the search has met a second maximizer, a node
     whose rounded top eigenvector is another one stops stepping early, but
-    never on the incumbent's own path.  Children queue under the cheaper
-    of their spectral bound qf + 2 ||h||_1 + m lmax(B_FF) and their
-    parent's shifted bound.
+    never on the incumbent's own path.  Children queue under their
+    parent's bound, and the root under the trivial bound sum |B_ij|.
 
     ``automorphisms``, when given, lists permutations sigma of the points,
     one per row, closed under composition (ValueError otherwise), such as
@@ -810,9 +808,10 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     it, or with no sigma but the identity, the search is the same float
     for float.
     The incumbent starts from a greedy descent and a 1-flip local search,
-    so even a zero budget returns a valid (uncertified) candidate.  Any
-    other budget expands the root, so for n <= _ENUM_FREE + 1 the result is
-    beta_hypercube's, maximizer included.
+    so even a zero budget returns a valid (uncertified) candidate, with the
+    root's finite bound as ``best_bound``.  Any other budget expands the
+    root, so for n <= _ENUM_FREE + 1 the result is beta_hypercube's,
+    maximizer included.
 
     The result certifies when the best outstanding bound falls to the
     incumbent; if the node budget runs out first the best-found answer is
@@ -836,14 +835,6 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     # ..., image and prefix agree up to a position where the image is
     # larger, and so is every completion's image, or the scan stops
     # without dropping, at a smaller image or one that is not fixed.
-    # The cheap bound is one of the shifted bounds: with L >= lmax(B_FF),
-    # d_0 = -||h||_1 and d_i = -L - |h_i|, the inequality
-    # 2 h_i x_0 x_i <= |h_i| (x_0^2 + x_i^2) gives Q + Diag d <= 0, so the
-    # shifted bound at that d is at most qf + ||h||_1 + sum (L + |h_i|) =
-    # qf + 2 ||h||_1 + m L.  The minimum over d, which by duality is the
-    # semidefinite relaxation max {<Q, X> : X >= 0, diag X = 1}, is never
-    # weaker.  The steps only approach that minimum, so a child keeps the
-    # cheaper of the two.
     arr = _as_array(b)
     n = arr.shape[0]
     group = None if automorphisms is None else _check_group(automorphisms, n)
@@ -852,12 +843,6 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
         v = _canonical(arr, s)
         return BnbResult(v, s, True, 0, v, 0.0, 0, 0, 0, 0, 0)
 
-    lam = np.empty(n + 1)
-    lam[n] = 0.0
-    for d in range(n - 1, -1, -1):
-        lam[d] = _top_eig(arr[d:, d:], vectors=False)
-    solves = n
-    tail_norm = [float(np.linalg.norm(arr[d:, d:])) for d in range(n + 1)]
     prefix_abs = np.concatenate(([0.0], np.cumsum(np.abs(arr).sum(axis=1))))
 
     # The bound of a node at depth d, with k = n - d + 1, is computed as
@@ -890,18 +875,17 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     # plus the rest is at most
     # 1.01 u (((k + 2) d + 3) S_P + (k^3 + 4k) ||A^||_F + (k + 3) sum|d|),
     # and _bound_error, eps = 2u times the same terms with (k + 2)(d + 2)
-    # for (k + 2) d + 3, exceeds that by a factor above 1.9.  The cheap
-    # bound qf + 2 ||h||_1 + m lmax(B_FF), m = k - 1, has errors
-    # gamma_2d S_P for qf, 2 gamma_d S_P for h, 2 gamma_m S_P for the sum
-    # of |h_i|, m p(m) u ||B_FF||_F for the eigenvalue (the same dsyevr
-    # solve through _top_eig, without the vector) and four roundings:
-    # 1.01 u ((4d + 2m + 6) S_P + (m^3 + 2m) ||B_FF||_F) in all, which
-    # _bound_error with B_FF for A^ and no shifts covers by the same
-    # factor.  A child's prefix value qf + 2 sign h_0 + B_dd carries the
-    # error of the direct sum at depth d + 1, and its h_rest + sign B_rest,d
-    # is the running sum one term longer.  Pruning and certification
-    # compare the raw floats; delta adds the largest error of a bound that
-    # discarded nodes to the rounding of a canonical value, at most
+    # for (k + 2) d + 3, exceeds that by a factor above 1.9.  The root is
+    # queued under the trivial bound S = sum|B_ij| >= (B s | s), computed
+    # as S^ = prefix_abs[n], a running sum of n row sums of n terms, so
+    # |S^ - S| <= gamma_2n S and S - S^ <= n eps S^ / (1 - 2n eps), which
+    # (n + 1) eps S^ covers.  Every other node is queued under its parent's
+    # bound and that bound's error.  A child's prefix value
+    # qf + 2 sign h_0 + B_dd carries the error of the direct sum at depth
+    # d + 1, and its h_rest + sign B_rest,d is the running sum one term
+    # longer.  Pruning and certification compare the raw floats; delta
+    # adds the largest error of a bound that discarded nodes to the
+    # rounding of a canonical value, at most
     # gamma_2n sum|B_ij| <= (n + 1) eps sum|B_ij|.  A discarded sign vector
     # s then has (B s | s) <= bound + err <= incumbent + delta, and the same
     # holds for its canonical value; an evaluated sign vector is within the
@@ -910,21 +894,18 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     # value comes within the guard g of the incumbent (see _rounding_guard),
     # so the completions it passes over have canonical values below the
     # incumbent, and it adds nothing to delta.
-    # The cheap bound's eigenvalue term m lmax(B_FF) and its error, by depth.
-    cheap_lam = [float(lam[d] * (n - d)) for d in range(n + 1)]
-    cheap_err = [_bound_error(n - d + 1, d, prefix_abs[d], tail_norm[d], 0.0)
-                 for d in range(n + 1)]
     diag = arr.diagonal()
     diag_list = diag.tolist()
     g = _rounding_guard(arr)
 
-    # Greedy descent to the child of the larger cheap bound, +1 on a tie,
-    # then 1-flip local search, for the initial incumbent.
+    # Greedy descent to the child of the larger qf + 2 ||h||_1, +1 on a
+    # tie, then 1-flip local search, for the initial incumbent.
     g_signs = np.ones(n)
     g_q, g_h = diag_list[0], arr[1:, 0]
     for depth in range(1, n):
-        child_q, child_h, bounds = _children(arr, diag_list, cheap_lam, depth, g_q, g_h)
-        pick = 0 if bounds[0] >= bounds[1] else 1
+        child_q, child_h = _children(arr, diag_list, depth, g_q, g_h)
+        abs_sums = np.add.reduce(np.abs(child_h), axis=1).tolist()
+        pick = 0 if child_q[0] + 2.0 * abs_sums[0] >= child_q[1] + 2.0 * abs_sums[1] else 1
         g_signs[depth] = 1.0 - 2.0 * pick
         g_q, g_h = child_q[pick], child_h[pick]
     best_val, best_key, second = _local_search(arr, _canonical(arr, g_signs), tuple(g_signs))
@@ -936,12 +917,13 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     # sum of its columns, in prefix order.  Bit i of the prefix bits is set
     # where s_i = +1; an int of any size, it only breaks ties of bound and
     # depth in the queue's order, so no entry compares past it.
-    h = arr[1:, 0].copy()
-    heap = [(-(diag_list[0] + 2.0 * float(np.sum(np.abs(h))) + cheap_lam[1]), 1, 1,
-             cheap_err[1], None, 0.0, np.ones(1), h)]
+    total_abs = float(prefix_abs[n])
+    heap = [(-total_abs, 1, 1, (n + 1) * _EPS * total_abs, None, 0.0, np.ones(1),
+             arr[1:, 0].copy())]
     buffers = {}
     pops = 0
     pruned = 0
+    solves = 0
     enumerated = 0
     tied = 0
     symmetric = 0
@@ -1010,17 +992,11 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
             pruned += 1
             delta = max(delta, err)
             continue
-        child_qs, child_h, bounds = _children(arr, diag_list, cheap_lam, depth, qf, h)
-        for child_bits, sign, child_q, child_h_row, bound in zip(
-                (bits | (1 << depth), bits), (1.0, -1.0), child_qs, child_h, bounds):
-            if bound < top_bound:
-                child_err = cheap_err[depth + 1]
-            else:
-                bound, child_err = top_bound, err
-            if bound <= best_val:
-                pruned += 1
-                delta = max(delta, child_err)
-                continue
+        # Both children queue under the node's bound, which is above the
+        # incumbent.
+        child_qs, child_h = _children(arr, diag_list, depth, qf, h)
+        for child_bits, sign, child_q, child_h_row in zip(
+                (bits | (1 << depth), bits), (1.0, -1.0), child_qs, child_h):
             child = np.empty(depth + 1)
             child[:depth] = prefix
             child[depth] = sign
@@ -1037,7 +1013,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
             # d_rest), whose bound is exactly the parent's.  The child's
             # steps start there.
             start = shifts[0] + shifts[1] + (child_q - qf) - top_eig
-            heapq.heappush(heap, (-bound, depth + 1, child_bits, child_err, shifts, start, child,
+            heapq.heappush(heap, (-top_bound, depth + 1, child_bits, err, shifts, start, child,
                                   child_h_row))
     else:
         certified = True
@@ -1046,7 +1022,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     if certified:
         pruned += len(heap)
     delta = max([delta] + [e[3] for e in heap])
-    delta += _EPS * (n + 1) * float(prefix_abs[n])
+    delta += _EPS * (n + 1) * total_abs
     if symmetric:
         delta += _asymmetry(arr, group)
     return BnbResult(best_val, np.array(best_key), certified, pops, float(top_bound), float(delta),

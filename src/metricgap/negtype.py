@@ -28,6 +28,7 @@ inputs.
 from __future__ import annotations
 
 import functools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,14 @@ STRICT_NEGATIVE_TYPE = "StrictNegativeType"
 _EPS = float(np.finfo(float).eps)
 # The smallest positive float, below which no tolerance may underflow.
 _TINIEST = 5e-324
+
+
+def _margin(quantity: float, threshold: float) -> float:
+    """quantity / threshold, with the threshold raised to _TINIEST and the
+    quotient saturated at +-sys.float_info.max: a threshold near _TINIEST
+    overflows it, and a report must stay JSON."""
+    ratio = quantity / max(threshold, _TINIEST)
+    return min(max(ratio, -sys.float_info.max), sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -90,7 +99,8 @@ class NegTypeReport:
     same for the whole of a bare matrix; at most 1 is refused), ``pivot``
     (the smallest LDL^T pivot ratio; below 1 is singular, so non-strict),
     ``strict`` (|(A^-1 u | u)|; above 1 is strict) and ``B_u`` (max|B u|;
-    above 1 is refused as broken numerics).
+    above 1 is refused as broken numerics).  A quotient past the largest
+    float saturates at +-sys.float_info.max.
     """
 
     verdict: str
@@ -180,11 +190,11 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
         raise PositiveDirectionMissing(
             "a single point admits no direction of positive quadratic form"
         )
-    eig_tol = max(tols.eig * max(a.max_abs, 1e-300), _TINIEST)
+    eig_tol = tols.eig * max(a.max_abs, 1e-300)
     spectrum = eigenvalues_sym(project_to_F(a, u))
-    margins = {"eig": float(spectrum[-1]) / eig_tol}
+    margins = {"eig": _margin(float(spectrum[-1]), eig_tol)}
     if not from_metric:
-        margins["eig_full"] = float(eigenvalues_sym(a)[-1]) / eig_tol
+        margins["eig_full"] = _margin(float(eigenvalues_sym(a)[-1]), eig_tol)
 
     verdict = NOT_NEGATIVE_TYPE if margins["eig"] > 1.0 else NEGATIVE_TYPE_NON_STRICT
     f = m_val = z = b = None
@@ -195,14 +205,14 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
                 "the constrained maximum is not defined"
             )
         f = factor(a, tols.factor_pivot)
-        margins["pivot"] = f.min_pivot_ratio / max(tols.factor_pivot, _TINIEST)
+        margins["pivot"] = _margin(f.min_pivot_ratio, tols.factor_pivot)
 
     if f is not None and not f.singular_flag:
         a_inv = invert(f)
         ainv_u = solve(f, u)
         aud = float(ainv_u @ u)
         strict_tol = tols.strict * a_inv.max_abs * float(np.sum(np.abs(u))) ** 2
-        margins["strict"] = abs(aud) / max(strict_tol, _TINIEST)
+        margins["strict"] = _margin(abs(aud), strict_tol)
         if margins["strict"] > 1.0:
             verdict = STRICT_NEGATIVE_TYPE
             m_val = 1.0 / aud

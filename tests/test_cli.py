@@ -174,6 +174,11 @@ class TestReports:
         assert "gamma" in out
 
 
+def reject_constant(name):
+    """parse_constant for json.loads: RFC 8259 has no NaN or Infinity."""
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_main(capsys, argv, stdin_text=None, monkeypatch=None):
     if stdin_text is not None:
         monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
@@ -299,8 +304,8 @@ class TestMainGap:
         assert payload["diagnostics"]["bnb_pruned"] >= 0
         # Seven points: the root is solved by enumerating its completions.
         assert payload["diagnostics"]["bnb_nodes"] == payload["diagnostics"]["bnb_enumerated"] == 1
-        # Its one top eigenvalue per depth seeds the greedy incumbent.
-        assert payload["diagnostics"]["bnb_eigen_solves"] == 7
+        # A root solved outright takes no eigen-solve.
+        assert payload["diagnostics"]["bnb_eigen_solves"] == 0
         assert payload["diagnostics"]["bnb_tied"] == 0
         # The 7-cycle's dihedral group; a root solved outright drops nothing.
         assert payload["diagnostics"]["bnb_group_order"] == 14
@@ -417,6 +422,17 @@ class TestMainExitCodes:
         code, _, _ = run_main(capsys, ["gap", "-"], text, monkeypatch)
         assert code == 3
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"random_tree":{"n":6,"sed":3}}', "sed"),
+        ('{"path":{"n":4,"weight":[1,2,3]}}', "weight"),
+        ('{"tree":{"edges":[[1,2,1],[2,3,1]],"m":7}}', "m"),
+    ], ids=["random_tree", "path", "tree"])
+    def test_unknown_generator_spec_key_is_2(self, capsys, monkeypatch, text, key):
+        code, out, err = run_main(capsys, ["gap", "-"], text, monkeypatch)
+        assert code == 2
+        assert out == ""
+        assert repr(key) in err
+
     def test_not_negative_type_is_4(self, capsys, monkeypatch):
         text = '{"edges": [[1, 2, 1.0], [1, 3, 1.0], [1, 4, 1.0]], "p": 2}'
         code, _, _ = run_main(capsys, ["gap", "-"], text, monkeypatch)
@@ -455,9 +471,12 @@ class TestMainExitCodes:
             pytest.param('{"cycle":5}', 2, ["--tol", "inf"], id="tol-flag-inf"),
             pytest.param('{"cycle":5}', 2, ["--tol", "-1"], id="tol-flag-negative"),
             pytest.param('{"cycle":5}', 2, ["--tol", "0"], id="tol-flag-zero"),
-            # A tolerance that underflows to zero once scaled by max|A^-1|.
-            pytest.param('{"distances":[[0,1e5],[1e5,0]]}', 0, ["--tol", "1e-320"],
-                         id="tol-flag-underflows"),
+            # A tolerance that underflows to zero once scaled by max|A^-1|;
+            # its margins saturate, so the machine report stays JSON.
+            pytest.param('{"distances":[[0,1e5],[1e5,0]]}', 0,
+                         ["--tol", "1e-320", "--report", "machine"], id="tol-flag-underflows"),
+            pytest.param('{"cycle":5}', 0, ["--tol", "1e-320", "--report", "machine"],
+                         id="tol-flag-underflows-cycle"),
             # Sizes past MAX_POINTS, rejected before anything of that size is built.
             ('{"cycle":%d}' % 10**20, 2, []),
             ('{"path":%d}' % 10**20, 2, []),
@@ -479,8 +498,10 @@ class TestMainExitCodes:
     def test_bad_generator_spec_or_overflow_exits_cleanly(
         self, capsys, monkeypatch, text, expected, flags
     ):
-        code, _, _ = run_main(capsys, ["gap", "-", *flags], text, monkeypatch)
+        code, out, _ = run_main(capsys, ["gap", "-", *flags], text, monkeypatch)
         assert code == expected
+        if "machine" in flags:
+            json.loads(out, parse_constant=reject_constant)
 
     def test_too_large_is_5(self, capsys, monkeypatch):
         code, _, err = run_main(
