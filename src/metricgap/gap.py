@@ -41,7 +41,10 @@ is a maximum up to its delta and need not be the enumeration's.  On the
 maximizer.  Handed the input's automorphism group, as solve_gap does,
 branch_and_bound also drops every node whose completions a symmetry maps
 onto larger sign vectors, so its maximizer may be another member of the
-orbit of the enumeration's, again a maximum up to its delta.
+orbit of the enumeration's, again a maximum up to its delta.  Of the
+members of that orbit whose canonical values are within the rounding
+guard of the one it met, it returns the best under the tie-break, so
+which member the search met does not show in its result.
 
 Past the cutoff, branch_and_bound searches sign prefixes best first.  Each
 queued node carries its prefix, and the prefix's coupling to the free
@@ -53,29 +56,33 @@ completions as one block, in the sign tables the three routes share
 node's bound is the shifted-eigenvalue bound of Poljak and Rendl,
 qf + (m+1) lmax(Q + Diag d) - sum d over the m free coordinates, tightened
 by at most _SHIFT_STEPS over-relaxed subgradient steps on the shifts d
-(the comment there says how both constants were chosen).  It is the one
-node bound: a node is queued under its parent's, the root under the
-trivial sum |B_ij|.  No bound can prune a node that holds a maximizer,
-so once the search has met a second one (a sign vector other than the
-incumbent's whose canonical value is within the rounding guard of it), a
-node also stops stepping when the completion that rounds its top
-eigenvector is such a vector.  It keeps its best bound and is branched
-on as before.  The incumbent's own path keeps stepping: the shifts its
-nodes refine, inherited by their children, are what prune its siblings.
+(the comment there says how both constants were chosen).  A step that
+would undo part of the node's previous step is deflected off it, and a
+child's first step is taken without a solve, from its parent's top
+eigenvector.  It is the one node bound: a node is queued under its
+parent's, the root under the trivial sum |B_ij|.  No bound can prune a
+node that holds a maximizer, so once the search has met a second one (a
+sign vector other than the incumbent's whose canonical value is within
+the rounding guard of it), a node also stops stepping when the completion
+that rounds its top eigenvector is such a vector.  It keeps its best
+bound and is branched on as before, and the nodes below it on the path
+to that vector are branched on without a solve.  The incumbent's own
+path keeps stepping: the shifts its nodes refine, inherited by their
+children, are what prune its siblings.
 Given the input's automorphism group, it drops each child whose
 completions are none of them the lexicographic leader of their orbit; on
 an odd n-cycle, whose n tied maximizers form one orbit of its dihedral
 group of order 2n, that walks one path where the plain search walks n.
 Its result carries delta, a derived allowance for the rounding of every
 bound that pruned, and states the certificate
-beta_true <= max(best_bound, beta) + delta.  Each step takes one LAPACK
-solve for the top eigenpair alone (_top_eig), and these solves take over
-half the search's time.  With one BLAS thread on a 2-core Xeon, the odd
-cycles with n = 29, 31, 51, 71 and 101 certified with their group in
-0.03, 0.04, 0.33, 1.9 and 16 s, the random trees gen_random_tree(n,
-seed=0) with n = 66 and 100 in 0.08 and 0.45 s, and 3-D clouds of 60
-standard normal points (seeds 0-2) in 4.6-6.8 s; the README gives node
-and eigen-solve counts.
+beta_true <= max(best_bound, beta) + delta.  Each solved step takes one
+LAPACK solve for the top eigenpair alone (_top_eig), and these solves
+take two fifths to a half of the search's time.  With one BLAS thread on
+a busy 2-core Xeon, the odd cycles with n = 29, 31, 51, 71 and 101
+certified with their group in 0.03-0.05, 0.03, 0.25, 1.0 and 16 s, the
+random trees gen_random_tree(n, seed=0) with n = 66 and 100 in 0.14 and
+0.55 s, and 3-D clouds of 60 standard normal points (seeds 0-2) in
+4.2-4.6 s; the README gives node and eigen-solve counts.
 """
 
 from __future__ import annotations
@@ -440,8 +447,11 @@ class BnbResult:
     whose bounds all have; ``nodes_enumerated`` counts the expanded nodes
     that were solved outright by enumerating their completions,
     ``eigen_solves`` the top-eigenvalue solves (_top_eig) of the search,
+    a zero budget's one solve for the root's bound included,
     ``nodes_tied`` the bounded nodes that stopped their subgradient steps
-    early because they hold another maximizer, and ``nodes_symmetric`` the
+    early because they hold another maximizer, together with the nodes on
+    the path to such a maximizer that were branched on without a solve,
+    and ``nodes_symmetric`` the
     nodes dropped because a sigma of the group maps each of their
     completions onto a larger one (branch_and_bound).
     """
@@ -482,6 +492,17 @@ class BnbResult:
 # their n tied maximizers took 60 % of the subgradient solves, and
 # stopping them took 16-38 % of the solves off the odd cycles 29-71, with
 # beta unchanged bit for bit.
+# Both were checked again once steps were deflected and a child's first
+# step came free (_shift_step, branch_and_bound), on 19 inputs: the odd
+# cycles 29, 31, 41 and 51 with their group, gen_random_tree(n, seed) with
+# n = 40, 60, 66 and 100 and seeds 0-1, and 3-D clouds with n = 30 and 40
+# (seeds 0-2) and n = 50 (seed 0).  Against mu = 1.2 with 6 steps (23,404
+# eigen-solves in all), mu = 1.0 took 39 % more, and mu = 1.4 left
+# gen_random_tree(n, seed=0) with n = 40, 60 and 66 uncertified after
+# 30,000 nodes (over 170,000 solves each).  5 steps took 10 % more solves
+# in all and took gen_random_tree(66, seed=0) from 838 to 2,286; 7 steps
+# took 3.5 % fewer in all, from the trees, but more on the odd cycles 29
+# and 41 (13 % and 12 %) and on every cloud with n = 30.
 _SHIFT_STEPS = 6
 _SHIFT_RELAX = 1.2
 
@@ -547,23 +568,30 @@ def _top_eig(a: np.ndarray, vectors: bool = True):
 
 
 def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: float,
-                   holds_tie=None):
+                   holds_tie=None, free=None):
     """Over-relaxed Polyak subgradient steps on
     f(shifts) = k lmax(Q + Diag shifts) - sum shifts.
 
     ``a`` holds Q on entry and Q + Diag shifts, for the returned shifts, on
-    exit.  Stops once qf + f reaches ``incumbent``, or once ``holds_tie``,
-    when given, is true of a top eigenvector.  Returns the smallest f seen
-    with its shifts, top eigenpair, the Frobenius norm of Q + Diag shifts,
-    the number of eigen-solves taken and whether ``holds_tie`` stopped it.
+    exit.  ``free``, when given, is a pair (f, vec): f at least that of
+    ``shifts`` and a unit vector standing in for their top eigenvector,
+    from which one step is taken before the first solve.  Stops once
+    qf + f reaches ``incumbent``, or once ``holds_tie``, when given, is
+    true of a top eigenvector.  Returns the smallest f solved for with its
+    shifts, top eigenpair, the Frobenius norm of Q + Diag shifts, the
+    number of eigen-solves taken and whether ``holds_tie`` stopped it.
     """
     k = a.shape[0]
     flat = a.reshape(-1)
     diag = flat[:: k + 1]
     q_diag = diag.copy()
+    target = incumbent - qf
     scale = 1.0
     best = None
     tied = False
+    last = None
+    if free is not None:
+        shifts, last = _shift_step(shifts, _SHIFT_RELAX * (free[0] - target), free[1], None)
     for step in range(_SHIFT_STEPS):
         np.add(q_diag, shifts, out=diag)
         top, v = _top_eig(a)
@@ -577,20 +605,64 @@ def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: floa
         if holds_tie is not None and holds_tie(v):
             tied = True
             break
-        # The subgradient k v^2 - 1 and the over-relaxed Polyak step along
-        # it, which the break above skips after the last solve.
-        grad = v * v
-        grad *= k
-        grad -= 1.0
-        norm2 = float(grad @ grad)
-        if norm2 == 0.0:
+        # The break above skips the step after the last solve.
+        shifts, last = _shift_step(shifts, _SHIFT_RELAX * scale * (f - target), v, last)
+        if last is None:
             break
-        grad *= _SHIFT_RELAX * scale * (f - (incumbent - qf)) / norm2
-        shifts = shifts - grad
     f, shifts, top, v = best
     np.add(q_diag, shifts, out=diag)
     # The Frobenius norm, as np.linalg.norm computes it.
     return f, shifts, top, v, math.sqrt(flat @ flat), step + 1, tied
+
+
+def _shift_step(shifts: np.ndarray, excess: float, v: np.ndarray, last):
+    """One Polyak step on the shifts of length ``excess`` over the squared
+    norm of its direction, from the subgradient k v^2 - 1 deflected off the
+    previous step's direction (Camerini, Fratta and Maffioli, 1975).
+    ``last`` is the previous step's direction and its squared norm, or
+    None.  Returns the new shifts and the same pair for this step, or
+    ``shifts`` and None for a zero direction."""
+    # Where the subgradient g opposes the previous direction p, the step
+    # takes g less its projection on p, so that it does not undo the
+    # previous step: the deflection with no coefficient to choose.
+    direction = v * v
+    direction *= v.shape[0]
+    direction -= 1.0
+    if last is not None:
+        along = float(direction @ last[0])
+        if along < 0.0:
+            direction -= (along / last[1]) * last[0]
+    norm2 = float(direction @ direction)
+    if norm2 == 0.0:
+        return shifts, None
+    step = direction * (excess / norm2)
+    return np.subtract(shifts, step, out=step), (direction, norm2)
+
+
+def _load_node(q: np.ndarray, h: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Write a node's coupling ``h`` into the first row and column of its
+    matrix ``q`` and (0, ``tail``) into its diagonal; returns a view of the
+    diagonal."""
+    q[0, 1:] = h
+    q[1:, 0] = h
+    q_diag = q.reshape(-1)[:: q.shape[0] + 1]
+    q_diag[0] = 0.0
+    q_diag[1:] = tail
+    return q_diag
+
+
+def _merged(vec: np.ndarray, sign: float, f: float):
+    """The pair (f, y) that _shifted_bound takes for a free first step:
+    the parent's top eigenvector ``vec`` on the coordinates of its child
+    with x_d = ``sign`` x_0, y = ((vec_0 + sign vec_1) / 2, vec_2, ...)
+    normalized, or None if that is zero."""
+    y = vec[1:].copy()
+    y[0] = (vec[0] + sign * vec[1]) / 2.0
+    norm = math.sqrt(float(y @ y))
+    if norm == 0.0:
+        return None
+    y /= norm
+    return f, y
 
 
 def _completion(prefix: np.ndarray, signs: np.ndarray) -> np.ndarray:
@@ -743,23 +815,45 @@ def _local_search(arr: np.ndarray, val: float, key: tuple,
                   second: float = -np.inf) -> tuple[float, tuple, float]:
     """1-flip ascent from sign vector ``key`` with canonical value ``val``.
 
-    Flips any coordinate but the first while that raises the canonical
-    value, or keeps it and gives a lexicographically smaller vector.
-    Returns the value reached, its vector and ``second`` raised to the
-    value of every other vector evaluated on the way.
+    Flips any coordinate but the first, in index order and pass after
+    pass, while that raises the canonical value, or keeps it and gives a
+    lexicographically smaller vector.  Returns the value reached, its
+    vector and ``second`` raised to the value of every other vector
+    evaluated on the way whose value is within _rounding_guard of the one
+    reached: the others can neither win nor tie.
     """
+    # Flipping s_i changes (B s | s) by the gain 4 (B_ii - s_i (B s)_i).
+    # With S = sum |B_ij| and g = _rounding_guard(B), the computed gain is
+    # within 4 (gamma_n S + 2.01 u S) <= (2.02 n + 4.02) eps S < g of the
+    # exact one (the product B s, then one subtraction of magnitude at most
+    # 2 S), and a canonical value within (n + 1) eps S < g / 4 of the exact
+    # value (see _rounding_guard).  A flip of computed gain below -3 g
+    # therefore has a canonical value below val - 1.5 g: it would neither be
+    # taken nor raise ``second`` to within g of a value reached, so it is
+    # not valued.  The flips that are valued are met in the order of
+    # trying every one, with the same canonical values and choices.
+    threshold = -3.0 * _rounding_guard(arr)
+    s = np.array(key)
+    diag = arr.diagonal()
     improved = True
     while improved:
         improved = False
-        for i in range(1, len(key)):
-            s = np.array(key)
-            s[i] = -s[i]
-            v = _canonical(arr, s)
-            t = tuple(s)
-            if v > val or (v == val and t < key):
-                val, key, second, improved = v, t, max(second, val), True
-            else:
+        start = 1
+        while start < len(key):
+            gains = 4.0 * (diag - s * (arr @ s))
+            # "Not below", so that a gain that overflowed to NaN is valued.
+            for i in np.flatnonzero(~(gains[start:] < threshold)) + start:
+                t = s.copy()
+                t[i] = -t[i]
+                v = _canonical(arr, t)
+                t_key = tuple(t)
+                if v > val or (v == val and t_key < key):
+                    val, key, second, improved = v, t_key, max(second, val), True
+                    s, start = t, i + 1
+                    break
                 second = max(second, v)
+            else:
+                break
     return val, key, second
 
 
@@ -792,11 +886,13 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     re-evaluated canonically under the enumeration's tie-break.  Any other
     popped node takes the shifted-eigenvalue bound of Poljak and Rendl: for
     any shift vector d, qf + (m+1) lmax(Q + Diag d) - sum d.  It takes a few
-    subgradient steps on d, warm-started from its parent's, and the top
-    eigenvector of its best shift is rounded to a sign vector that may raise
-    the incumbent.  Once the search has met a second maximizer, a node
-    whose rounded top eigenvector is another one stops stepping early, but
-    never on the incumbent's own path.  Children queue under their
+    subgradient steps on d, warm-started from its parent's, the first from
+    its parent's top eigenvector without a solve, and the top eigenvector
+    of its best shift is rounded to a sign vector that may raise the
+    incumbent.  Once the search has met a second maximizer, a node whose
+    rounded top eigenvector is another one stops stepping early, but never
+    on the incumbent's own path, and the nodes on the path to that
+    maximizer are branched on without a solve.  Children queue under their
     parent's bound, and the root under the trivial bound sum |B_ij|.
 
     ``automorphisms``, when given, lists permutations sigma of the points,
@@ -806,10 +902,13 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     of its prefix lexicographically smaller, +1 above -1, than the image
     x_sigma(0) x o sigma, which also has first coordinate +1.  Without
     it, or with no sigma but the identity, the search is the same float
-    for float.
+    for float.  With it, the result is the best, under the tie-break, of
+    the members of the maximizer's orbit whose values are within rounding
+    of the one found.
     The incumbent starts from a greedy descent and a 1-flip local search,
     so even a zero budget returns a valid (uncertified) candidate, with the
-    root's finite bound as ``best_bound``.  Any other budget expands the
+    root's bound at its starting shifts, one eigen-solve, as
+    ``best_bound``.  Any other budget expands the
     root, so for n <= _ENUM_FREE + 1 the result is beta_hypercube's,
     maximizer included.
 
@@ -912,14 +1011,16 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
 
     # A queue entry: (-bound, depth, prefix bits, bound error, the parent's
     # shifts, the first entry of this node's starting shifts, sign prefix,
-    # coupling h = B_FP s_P).  The node's sign prefix and h are its own
-    # arrays, made from its parent's when it is queued; h is the running
-    # sum of its columns, in prefix order.  Bit i of the prefix bits is set
-    # where s_i = +1; an int of any size, it only breaks ties of bound and
-    # depth in the queue's order, so no entry compares past it.
+    # coupling h = B_FP s_P, the parent's top eigenvalue and eigenvector,
+    # and the key and value of a tied maximizer the node holds, or None).
+    # The node's sign prefix and h are its own arrays, made from its
+    # parent's when it is queued; h is the running sum of its columns, in
+    # prefix order.  Bit i of the prefix bits is set where s_i = +1; an
+    # int of any size, it only breaks ties of bound and depth in the
+    # queue's order, so no entry compares past it.
     total_abs = float(prefix_abs[n])
     heap = [(-total_abs, 1, 1, (n + 1) * _EPS * total_abs, None, 0.0, np.ones(1),
-             arr[1:, 0].copy())]
+             arr[1:, 0].copy(), None, None)]
     buffers = {}
     pops = 0
     pruned = 0
@@ -932,12 +1033,26 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     certified = False
     while heap:
         entry = heapq.heappop(heap)
-        neg_bound, depth, bits, err, parent_shifts, first, prefix, h = entry
+        neg_bound, depth, bits, err, parent_shifts, first, prefix, h, parent_top, tie = entry
         top_bound = -neg_bound
         # The root is expanded whatever its bound, so that up to
         # _ENUM_FREE + 1 points the tie-break, not the greedy incumbent,
         # picks the maximizer.
         if pops >= budget or (pops and top_bound <= best_val):
+            if not pops:
+                # The budget stops the search before the root is expanded:
+                # the root takes the bound at its starting shifts, one solve,
+                # where that is below the trivial one.
+                q = _node_buffers(arr, n)[0]
+                shifts = -_load_node(q, h, diag[1:])
+                np.fill_diagonal(q, 0.0)
+                f = n * _top_eig(q, vectors=False) - float(np.add.reduce(shifts))
+                solves += 1
+                if diag_list[0] + f < top_bound:
+                    top_bound = diag_list[0] + f
+                    entry = (-top_bound, 1, bits, _bound_error(
+                        n, 1, prefix_abs[1], float(np.linalg.norm(q)),
+                        float(np.add.reduce(np.abs(shifts))))) + entry[4:]
             certified = bool(top_bound <= best_val)
             heap.append(entry)
             break
@@ -947,11 +1062,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
         if buffer is None:
             buffer = buffers[k] = _node_buffers(arr, k)
         q, vals, tmp = buffer
-        q[0, 1:] = h
-        q[1:, 0] = h
-        q_diag = q.reshape(-1)[:: k + 1]
-        q_diag[0] = 0.0
-        q_diag[1:] = diag[depth:]
+        q_diag = _load_node(q, h, diag[depth:])
         qf = float(prefix @ arr[:depth, :depth] @ prefix)
         if vals is not None:
             enumerated += 1
@@ -965,33 +1076,52 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
             shifts = -q_diag
         else:
             shifts = np.concatenate(([first], parent_shifts[2:]))
-        # ``second`` is the best canonical value met of a sign vector other
-        # than the incumbent's.  Only once it is within g of the incumbent
-        # does a node check its roundings for another maximizer, about a
-        # fifth of a solve each; without a second maximizer the search is
-        # the same, float for float.  The checks and the rounding after the
-        # steps value each distinct completion once.
-        rounded = _rounder(arr, prefix)
-        holds_tie = None
-        if second >= best_val - g:
-            holds_tie = functools.partial(_holds_tie, rounded, g, best_val, best_key)
-        f, shifts, top_eig, vec, a_norm, steps, stopped = _shifted_bound(q, shifts, qf, best_val,
-                                                                         holds_tie)
-        solves += steps
-        tied += stopped
-        s, v = rounded(vec)
-        if v > best_val or (v == best_val and tuple(s) < best_key):
-            best_val, best_key, second = _local_search(arr, v, tuple(s), max(second, best_val))
-        elif v > second and tuple(s) != best_key:
-            second = v
-        if qf + f < top_bound:
-            top_bound = qf + f
-            err = _bound_error(k, depth, prefix_abs[depth], a_norm,
-                               float(np.add.reduce(np.abs(shifts))))
-        if top_bound <= best_val:
-            pruned += 1
-            delta = max(delta, err)
-            continue
+        if tie is not None and abs(tie[1] - best_val) <= g and tie[0] != best_key:
+            # The node holds a tied maximizer that is not the incumbent, so
+            # no bound can prune it: it is branched on without a solve.  It
+            # keeps its queued bound, its error and its starting shifts, at
+            # which its Q + Diag d <= mu I for its parent's top eigenvalue
+            # mu (see the merge below), so mu stands in for its own.
+            tied += 1
+            top_eig, vec = parent_top[0], None
+        else:
+            # ``second`` is the best canonical value met of a sign vector
+            # other than the incumbent's.  Only once it is within g of the
+            # incumbent does a node check its roundings for another
+            # maximizer, about a fifth of a solve each; the checks and the
+            # rounding after the steps value each distinct completion once.
+            # Outside that tie mode a child's first step takes no solve: it
+            # starts from its parent's top eigenvector on its own
+            # coordinates, and from its queued bound, which is at least that
+            # of its starting shifts.
+            rounded = _rounder(arr, prefix)
+            holds_tie = free = None
+            if second >= best_val - g:
+                holds_tie = functools.partial(_holds_tie, rounded, g, best_val, best_key)
+            elif parent_top is not None and parent_top[1] is not None:
+                free = _merged(parent_top[1], prefix[-1], top_bound - qf)
+            f, shifts, top_eig, vec, a_norm, steps, stopped = _shifted_bound(
+                q, shifts, qf, best_val, holds_tie, free)
+            solves += steps
+            tied += stopped
+            s, v = rounded(vec)
+            key = tuple(s)
+            # A node stopped on a tied maximizer marks the rounding of its
+            # top eigenvector: the nodes below it on the path to that sign
+            # vector take no solve while it is another maximizer.
+            tie = (key, v) if stopped else None
+            if v > best_val or (v == best_val and key < best_key):
+                best_val, best_key, second = _local_search(arr, v, key, max(second, best_val))
+            elif v > second and key != best_key:
+                second = v
+            if qf + f < top_bound:
+                top_bound = qf + f
+                err = _bound_error(k, depth, prefix_abs[depth], a_norm,
+                                   float(np.add.reduce(np.abs(shifts))))
+            if top_bound <= best_val:
+                pruned += 1
+                delta = max(delta, err)
+                continue
         # Both children queue under the node's bound, which is above the
         # incumbent.
         child_qs, child_h = _children(arr, diag_list, depth, qf, h)
@@ -1014,11 +1144,25 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
             # steps start there.
             start = shifts[0] + shifts[1] + (child_q - qf) - top_eig
             heapq.heappush(heap, (-top_bound, depth + 1, child_bits, err, shifts, start, child,
-                                  child_h_row))
+                                  child_h_row, (top_eig, vec),
+                                  tie if tie is not None and tie[0][depth] == sign else None))
     else:
         certified = True
         top_bound = best_val
 
+    if group is not None:
+        # The search may meet any member of the maximizer's orbit, whose
+        # canonical values differ by rounding alone under a symmetry of B.
+        # The result is the best, under the tie-break, of the members within
+        # g of the one met, so it does not depend on which one that was.
+        s = np.array(best_key)
+        found = best_val
+        images = s[group]
+        images *= images[:, :1]
+        for t in images:
+            v = _canonical(arr, t)
+            if best_val <= v <= found + g:
+                best_val, best_key, _ = _fold(v, tuple(t), best_val, best_key, -np.inf)
     if certified:
         pruned += len(heap)
     delta = max([delta] + [e[3] for e in heap])
