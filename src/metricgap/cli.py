@@ -7,8 +7,7 @@ Subcommands:
           operator-norm and 0/1 cross-checks
   oracle  regression-check the generic pipeline against the closed forms
 
-Timing lives outside the CLI, in benchmark/run.py and
-demos/enumeration_engines.py.
+Timing lives outside the CLI, in benchmark/run.py.
 
 Inputs are JSON documents or plain CSV matrices, told apart by their
 first character; see parse_input.  Every size a document names is at most
@@ -555,11 +554,13 @@ def run_oracle_suite(args) -> tuple[bool, list[dict]]:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{'stdin' if path == '-' else path} is not UTF-8 text: {e}") from None
     except OSError as e:
         raise ParseError(f"cannot read {path}: {e}") from None
 

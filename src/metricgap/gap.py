@@ -14,17 +14,17 @@ so they can cross-check each other:
                      (cross-check, valid when B annihilates the all-ones
                      vector)
 
-All three are formulas over one enumeration kernel, _sign_blocks.  It
-splits each sign vector as s = (s_H, s_L) and yields blocks of prefix and
-suffix sign tables, so a whole block is valued by a few matrix products:
-(B s | s) = q_H + q_L + 2 (s_H B_HL) s_L^T, and B s = B_:H s_H + B_:L s_L.
-Sign symmetry lets every route fix the first coordinate, halving the work.
-Each route writes a block's values into tables it allocates once per call.
-beta_opnorm values the quadratic first and takes ||B s||_1 only where
-(B s | s) comes within a derived threshold of the maximum, since B is
-positive semidefinite up to rounding.  With one BLAS thread at n = 23-24,
-each route takes 3-6 ns per sign vector on trees, point clouds and odd
-cycles.
+All three are reductions over one walk, _valued_blocks, of one
+enumeration kernel, _sign_blocks.  It splits each sign vector as
+s = (s_H, s_L) and yields blocks of prefix and suffix sign tables (or
+their 0/1 tables, for beta_binary), so a whole block is valued by a few
+matrix products: (B s | s) = q_H + q_L + 2 (s_H B_HL) s_L^T, and
+B s = B_:H s_H + B_:L s_L.  Sign symmetry lets every route fix the first
+coordinate, halving the work.  beta_opnorm takes ||B s||_1 only where
+(B s | s) comes within a derived threshold of the largest value met so
+far, since B is positive semidefinite up to rounding.  With one BLAS
+thread at n = 23-24, each route takes 3-6 ns per sign vector on trees,
+point clouds and odd cycles.
 
 Tie-breaking contract: every candidate that rounding could make maximal is
 re-evaluated with the canonical expression float(s @ B @ s), maxima are
@@ -89,7 +89,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -109,12 +108,10 @@ MAX_ENUM_N = 24
 
 # No cutoff enumerates past this n.  _sign_blocks builds its suffix tables,
 # 2^((n-1)//2) rows of (n-1)//2 floats, before the first block is valued:
-# 80 MB at n = 40, 1.5 GB at n = 48.  beta_opnorm also keeps one float
-# per block of _BLOCK sign vectors, 64 MiB at n = 40 (so a peak near
-# 150 MB there) and 16 GiB at n = 48.  At 3-6 ns per sign vector (see
+# 80 MB at n = 40, 1.5 GB at n = 48.  At 3-6 ns per sign vector (see
 # MAX_ENUM_N), one route over the 2^39 sign vectors of n = 40 takes 27-55
 # minutes, and at n = 48 five to ten days; each further point doubles
-# the time and the block maxima, and every second one the tables.
+# the time, and every second one the tables.
 ENUM_CEILING = 40
 
 # Most sign vectors in one block of the sign-table kernel; a block's table
@@ -144,37 +141,42 @@ def _canonical(arr: np.ndarray, s: np.ndarray) -> float:
     return float(s @ arr @ s)
 
 
-def _sign_rows(start: int, stop: int, width: int) -> np.ndarray:
-    """Rows t = start..stop-1 as sign vectors: bit k of t set puts -1 in column k."""
-    t = np.arange(start, stop)[:, None]
-    return 1.0 - 2.0 * ((t >> np.arange(width)) & 1)
+def _sign_rows(start: int, stop: int, width: int, binary: bool = False) -> np.ndarray:
+    """Rows t = start..stop-1 as sign vectors: bit k of t set puts -1 in
+    column k, or 0 in the 0/1 vectors x = (s + 1) / 2 with ``binary``."""
+    bits = (np.arange(start, stop)[:, None] >> np.arange(width)) & 1
+    return 1.0 - (bits if binary else 2.0 * bits)
 
 
-def _high_rows(start: int, stop: int, width: int) -> np.ndarray:
-    """Prefix rows [1, s_1..s_width] for t = start..stop-1, as in _sign_rows."""
-    high = np.ones((stop - start, width + 1))
-    high[:, 1:] = _sign_rows(start, stop, width)
+def _high_rows(start: int, stop: int, width: int, binary: bool) -> np.ndarray:
+    """Prefix rows [1, s_1..s_width] for t = start..stop-1, as in _sign_rows;
+    [0, x_1..x_width] with ``binary``."""
+    high = np.empty((stop - start, width + 1))
+    high[:, 0] = 0.0 if binary else 1.0
+    high[:, 1:] = _sign_rows(start, stop, width, binary)
     return high
 
 
 @functools.cache
-def _one_block(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (H, L) sign tables of order n as one block, read-only.
+def _one_block(n: int, binary: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The (H, L) tables of order n as one block, read-only.
 
-    They are the one block _sign_blocks(n) yields when 2^(n-1) <= _BLOCK.
-    Made on the first call for each n and kept; the orders n <= 17 that
-    the default _BLOCK takes in one block need 34 KiB at n = 17 and
-    104 KiB in all.
+    They are the one block _sign_blocks(n, binary) yields when
+    2^(n-1) <= _BLOCK.  Made on the first call for each n and kept; the
+    orders n <= 17 that the default _BLOCK takes in one block need 34 KiB
+    at n = 17 and 104 KiB in all, per value of ``binary``.  ``binary`` has
+    no default: the cache would key a defaulted call apart from a passed one.
     """
     low_width = (n - 1) // 2
     high_width = n - 1 - low_width
-    tables = _high_rows(0, 1 << high_width, high_width), _sign_rows(0, 1 << low_width, low_width)
+    tables = (_high_rows(0, 1 << high_width, high_width, binary),
+              _sign_rows(0, 1 << low_width, low_width, binary))
     for table in tables:
         table.flags.writeable = False
     return tables
 
 
-def _sign_blocks(n: int):
+def _sign_blocks(n: int, binary: bool = False):
     """Yield (H, L) sign tables that cover {+1} x {-1,+1}^(n-1) exactly once.
 
     Rows of H are prefixes [1, s_1..s_h] and rows of L are suffixes
@@ -184,36 +186,41 @@ def _sign_blocks(n: int):
     valued by the same sums whatever the block size.  Both steps and both
     table lengths are powers of two, so every block has the shape of the
     first, and the same L tables recur, in the same order, for every H.
+    An order that fits one block yields the cached pair of _one_block.
+    With ``binary``, the tables hold x = (s + 1) / 2 with x_0 = 0 in place
+    of s, block for block.
     """
+    if 1 << (n - 1) <= _BLOCK:
+        yield _one_block(n, binary)
+        return
     low_width = (n - 1) // 2
     high_width = n - 1 - low_width
     bits = _BLOCK.bit_length() - 1
     low_step = 1 << (bits // 2)
     high_step = 1 << (bits - bits // 2)
     lows = [
-        _sign_rows(start, min(start + low_step, 1 << low_width), low_width)
+        _sign_rows(start, min(start + low_step, 1 << low_width), low_width, binary)
         for start in range(0, 1 << low_width, low_step)
     ]
     for start in range(0, 1 << high_width, high_step):
-        high = _high_rows(start, min(start + high_step, 1 << high_width), high_width)
+        high = _high_rows(start, min(start + high_step, 1 << high_width), high_width, binary)
         for low in lows:
             yield high, low
 
 
-def _blocks_with_tables(n: int):
-    """The blocks of _sign_blocks(n), and two empty tables of a block's shape.
+def _valued_blocks(arr: np.ndarray, binary: bool = False):
+    """Yield (H, L, values) for the blocks of _sign_blocks(n, binary), with
+    values[i, j] the split (B x | x) of x = [H_i, L_j].
 
-    A route writes each block's values into these tables, so a call
-    allocates them once; a table read after the next block is overwritten.
-    An order that fits one block takes its sign tables from _one_block.
+    The walk allocates its two tables of a block's shape on the first block
+    and writes every block's values into them, so a table read after the
+    next block is overwritten.
     """
-    if 1 << (n - 1) <= _BLOCK:
-        blocks = iter([_one_block(n)])
-    else:
-        blocks = _sign_blocks(n)
-    high, low = first = next(blocks)
-    shape = (len(high), len(low))
-    return itertools.chain([first], blocks), np.empty(shape), np.empty(shape)
+    vals = tmp = None
+    for high, low in _sign_blocks(arr.shape[0], binary):
+        if vals is None:
+            vals, tmp = np.empty((len(high), len(low))), np.empty((len(high), len(low)))
+        yield high, low, _split_values(arr, high, low, vals, tmp)
 
 
 def _split_values(arr: np.ndarray, high: np.ndarray, low: np.ndarray, out: np.ndarray,
@@ -307,10 +314,9 @@ def beta_hypercube(b, *, max_enum_n: int = MAX_ENUM_N) -> tuple[float, np.ndarra
     g = _rounding_guard(arr)
     best_val, best_key = -np.inf, None
     first = np.ones(1)
-    blocks, vals, tmp = _blocks_with_tables(arr.shape[0])
-    for high, low in blocks:
-        best_val, best_key, _ = _best_in_block(arr, _split_values(arr, high, low, vals, tmp),
-                                               high, low, first, g, best_val, best_key)
+    for high, low, vals in _valued_blocks(arr):
+        best_val, best_key, _ = _best_in_block(arr, vals, high, low, first, g, best_val,
+                                               best_key)
     return best_val, np.array(best_key)
 
 
@@ -318,22 +324,15 @@ def beta_opnorm(b, *, max_enum_n: int = MAX_ENUM_N) -> float:
     """Exact operator norm of B from the max-norm to the 1-norm.
 
     Equals max ||B s||_1 over sign vectors.  Only a sign vector whose value
-    (B s | s) comes near the maximum can reach it, so a first pass values
-    the split quadratic over every block, and a second takes
+    (B s | s) comes near the maximum can reach it, so the walk values the
+    split quadratic over each block and takes
     ||B s||_1 = sum_c |(H B_H:)_ic + (L B_L:)_jc|, from zero in column
     order, only for the entries (i, j) whose value reaches the threshold
-    derived below.  Value only; no maximizer is tracked.
+    derived below, at the largest value met so far.  Value only; no
+    maximizer is tracked.
     """
     arr = _enumerable(b, max_enum_n)
     n = arr.shape[0]
-    blocks, vals, tmp = _blocks_with_tables(n)
-    # Each block's maximum, one float per block: every block has the shape
-    # of the first (see _sign_blocks), so there are 2^(n-1) / vals.size.
-    tops = np.empty((1 << (n - 1)) // vals.size)
-    for index, (high, low) in enumerate(blocks):
-        tops[index] = _split_values(arr, high, low, vals, tmp).max()
-    last = (high, low)
-    beta_hat = float(tops.max())
     # Let e = 1.01 (n + 1) eps sum|B_ij|.  A computed split value q^(s) and
     # a computed norm N^(s) are each within e of the exact (B s | s) and
     # ||B s||_1: each sums the terms +-B_ij through products of depth at
@@ -363,6 +362,14 @@ def beta_opnorm(b, *, max_enum_n: int = MAX_ENUM_N) -> float:
     # inside the 13.  So every entry that can hold the maximum has
     # q^ >= fl(T(g)); skipping the others leaves the full table's maximum
     # bit for bit.  Otherwise, as for an indefinite B, nothing is skipped.
+    # The walk takes fl(T(g)) at the largest block maximum met so far.
+    # Where a(g) > 0, T rises with beta^ (a^2 / c, c = beta^ + g + mu n > a,
+    # has slope a (2c - a) / c^2 > 0), and the rounding bound above holds
+    # at any such beta^.  A threshold taken at a running beta^ that is at
+    # most the final one is therefore never above the final threshold: a
+    # block seen early evaluates more entries, never fewer, so the maximum
+    # is kept bit for bit.  A NaN block maximum leaves beta^ NaN for the
+    # rest of the walk, and the threshold -inf.
     # No step overflows where the squares of the exact formula would: the
     # quotient is below 1, and an overflowed sum or bound only lowers the
     # threshold (to -inf, or to NaN, which skips nothing either).
@@ -375,13 +382,17 @@ def beta_opnorm(b, *, max_enum_n: int = MAX_ENUM_N) -> float:
     eps = np.finfo(float).eps
     row_sum = float(np.abs(arr).sum(axis=1).max())
     mu = max(0.0, _top_eig(-arr, vectors=False)) + n * n * eps * row_sum
-    a = beta_hat - 3.0 * g - mu * n
-    threshold = a * (a / (beta_hat + g + mu * n)) - mu * n - g if a > 0.0 else -np.inf
-
-    def top_norm(high, low, table):
-        """Largest ||B s||_1 over the entries of ``table`` that reach the threshold."""
+    beta_hat = best = -np.inf
+    for high, low, vals in _valued_blocks(arr):
+        top = float(vals.max())
+        # np.maximum, unlike max, keeps a NaN.
+        beta_hat = float(np.maximum(beta_hat, top))
+        a = beta_hat - 3.0 * g - mu * n
+        threshold = a * (a / (beta_hat + g + mu * n)) - mu * n - g if a > 0.0 else -np.inf
+        if top < threshold:
+            continue
         # "Not below", so that a value that overflowed to NaN is kept.
-        rows, cols = np.nonzero(~(table < threshold))
+        rows, cols = np.nonzero(~(vals < threshold))
         # The same full-block products as an unfiltered table, and the same
         # sequential sum over columns (accumulate, unlike a reduction, adds
         # in order), so each norm is the same float as its entry there.
@@ -389,18 +400,7 @@ def beta_opnorm(b, *, max_enum_n: int = MAX_ENUM_N) -> float:
         terms = (high @ arr[:k])[rows]
         terms += (low @ arr[k:])[cols]
         np.abs(terms, out=terms)
-        return float(np.add.accumulate(terms, axis=1, out=terms)[:, -1].max())
-
-    # The first pass let go of its sign tables, so the blocks before the
-    # last come from a fresh walk (none at all for a one-block call); the
-    # last block and its values in ``vals`` are still at hand.
-    best = -np.inf
-    spare = np.empty_like(vals)
-    for index, (high, low) in enumerate(itertools.islice(_sign_blocks(n), len(tops) - 1)):
-        if not tops[index] < threshold:
-            best = max(best, top_norm(high, low, _split_values(arr, high, low, spare, tmp)))
-    if not tops[-1] < threshold:
-        best = max(best, top_norm(*last, vals))
+        best = max(best, float(np.add.accumulate(terms, axis=1, out=terms)[:, -1].max()))
     return best
 
 
@@ -410,20 +410,13 @@ def beta_binary(b, *, max_enum_n: int = MAX_ENUM_N) -> float:
     Requires B u = 0 for the all-ones u; complementing x then leaves the
     value unchanged, which justifies fixing the first coordinate to 0.
     It equals the sign-vector maximum only then, so it is no cross-check
-    for a B built from a non-constant functional.  The sign tables become
-    0/1 tables by x = (s + 1) / 2; the suffix ones are made once per call.
+    for a B built from a non-constant functional.  The walk values the
+    0/1 tables x = (s + 1) / 2 of the sign tables.
     """
     arr = _enumerable(b, max_enum_n)
     best = 0.0
-    blocks, vals, tmp = _blocks_with_tables(arr.shape[0])
-    x_lows = {}
-    for high, low in blocks:
-        x_low = x_lows.get(id(low))
-        if x_low is None:
-            x_low = x_lows[id(low)] = (low + 1.0) / 2.0
-        x_high = (high + 1.0) / 2.0
-        x_high[:, 0] = 0.0
-        best = max(best, float(_split_values(arr, x_high, x_low, vals, tmp).max()))
+    for _, _, vals in _valued_blocks(arr, binary=True):
+        best = max(best, float(vals.max()))
     return 4.0 * best
 
 
@@ -859,7 +852,8 @@ def _local_search(arr: np.ndarray, val: float, key: tuple,
 
 def _node_buffers(arr: np.ndarray, k: int):
     """A buffer for the node matrices Q of order k, its block B_FF filled
-    in, and, for an order solved outright, two tables of its block's shape.
+    in, and, for an order solved outright, its block: the sign tables of
+    _one_block and two tables of their shape (None for any other order).
 
     Every node of order k has the same free coordinates, so only Q's first
     row and column and its diagonal change from node to node.
@@ -868,9 +862,9 @@ def _node_buffers(arr: np.ndarray, k: int):
     q = np.empty((k, k))
     q[1:, 1:] = arr[depth:, depth:]
     if k > _ENUM_FREE + 1:
-        return q, None, None
-    high, low = _one_block(k)
-    return q, np.empty((len(high), len(low))), np.empty((len(high), len(low)))
+        return q, None
+    high, low = _one_block(k, False)
+    return q, (high, low, np.empty((len(high), len(low))), np.empty((len(high), len(low))))
 
 
 def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbResult:
@@ -1061,12 +1055,12 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
         buffer = buffers.get(k)
         if buffer is None:
             buffer = buffers[k] = _node_buffers(arr, k)
-        q, vals, tmp = buffer
+        q, leaf = buffer
         q_diag = _load_node(q, h, diag[depth:])
         qf = float(prefix @ arr[:depth, :depth] @ prefix)
-        if vals is not None:
+        if leaf is not None:
             enumerated += 1
-            high, low = _one_block(k)
+            high, low, vals, tmp = leaf
             _split_values(q, high, low, vals, tmp)
             vals += qf
             best_val, best_key, second = _best_in_block(arr, vals, high, low, prefix, g,

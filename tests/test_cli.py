@@ -397,6 +397,24 @@ class TestMainGap:
         assert code == 2
         assert "input error" in err
 
+    def test_non_utf8_file_is_2(self, capsys, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_bytes(b'\xff{"cycle": 5}')
+        code, out, err = run_main(capsys, ["gap", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
+    def test_non_utf8_stdin_is_2(self, capsys, monkeypatch):
+        # Strict decoding, as stdin has in a UTF-8 locale other than C.UTF-8.
+        stdin = io.TextIOWrapper(io.BytesIO(b'\xff{"cycle": 5}'), encoding="utf-8",
+                                 errors="strict")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_main(capsys, ["gap", "-"])
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
 
 class TestMainExitCodes:
     def test_malformed_json_is_2(self, capsys, monkeypatch):

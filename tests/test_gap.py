@@ -131,14 +131,18 @@ class TestBetaHypercube:
             assert np.array_equal(got_s, exp_s)
 
     @pytest.mark.parametrize("n", [1, 2, 9, 17])
-    def test_one_block_tables_shared_and_read_only(self, n):
-        # Orders that fit one block reuse one pair of tables, equal to the
-        # block _sign_blocks yields, and no route can write into them.
-        (high, low), = list(gap._blocks_with_tables(n)[0])
-        assert high is gap._one_block(n)[0] and low is gap._one_block(n)[1]
+    def test_one_block_tables_shared_and_read_only(self, monkeypatch, n):
+        # Orders that fit one block walk one cached pair of tables, the pair
+        # branch-and-bound's leaves of that order take too, and no route can
+        # write into them.  The pair covers {+1} x {-1,+1}^(n-1) once.
+        (high, low), = list(gap._sign_blocks(n))
+        assert high is gap._one_block(n, False)[0] and low is gap._one_block(n, False)[1]
         assert not high.flags.writeable and not low.flags.writeable
-        (first_high, first_low), = list(gap._sign_blocks(n))
-        assert np.array_equal(high, first_high) and np.array_equal(low, first_low)
+        monkeypatch.setattr(gap, "_ENUM_FREE", n - 1)
+        _, (leaf_high, leaf_low, _, _) = gap._node_buffers(np.zeros((n, n)), n)
+        assert leaf_high is high and leaf_low is low
+        signs = {tuple(row) + tuple(suffix) for row in high for suffix in low}
+        assert len(signs) == 1 << (n - 1) and all(s[0] == 1.0 for s in signs)
 
     @pytest.mark.parametrize("scale", [1.0, 2.0**-20])
     def test_two_blocks_match_brute(self, scale):
@@ -279,6 +283,38 @@ class TestBetaOpnormBinary:
             got = beta_opnorm(b)
         assert got == unpruned_opnorm(b.a)
         assert got == pytest.approx(scale * opnorm_brute(base), rel=1e-12)
+
+    @pytest.mark.parametrize("block", [8, 64, gap._BLOCK])
+    def test_opnorm_values_each_block_once(self, monkeypatch, block):
+        # One walk: the split values of a block are computed once, whether
+        # or not its norms are taken.
+        monkeypatch.setattr(gap, "_BLOCK", block)
+        split_values = gap._split_values
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return split_values(*args)
+
+        monkeypatch.setattr(gap, "_split_values", counted)
+        for b in (cycle_B(11), tree_B(11, 23), discrete_B(10)):
+            calls.clear()
+            got = beta_opnorm(b)
+            assert len(calls) == len(list(gap._sign_blocks(b.n)))
+            assert got == unpruned_opnorm(b.a)
+
+    @pytest.mark.parametrize("n", [9, 18])
+    def test_binary_tables_are_zero_one_sign_tables(self, n):
+        # 9 fits one block of the default size and 18 takes two.  Block for
+        # block, the 0/1 tables are x = (s + 1) / 2 of the sign tables, with
+        # x_0 = 0.
+        pairs = list(zip(gap._sign_blocks(n), gap._sign_blocks(n, binary=True), strict=True))
+        assert len(pairs) == (1 << (n - 1)) // min(1 << (n - 1), gap._BLOCK)
+        for (high, low), (x_high, x_low) in pairs:
+            expected = (high + 1.0) / 2.0
+            expected[:, 0] = 0.0
+            assert np.array_equal(x_high, expected)
+            assert np.array_equal(x_low, (low + 1.0) / 2.0)
 
     def test_ceiling_refuses_before_any_table(self, monkeypatch):
         def no_tables(n):
