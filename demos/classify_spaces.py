@@ -3,9 +3,11 @@ strictly.
 
 Five inputs, three verdicts. The interesting edge is the even cycle, whose
 distance matrix is exactly singular: it is of negative type but not
-strictly, so its gap constant is zero.  Each line of margins gives every
-zero test the classifier made as its measured quantity over its
-tolerance: the call flips at 1.
+strictly, so its gap constant is zero.  One zero test decides every
+verdict: the top projected eigenvalue over its tolerance, the margin
+``eig``, reads not of negative type above 1, strict below -1 and
+non-strict in between.  A strict line also gives ``B_u``, the residual of
+B u over its bound, which must stay below 1.
 """
 
 import numpy as np

@@ -31,7 +31,7 @@ def engine_table(sizes) -> None:
 
 
 def main() -> int:
-    engine_table([10, 14, 18])
+    engine_table([16, 18, 20, 22])
     return 0
 
 

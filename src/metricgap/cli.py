@@ -413,7 +413,7 @@ def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
         tol = _require_number(args.tol, "--tol")
         if tol <= 0:
             raise SchemaError(f"--tol must be a positive number, got {args.tol!r}")
-        tols = Tolerances(eig=tol, strict=tol, factor_pivot=tol)
+        tols = Tolerances(eig=tol)
     analysis = classify(power_matrix(space, p), tols=tols)
     result = None
     if analysis.verdict == STRICT_NEGATIVE_TYPE:
@@ -583,7 +583,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gap.add_argument("--max-n", type=int, default=MAX_ENUM_N,
                      help=f"enumeration cutoff; none enumerates past n = {ENUM_CEILING}")
     gap.add_argument("--tol", type=float, default=None,
-                     help="override zero-test tolerances (a positive number)")
+                     help="override the relative tolerance of the zero test on the top "
+                          "projected eigenvalue (a positive number; default "
+                          f"{Tolerances().eig:g})")
     gap.add_argument("--report", choices=("text", "machine"), default="text")
     gap.add_argument("--witness", action="store_true", help="include the extremal witness")
     gap.add_argument("--bnb", action="store_true",

@@ -4,9 +4,11 @@ Distance-power matrices have a zero diagonal and are indefinite, so the
 workhorse factorization is a pivoted LDL^T (Bunch-Kaufman with 1x1 and 2x2
 diagonal blocks) rather than Cholesky.  It is kept as LAPACK's dsytrf
 leaves it, L and D packed into one n x n array beside the pivot vector, and
-solves and inverses hand that back to LAPACK (dsytrs, dsytri).  Singularity
-is a reported state of the factorization, not an exception; it only becomes
-an error when a solve is attempted.
+solves and inverses hand that back to LAPACK (dsytrs, dsytri).  Singularity,
+an exactly zero pivot, is a reported state of the factorization, not an
+exception; it only becomes an error when a solve is attempted.  Nearness
+to singularity is not judged here: classification decides it from the
+spectrum.
 
 The LAPACK wrappers, these four and the dsyevr of gap._top_eig, come from
 scipy's compiled _flapack module, loaded from its file on its own:
@@ -53,10 +55,6 @@ def _load_flapack():
 _flapack = _load_flapack()
 dsyevr, dsytrf, dsytrf_lwork, dsytri, dsytrs = (
     _flapack.dsyevr, _flapack.dsytrf, _flapack.dsytrf_lwork, _flapack.dsytri, _flapack.dsytrs)
-
-# Pivot magnitudes below this fraction of the largest entry flag the matrix
-# as numerically singular.
-DEFAULT_PIVOT_TOL = 1e-10
 
 
 class SymMatrix:
@@ -129,48 +127,25 @@ class Factorization:
     packed: np.ndarray
     pivots: np.ndarray
     singular_flag: bool
-    min_pivot_ratio: float
 
     @property
     def n(self) -> int:
         return self.packed.shape[0]
 
 
-def factor(m: SymMatrix, tol: float = DEFAULT_PIVOT_TOL) -> Factorization:
-    """Factor a symmetric matrix, reporting near-singularity instead of raising.
+def factor(m: SymMatrix) -> Factorization:
+    """Factor a symmetric matrix, reporting singularity instead of raising.
 
-    The singular flag is set when the smallest pivot magnitude falls below
-    ``tol * max|m|``.  A 2x2 block contributes the magnitudes of both its
-    eigenvalues, so a nonsingular block with tiny diagonal (the usual shape
-    for zero-diagonal inputs) is not mistaken for a near-zero pivot.  An
-    all-zero matrix is singular by convention.
+    The singular flag is set when dsytrf meets an exactly zero pivot, as it
+    does on an all-zero matrix; no pivot is compared with a tolerance.
     """
-    n = m.n
-    packed, pivots, _ = dsytrf(m.a, lower=1, lwork=int(dsytrf_lwork(n, lower=1)[0]))
-    scale = m.max_abs
-    if scale == 0.0:
-        return Factorization(packed, pivots, True, 0.0)
-    # Both rows of a 2x2 block carry the same negative pivot, and so may two
-    # adjacent blocks, so each run of negative pivots pairs up from its start.
-    rows = np.arange(n)
-    neg = pivots < 0
-    run_start = np.maximum.accumulate(np.where(neg, 0, rows + 1))
-    k = rows[neg & ((rows - run_start) % 2 == 0)]
-    blocks = np.empty((k.shape[0], 2, 2))
-    blocks[:, 0, 0] = packed[k, k]
-    blocks[:, 1, 1] = packed[k + 1, k + 1]
-    blocks[:, 0, 1] = blocks[:, 1, 0] = packed[k + 1, k]
-    mags = np.abs(packed.diagonal())
-    mags[neg] = np.abs(np.linalg.eigvalsh(blocks)).reshape(-1)
-    ratio = float(mags.min()) / scale
-    return Factorization(packed, pivots, bool(ratio < tol), ratio)
+    packed, pivots, info = dsytrf(m.a, lower=1, lwork=int(dsytrf_lwork(m.n, lower=1)[0]))
+    return Factorization(packed, pivots, info > 0)
 
 
 def _check_nonsingular(f: Factorization) -> None:
     if f.singular_flag:
-        raise SingularSystem(
-            f"matrix flagged singular (min pivot ratio {f.min_pivot_ratio:.3e})"
-        )
+        raise SingularSystem("matrix flagged singular (a zero pivot)")
 
 
 def solve(f: Factorization, b) -> np.ndarray:

@@ -9,6 +9,9 @@ u.  Three verdicts are possible:
   * NegativeTypeNonStrict  nonpositive on F, but vanishing on some x != 0
   * StrictNegativeType     negative on all of F except the origin
 
+One number decides among them: the top eigenvalue of A compressed to F,
+against a tolerance relative to max|A|.  Only a strict verdict factors A.
+
 In the strict case, provided the form is positive somewhere off F, the
 constrained maximum M = sup {(A x | x) : x in F_1} is finite and equals
 1 / (A^{-1} u | u), attained up to sign at z = M A^{-1} u, where F_1 is the
@@ -40,7 +43,6 @@ from .errors import (
     ZeroFunctional,
 )
 from .linalg import (
-    DEFAULT_PIVOT_TOL,
     Factorization,
     SymMatrix,
     eigenvalues_sym,
@@ -69,17 +71,14 @@ def _margin(quantity: float, threshold: float) -> float:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Relative tolerances for the zero tests in classification.
+    """The relative tolerance of the one zero test in classification.
 
-    Each is scaled by the natural magnitude of the quantity it guards:
-    factorization pivots by max|A|, projected eigenvalues by max|A|, and
-    the strictness test on (A^{-1} u | u) by max|A^{-1}| times the squared
-    1-norm of u.  All three must be positive.
+    ``eig`` is scaled by max|A|: the top eigenvalue of A compressed to F
+    counts as zero when it lies within eig * max|A| of it.  It must be
+    positive.
     """
 
-    factor_pivot: float = DEFAULT_PIVOT_TOL
     eig: float = 1e-9
-    strict: float = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,19 +87,17 @@ class NegTypeReport:
     reuse, so each input is analyzed once.
 
     ``A`` and ``u`` are the analyzed matrix and functional.  The later
-    fields are None whenever the verdict makes them meaningless: the
-    factorization exists once A is of negative type, and M, z and B only
-    in the strict case.  B is built eagerly with its B u residual checked;
-    C is built on first read, when its C z residual is checked.
+    fields are set only in the strict case: the LDL^T factorization of A,
+    M, z and B.  B is built eagerly with its B u residual checked; C is
+    built on first read, when its C z residual is checked.
 
-    ``margins`` holds each zero test made, as its quantity over its
-    threshold, signed so that the call flips at 1: ``eig`` (the top
-    projected eigenvalue; above 1 is NotNegativeType), ``eig_full`` (the
-    same for the whole of a bare matrix; at most 1 is refused), ``pivot``
-    (the smallest LDL^T pivot ratio; below 1 is singular, so non-strict),
-    ``strict`` (|(A^-1 u | u)|; above 1 is strict) and ``B_u`` (max|B u|;
-    above 1 is refused as broken numerics).  A quotient past the largest
-    float saturates at +-sys.float_info.max.
+    ``margins`` holds each test made, as its quantity over its threshold:
+    ``eig`` (the top projected eigenvalue; above 1 is NotNegativeType,
+    below -1 StrictNegativeType, and in between NegativeTypeNonStrict),
+    ``eig_full`` (the same for the whole of a bare matrix; at most 1 is
+    refused) and, for a strict verdict, ``B_u`` (max|B u|; above 1 is
+    refused as broken numerics).  A quotient past the largest float
+    saturates at +-sys.float_info.max.
     """
 
     verdict: str
@@ -196,48 +193,38 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
     if not from_metric:
         margins["eig_full"] = _margin(float(eigenvalues_sym(a)[-1]), eig_tol)
 
-    verdict = NOT_NEGATIVE_TYPE if margins["eig"] > 1.0 else NEGATIVE_TYPE_NON_STRICT
-    f = m_val = z = b = None
-    if verdict == NEGATIVE_TYPE_NON_STRICT:
-        if not from_metric and margins["eig_full"] <= 1.0:
-            raise PositiveDirectionMissing(
-                "quadratic form is nonpositive in every direction; "
-                "the constrained maximum is not defined"
-            )
-        f = factor(a, tols.factor_pivot)
-        margins["pivot"] = _margin(f.min_pivot_ratio, tols.factor_pivot)
+    if margins["eig"] > 1.0:
+        return NegTypeReport(NOT_NEGATIVE_TYPE, spectrum, margins, a, u)
+    if not from_metric and margins["eig_full"] <= 1.0:
+        raise PositiveDirectionMissing(
+            "quadratic form is nonpositive in every direction; "
+            "the constrained maximum is not defined"
+        )
+    if margins["eig"] >= -1.0:
+        return NegTypeReport(NEGATIVE_TYPE_NON_STRICT, spectrum, margins, a, u)
 
-    if f is not None and not f.singular_flag:
-        a_inv = invert(f)
-        ainv_u = solve(f, u)
-        aud = float(ainv_u @ u)
-        strict_tol = tols.strict * a_inv.max_abs * float(np.sum(np.abs(u))) ** 2
-        margins["strict"] = _margin(abs(aud), strict_tol)
-        if margins["strict"] > 1.0:
-            verdict = STRICT_NEGATIVE_TYPE
-            m_val = 1.0 / aud
-            z = m_val * ainv_u
-            b = SymMatrix(np.outer(z, z) / m_val - a_inv.a)
-            # Where eps max|B| is subnormal, B's entries have lost bits to
-            # underflow and the rounding bounds of the gap routes, relative
-            # to max|B|, fail (a triangle of side 1e308 gives beta 2.0e-308
-            # against 2.67e-308).
-            if _EPS * b.max_abs < np.finfo(float).tiny:
-                raise InvalidSize(f"B reaches only {b.max_abs:.3e}: its rounding falls "
-                                  "below the smallest normal float")
-            margins["B_u"] = _check_kernel("B u", b, u)
-
-    return NegTypeReport(
-        verdict=verdict,
-        projected_spectrum=spectrum,
-        margins=margins,
-        A=a,
-        u=u,
-        factorization=f,
-        M=m_val,
-        z=z,
-        B=b,
-    )
+    # The top projected eigenvalue alone decides strictness.  The form is
+    # negative definite on F and positive in some direction: every metric
+    # with n >= 2 is, and eig_full checks a bare matrix.  By Cauchy
+    # interlacing A then has one positive eigenvalue and n - 1 negative
+    # ones, so A is nonsingular and (A^-1 u | u) > 0, which makes M > 0;
+    # no test on a pivot or on (A^-1 u | u) could overturn the verdict.
+    f = factor(a)
+    a_inv = invert(f)
+    ainv_u = solve(f, u)
+    m_val = 1.0 / float(ainv_u @ u)
+    z = m_val * ainv_u
+    b = SymMatrix(np.outer(z, z) / m_val - a_inv.a)
+    # Where eps max|B| is subnormal, B's entries have lost bits to
+    # underflow and the rounding bounds of the gap routes, relative to
+    # max|B|, fail (a triangle of side 1e308 gives beta 2.0e-308 against
+    # 2.67e-308).
+    if _EPS * b.max_abs < np.finfo(float).tiny:
+        raise InvalidSize(f"B reaches only {b.max_abs:.3e}: its rounding falls "
+                          "below the smallest normal float")
+    margins["B_u"] = _check_kernel("B u", b, u)
+    return NegTypeReport(STRICT_NEGATIVE_TYPE, spectrum, margins, a, u,
+                         factorization=f, M=m_val, z=z, B=b)
 
 
 def _dispatch(x, u) -> tuple[SymMatrix, np.ndarray, bool]:

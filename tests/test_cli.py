@@ -239,7 +239,6 @@ class TestMainGap:
             assert payload["verdict"] == "StrictNegativeType"
             margins.append(payload["diagnostics"]["margins"])
         assert margins[1]["eig"] == pytest.approx(1e-3 * margins[0]["eig"], rel=1e-12)
-        assert margins[1]["strict"] == pytest.approx(1e-3 * margins[0]["strict"], rel=1e-12)
 
     def test_witness_flag(self, capsys, monkeypatch):
         code, out, _ = run_main(
@@ -352,6 +351,18 @@ class TestMainGap:
         diagnostics = json.loads(runs[1])["diagnostics"]
         assert diagnostics["method"] == "gray_scan"
         assert not [key for key in diagnostics if key.startswith("bnb_")]
+
+    def test_large_tree_strict_under_zero_budget(self, capsys, monkeypatch):
+        # Past the cutoff, with no node to expand, branch-and-bound returns
+        # its greedy incumbent, which on a tree is the closed form's beta.
+        code, out, _ = run_main(
+            capsys, ["gap", "-", "--bnb", "--bnb-budget", "0", "--report", "machine"],
+            '{"random_tree": {"n": 500, "seed": 0}}', monkeypatch,
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["verdict"] == "StrictNegativeType"
+        assert payload["cross_checks"]["oracle_rel_err"] <= 1e-9
 
     def test_bnb_zero_budget_uncertified(self, capsys, monkeypatch):
         code, out, _ = run_main(

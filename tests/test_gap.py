@@ -887,11 +887,11 @@ class TestWitness:
         assert abs(residual) <= 1e-6 * beta
 
     def test_stored_factorization_matches_fresh_one(self):
-        # The pivot tolerance only sets the singular flag, so solving through
-        # the classification's factorization reproduces a fresh default
-        # factorization bit for bit.
+        # The eig tolerance only decides the verdict, so solving through the
+        # classification's factorization reproduces a fresh factorization
+        # bit for bit.
         ntm = power_matrix(random_point_metric(9, 3), 1.0)
-        gm = build_B(ntm, tols=Tolerances(factor_pivot=1e-14))
+        gm = build_B(ntm, tols=Tolerances(eig=1e-6))
         _, s_star = beta_hypercube(gm.B)
         x = s_star - (float(s_star @ gm.u) / float(gm.u @ gm.u)) * gm.u
         expected = (float(x @ gm.z) / gm.M) * gm.z - solve(factor(ntm.A), x)

@@ -11,7 +11,6 @@ import metricgap
 from metricgap import linalg
 from metricgap.errors import AsymmetricInput, DimensionMismatch, SingularSystem
 from metricgap.linalg import (
-    DEFAULT_PIVOT_TOL,
     SymMatrix,
     eigenvalues_sym,
     factor,
@@ -35,10 +34,10 @@ def zero_diagonal_sym(n, seed):
     return SymMatrix(a)
 
 
-def rebuild(packed, pivots):
-    """L D L^T from dsytrf's lower output: L = P(1) L(1) P(2) L(2) ..., where
-    P(k) swaps row |pivots[k]| with the last row of block k and L(k) holds
-    the multipliers below the block."""
+def unpack(packed, pivots):
+    """L and D from dsytrf's lower output, with L D L^T the factored matrix:
+    L = P(1) L(1) P(2) L(2) ..., where P(k) swaps row |pivots[k]| with the
+    last row of block k and L(k) holds the multipliers below the block."""
     n = packed.shape[0]
     lower, d = np.eye(n), np.zeros((n, n))
     k = 0
@@ -51,23 +50,18 @@ def rebuild(packed, pivots):
         perm[[e - 1, abs(pivots[k]) - 1]] = perm[[abs(pivots[k]) - 1, e - 1]]
         lower = lower[:, perm] @ step
         k = e
+    return lower, d
+
+
+def rebuild(packed, pivots):
+    lower, d = unpack(packed, pivots)
     return lower @ d @ lower.T
 
 
 def ldl_reference(a):
-    """Minimum pivot ratio of a and its singular flag, from the 1x1 and 2x2
-    blocks of the D that scipy.linalg.ldl builds."""
-    d = scipy.linalg.ldl(a)[1]
-    mags, i = [], 0
-    while i < d.shape[0]:
-        if i + 1 < d.shape[0] and d[i + 1, i] != 0.0:
-            mags.extend(np.abs(np.linalg.eigvalsh(d[i : i + 2, i : i + 2])).tolist())
-            i += 2
-        else:
-            mags.append(abs(float(d[i, i])))
-            i += 1
-    ratio = min(mags) / float(np.max(np.abs(a)))
-    return ratio, ratio < DEFAULT_PIVOT_TOL
+    """The block diagonal D, of 1x1 and 2x2 blocks, that scipy.linalg.ldl
+    builds."""
+    return scipy.linalg.ldl(a)[1]
 
 
 def cycle_matrix(n):
@@ -149,7 +143,7 @@ class TestFactor:
     def test_identity(self):
         f = factor(SymMatrix(np.eye(3)))
         assert not f.singular_flag
-        assert f.min_pivot_ratio == 1.0
+        assert np.array_equal(rebuild(f.packed, f.pivots), np.eye(3))
 
     def test_all_ones_is_singular(self):
         f = factor(SymMatrix(np.ones((2, 2))))
@@ -158,7 +152,6 @@ class TestFactor:
     def test_zero_matrix_is_singular(self):
         f = factor(SymMatrix(np.zeros((2, 2))))
         assert f.singular_flag
-        assert f.min_pivot_ratio == 0.0
 
     def test_three_point_uniform_space_nonsingular(self):
         # det of the 3x3 all-ones-off-diagonal matrix is 2, by cofactor
@@ -168,10 +161,12 @@ class TestFactor:
         assert not factor(SymMatrix(a)).singular_flag
 
     def test_zero_diagonal_two_by_two_pivot(self):
-        # [[0, 1], [1, 0]] forces a 2x2 pivot block; both magnitudes are 1.
-        f = factor(SymMatrix([[0.0, 1.0], [1.0, 0.0]]))
+        # [[0, 1], [1, 0]] forces a 2x2 pivot block, which is the whole of D.
+        a = np.array([[0.0, 1.0], [1.0, 0.0]])
+        f = factor(SymMatrix(a))
         assert not f.singular_flag
-        assert f.min_pivot_ratio == pytest.approx(1.0, rel=1e-12)
+        assert list(f.pivots) == [-2, -2]
+        assert np.array_equal(rebuild(f.packed, f.pivots), a)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_reconstructs_input(self, seed):
@@ -184,14 +179,18 @@ class TestFactor:
     def test_pivots_match_ldl_reference(self, make):
         m = SymMatrix(make())
         f = factor(m)
-        ratio, singular = ldl_reference(m.a)
-        assert f.min_pivot_ratio == ratio
-        assert f.singular_flag == singular
+        assert np.array_equal(unpack(f.packed, f.pivots)[1], ldl_reference(m.a))
         assert np.max(np.abs(rebuild(f.packed, f.pivots) - m.a)) <= 1e-12 * m.n * m.max_abs
 
     @pytest.mark.parametrize("n", [6, 10, 20, 130])
     def test_even_cycle_is_singular(self, n):
-        assert factor(SymMatrix(cycle_matrix(n))).singular_flag
+        # The singularity shows in D to rounding, as an eigenvalue within
+        # n eps max|A| of zero.  factor flags only an exactly zero pivot;
+        # classification reads near-singularity from the projected spectrum.
+        m = SymMatrix(cycle_matrix(n))
+        f = factor(m)
+        d = unpack(f.packed, f.pivots)[1]
+        assert np.min(np.abs(np.linalg.eigvalsh(d))) <= n * np.finfo(float).eps * m.max_abs
 
 
 class TestSolveInvert:
