@@ -74,7 +74,7 @@ class Tolerances:
     """The relative tolerance of the one zero test in classification.
 
     ``eig`` is scaled by max|A|: the top eigenvalue of A compressed to F
-    counts as zero when it lies within eig * max|A| of it.  It must be
+    counts as zero when its magnitude is at most eig * max|A|.  It must be
     positive.
     """
 

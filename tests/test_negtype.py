@@ -176,11 +176,9 @@ class TestClassify:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_large_random_tree_strict(self, seed):
-        # Every tree metric has strict 1-negative type.  (A^-1 u | u) of a
-        # tree is 2 / (total weight), far below any threshold that grows
-        # with n, and only the projected spectrum decides here.
-        # It takes about 0.05 s on a 2-core host; the bound leaves room for a
-        # loaded one.
+        # Every tree metric has strict 1-negative type, although (A^-1 u | u)
+        # of a tree, 2 / (total weight), falls as 1/n.  classify takes about
+        # 0.05 s here on a 2-core host; the bound leaves room for a loaded one.
         ntm = power_matrix(path_metric(gen_random_tree(500, seed=seed)), 1.0)
         start = time.perf_counter()
         rep = classify(ntm)
