@@ -442,17 +442,14 @@ def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
         report.beta = result.beta
         report.diagnostics["M"] = analysis.M
         report.diagnostics["method"] = result.method
-        if result.bnb_certified is not None:
-            report.diagnostics["bnb_certified"] = result.bnb_certified
-            report.diagnostics["bnb_nodes"] = result.nodes_expanded
-            report.diagnostics["bnb_pruned"] = result.nodes_pruned
-            report.diagnostics["bnb_enumerated"] = result.bnb_enumerated
-            report.diagnostics["bnb_eigen_solves"] = result.bnb_eigen_solves
-            report.diagnostics["bnb_tied"] = result.bnb_tied
-            report.diagnostics["bnb_group_order"] = result.bnb_group_order
-            report.diagnostics["bnb_symmetric"] = result.bnb_symmetric
-            report.diagnostics["bnb_gap"] = result.bnb_gap
-            report.diagnostics["bnb_delta"] = result.bnb_delta
+        bnb = result.bnb
+        if bnb is not None:
+            report.diagnostics.update(
+                bnb_certified=bnb.certified, bnb_nodes=bnb.nodes_expanded,
+                bnb_pruned=bnb.nodes_pruned, bnb_enumerated=bnb.nodes_enumerated,
+                bnb_eigen_solves=bnb.eigen_solves, bnb_tied=bnb.nodes_tied,
+                bnb_group_order=bnb.group_order, bnb_symmetric=bnb.nodes_symmetric,
+                bnb_gap=max(0.0, bnb.best_bound - bnb.beta), bnb_delta=bnb.delta)
         report.s_star = _plain(result.s_star)
         if result.witness_y0 is not None:
             report.witness = _plain(result.witness_y0)

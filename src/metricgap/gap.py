@@ -96,22 +96,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotStrict, TooLarge
-from .linalg import SymMatrix, dsyevr, solve
+from .linalg import SymMatrix, dsyevr
 from .metric import NegTypeMatrix, power_matrix
 from .negtype import STRICT_NEGATIVE_TYPE, NegTypeReport, Tolerances, automorphisms, classify
 
-# Default cutoff for exact enumeration: 2^(n-1) sign vectors at 3-6 ns
-# each through the sign-table kernel, for the maximum and for each
-# cross-check, 0.03-0.05 s per route at n = 24 (measured at n = 23-24 on a
-# 2-core Xeon with one BLAS thread, Python 3.11, NumPy 2.4).
+# solve_gap's default cutoff for exact enumeration: 2^(n-1) sign vectors
+# at 3-6 ns each through the sign-table kernel, for the maximum and for
+# each cross-check, 0.03-0.05 s per route at n = 24 (measured at n = 23-24
+# on a 2-core Xeon with one BLAS thread, Python 3.11, NumPy 2.4).
 MAX_ENUM_N = 24
 
-# No cutoff enumerates past this n.  _sign_blocks builds its suffix tables,
-# 2^((n-1)//2) rows of (n-1)//2 floats, before the first block is valued:
-# 80 MB at n = 40, 1.5 GB at n = 48.  At 3-6 ns per sign vector (see
-# MAX_ENUM_N), one route over the 2^39 sign vectors of n = 40 takes 27-55
-# minutes, and at n = 48 five to ten days; each further point doubles
-# the time, and every second one the tables.
+# No route enumerates past this n, whatever the cutoff.  _sign_blocks
+# builds its suffix tables, 2^((n-1)//2) rows of (n-1)//2 floats, before
+# the first block is valued: 80 MB at n = 40, 1.5 GB at n = 48.  At
+# 3-6 ns per sign vector (see MAX_ENUM_N), one route over the 2^39 sign
+# vectors of n = 40 takes 27-55 minutes, and at n = 48 five to ten days;
+# each further point doubles the time, and every second one the tables.
 ENUM_CEILING = 40
 
 # Most sign vectors in one block of the sign-table kernel; a block's table
@@ -125,11 +125,9 @@ def _as_array(b) -> np.ndarray:
     return SymMatrix(b).a
 
 
-def _enumerable(b, max_enum_n: int) -> np.ndarray:
+def _enumerable(b) -> np.ndarray:
     arr = _as_array(b)
     n = arr.shape[0]
-    if n > max_enum_n:
-        raise TooLarge(f"n = {n} exceeds the enumeration cutoff {max_enum_n}")
     if n > ENUM_CEILING:
         raise TooLarge(f"n = {n} exceeds the hard enumeration ceiling {ENUM_CEILING}, "
                        "whatever the cutoff")
@@ -303,14 +301,16 @@ def _best_in_block(arr: np.ndarray, vals: np.ndarray, high: np.ndarray, low: np.
     return best_val, best_key, second
 
 
-def beta_hypercube(b, *, max_enum_n: int = MAX_ENUM_N) -> tuple[float, np.ndarray]:
+def beta_hypercube(b) -> tuple[float, np.ndarray]:
     """Exact maximum of (B s | s) over sign vectors, with its maximizer.
 
     The first coordinate is fixed to +1 by sign symmetry.  Each block of
     sign vectors is valued at once by the split quadratic, and every entry
     that rounding could lift to the maximum is re-evaluated canonically.
+    Like beta_opnorm and beta_binary it raises TooLarge only past
+    ENUM_CEILING; the cutoff MAX_ENUM_N is solve_gap's.
     """
-    arr = _enumerable(b, max_enum_n)
+    arr = _enumerable(b)
     g = _rounding_guard(arr)
     best_val, best_key = -np.inf, None
     first = np.ones(1)
@@ -320,7 +320,7 @@ def beta_hypercube(b, *, max_enum_n: int = MAX_ENUM_N) -> tuple[float, np.ndarra
     return best_val, np.array(best_key)
 
 
-def beta_opnorm(b, *, max_enum_n: int = MAX_ENUM_N) -> float:
+def beta_opnorm(b) -> float:
     """Exact operator norm of B from the max-norm to the 1-norm.
 
     Equals max ||B s||_1 over sign vectors.  Only a sign vector whose value
@@ -331,7 +331,7 @@ def beta_opnorm(b, *, max_enum_n: int = MAX_ENUM_N) -> float:
     derived below, at the largest value met so far.  Value only; no
     maximizer is tracked.
     """
-    arr = _enumerable(b, max_enum_n)
+    arr = _enumerable(b)
     n = arr.shape[0]
     # Let e = 1.01 (n + 1) eps sum|B_ij|.  A computed split value q^(s) and
     # a computed norm N^(s) are each within e of the exact (B s | s) and
@@ -404,7 +404,7 @@ def beta_opnorm(b, *, max_enum_n: int = MAX_ENUM_N) -> float:
     return best
 
 
-def beta_binary(b, *, max_enum_n: int = MAX_ENUM_N) -> float:
+def beta_binary(b) -> float:
     """Four times the exact maximum of (B x | x) over 0/1 vectors.
 
     Requires B u = 0 for the all-ones u; complementing x then leaves the
@@ -413,7 +413,7 @@ def beta_binary(b, *, max_enum_n: int = MAX_ENUM_N) -> float:
     for a B built from a non-constant functional.  The walk values the
     0/1 tables x = (s + 1) / 2 of the sign tables.
     """
-    arr = _enumerable(b, max_enum_n)
+    arr = _enumerable(b)
     best = 0.0
     for _, _, vals in _valued_blocks(arr, binary=True):
         best = max(best, float(vals.max()))
@@ -446,7 +446,8 @@ class BnbResult:
     the path to such a maximizer that were branched on without a solve,
     and ``nodes_symmetric`` the
     nodes dropped because a sigma of the group maps each of their
-    completions onto a larger one (branch_and_bound).
+    completions onto a larger one (branch_and_bound), and ``group_order``
+    the order of the group the search was handed, 1 when there was none.
     """
 
     beta: float
@@ -460,6 +461,7 @@ class BnbResult:
     eigen_solves: int
     nodes_tied: int
     nodes_symmetric: int
+    group_order: int
 
 
 # Most subgradient steps on the shifts of one node's bound, each a top
@@ -931,10 +933,11 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     arr = _as_array(b)
     n = arr.shape[0]
     group = None if automorphisms is None else _check_group(automorphisms, n)
+    order = 1 if group is None else len(group) + 1
     if n == 1:
         s = np.ones(1)
         v = _canonical(arr, s)
-        return BnbResult(v, s, True, 0, v, 0.0, 0, 0, 0, 0, 0)
+        return BnbResult(v, s, True, 0, v, 0.0, 0, 0, 0, 0, 0, order)
 
     prefix_abs = np.concatenate(([0.0], np.cumsum(np.abs(arr).sum(axis=1))))
 
@@ -1164,25 +1167,23 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     if symmetric:
         delta += _asymmetry(arr, group)
     return BnbResult(best_val, np.array(best_key), certified, pops, float(top_bound), float(delta),
-                     pruned, enumerated, solves, tied, symmetric)
+                     pruned, enumerated, solves, tied, symmetric, order)
 
 
 def make_witness(report: NegTypeReport, s_star) -> np.ndarray:
     """Unnormalized extremal direction built from a maximizing sign vector.
 
     ``report`` is a strict classification.  With x the projection of s_star
-    onto the hyperplane orthogonal to u, returns
-    y0 = ((x | z) / M) z - A^{-1} x, solved through the report's stored
-    factorization.  Then ||y0||_1 equals the sign-vector maximum beta,
-    (-A y0 | y0) equals the same value, and A y0 has oscillation at most 1,
-    which together witness that the gap constant 2 / beta cannot be
-    improved.
+    onto the hyperplane orthogonal to u, the paper's witness
+    y0 = ((x | z) / M) z - A^{-1} x is B x, since B = z z^T / M - A^{-1}.
+    Then ||y0||_1 equals the sign-vector maximum beta, (-A y0 | y0) equals
+    the same value, and A y0 has oscillation at most 1, which together
+    witness that the gap constant 2 / beta cannot be improved.
     """
     s = np.asarray(s_star, dtype=float)
     u = report.u
     x = s - (float(s @ u) / float(u @ u)) * u
-    ainv_x = solve(report.factorization, x)
-    return (float(x @ report.z) / report.M) * report.z - ainv_x
+    return report.B.a @ x
 
 
 @dataclass(frozen=True, eq=False)
@@ -1263,15 +1264,8 @@ class GapResult:
     ``gamma`` is always derived from ``beta`` as 2.0 / beta, so the two are
     consistent to the last bit.  Cross-check fields are None when the
     corresponding route was not run.  ``method`` names the exact route,
-    "gray_scan" or "branch_and_bound"; the ``bnb_*`` fields and the node
-    counts are set only for the latter.  ``bnb_gap`` is
-    max(0, best_bound - beta) and ``bnb_delta`` the rounding allowance of
-    its certificate (see BnbResult); ``bnb_enumerated``,
-    ``bnb_eigen_solves``, ``bnb_tied`` and ``bnb_symmetric`` are
-    BnbResult.nodes_enumerated, BnbResult.eigen_solves,
-    BnbResult.nodes_tied and BnbResult.nodes_symmetric, and
-    ``bnb_group_order`` the order of the automorphism group the search was
-    handed (negtype.automorphisms), 1 when that is trivial.
+    "gray_scan" or "branch_and_bound"; ``bnb`` is the latter's BnbResult,
+    as branch_and_bound returned it, and None for the former.
     """
 
     gamma: float
@@ -1282,16 +1276,12 @@ class GapResult:
     beta_by_binary: float | None
     method: str
     wall_time: float
-    bnb_certified: bool | None = None
-    nodes_expanded: int | None = None
-    nodes_pruned: int | None = None
-    bnb_gap: float | None = None
-    bnb_delta: float | None = None
-    bnb_enumerated: int | None = None
-    bnb_eigen_solves: int | None = None
-    bnb_tied: int | None = None
-    bnb_group_order: int | None = None
-    bnb_symmetric: int | None = None
+    bnb: BnbResult | None = None
+
+    @property
+    def bnb_certified(self) -> bool | None:
+        """``bnb.certified``, None when branch_and_bound did not run."""
+        return None if self.bnb is None else self.bnb.certified
 
 
 def solve_gap(
@@ -1336,7 +1326,7 @@ def solve_gap(
 
     beta_op = None
     beta_bin = None
-    bnb = {}
+    bnb = None
 
     if n > min(max_enum_n, ENUM_CEILING):
         if not use_bnb:
@@ -1345,22 +1335,17 @@ def solve_gap(
                                "enable branch-and-bound or raise the cutoff")
             raise TooLarge(f"n = {n} exceeds the hard enumeration ceiling {ENUM_CEILING}, "
                            "whatever the cutoff; enable branch-and-bound")
-        group = automorphisms(report.A, report.u)
-        r = branch_and_bound(b, budget=bnb_budget, automorphisms=group)
-        beta, s_star = r.beta, r.s_star
+        bnb = branch_and_bound(b, budget=bnb_budget,
+                               automorphisms=automorphisms(report.A, report.u))
+        beta, s_star = bnb.beta, bnb.s_star
         method = "branch_and_bound"
-        bnb = dict(bnb_certified=r.certified, nodes_expanded=r.nodes_expanded,
-                   nodes_pruned=r.nodes_pruned, bnb_gap=max(0.0, r.best_bound - r.beta),
-                   bnb_delta=r.delta, bnb_enumerated=r.nodes_enumerated,
-                   bnb_eigen_solves=r.eigen_solves, bnb_tied=r.nodes_tied,
-                   bnb_group_order=max(1, len(group)), bnb_symmetric=r.nodes_symmetric)
     else:
-        beta, s_star = beta_hypercube(b, max_enum_n=max_enum_n)
+        beta, s_star = beta_hypercube(b)
         method = "gray_scan"
         if cross_check:
-            beta_op = beta_opnorm(b, max_enum_n=max_enum_n)
+            beta_op = beta_opnorm(b)
             if np.all(report.u == report.u[0]):
-                beta_bin = beta_binary(b, max_enum_n=max_enum_n)
+                beta_bin = beta_binary(b)
 
     gamma = 2.0 / beta
     y0 = make_witness(report, s_star) if compute_witness else None
@@ -1374,5 +1359,5 @@ def solve_gap(
         beta_by_binary=beta_bin,
         method=method,
         wall_time=time.perf_counter() - t0,
-        **bnb,
+        bnb=bnb,
     )

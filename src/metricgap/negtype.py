@@ -42,14 +42,7 @@ from .errors import (
     PositiveDirectionMissing,
     ZeroFunctional,
 )
-from .linalg import (
-    Factorization,
-    SymMatrix,
-    eigenvalues_sym,
-    factor,
-    invert,
-    solve,
-)
+from .linalg import SymMatrix, eigenvalues_sym, factor, invert, solve
 from .metric import NegTypeMatrix
 
 NOT_NEGATIVE_TYPE = "NotNegativeType"
@@ -87,9 +80,11 @@ class NegTypeReport:
     reuse, so each input is analyzed once.
 
     ``A`` and ``u`` are the analyzed matrix and functional.  The later
-    fields are set only in the strict case: the LDL^T factorization of A,
-    M, z and B.  B is built eagerly with its B u residual checked; C is
-    built on first read, when its C z residual is checked.
+    fields are set only in the strict case: M, z and B.  B is built eagerly
+    with its B u residual checked; C is built on first read, when its C z
+    residual is checked.  The LDL^T factorization of A that gives A^{-1}
+    and A^{-1} u is not kept: every later step, the witness included, needs
+    only B.
 
     ``margins`` holds each test made, as its quantity over its threshold:
     ``eig`` (the top projected eigenvalue; above 1 is NotNegativeType,
@@ -105,7 +100,6 @@ class NegTypeReport:
     margins: dict[str, float]
     A: SymMatrix
     u: np.ndarray
-    factorization: Factorization | None = None
     M: float | None = None
     z: np.ndarray | None = None
     B: SymMatrix | None = None
@@ -124,9 +118,14 @@ def project_to_F(a: SymMatrix, u) -> SymMatrix:
     """Compress A to an orthonormal basis of the hyperplane orthogonal to u.
 
     The basis is the trailing n-1 columns of the Householder reflection
-    sending u to a multiple of the first coordinate axis, so the output is
-    (n-1) x (n-1) and its spectrum is the spectrum of A restricted to F.
-    The product q^T A q is symmetric only up to rounding and is averaged.
+    H = I - 2 v v^T sending u to a multiple of the first coordinate axis,
+    so the output is (n-1) x (n-1) and its spectrum is the spectrum of A
+    restricted to F.  The trailing block of H A H is formed in O(n^2) as
+    the rank-two update A - (S + S^T), S = v y^T, with w = A v and
+    y = 2 w - 2 (v | w) v; S + S^T, and so the result, is exactly
+    symmetric.  The exact factor 2 is applied to S + S^T rather than to y,
+    and H A H's leading entry is not formed, so that neither overflows
+    where the result does not (distances near 1e308).
     """
     u = np.asarray(u, dtype=float)
     n = a.n
@@ -142,10 +141,11 @@ def project_to_F(a: SymMatrix, u) -> SymMatrix:
     sign = 1.0 if unit[0] >= 0.0 else -1.0
     v[0] += sign
     v /= np.linalg.norm(v)
-    h = np.eye(n) - 2.0 * np.outer(v, v)
-    q = h[:, 1:]
-    m = q.T @ a.a @ q
-    return SymMatrix(0.5 * m + 0.5 * m.T)
+    w = a.a @ v
+    s = np.outer(v[1:], w[1:] - float(v @ w) * v[1:])
+    s += s.T
+    s *= 2.0
+    return SymMatrix(a.a[1:, 1:] - s)
 
 
 def oscillation(x, u) -> float:
@@ -223,8 +223,7 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
         raise InvalidSize(f"B reaches only {b.max_abs:.3e}: its rounding falls "
                           "below the smallest normal float")
     margins["B_u"] = _check_kernel("B u", b, u)
-    return NegTypeReport(STRICT_NEGATIVE_TYPE, spectrum, margins, a, u,
-                         factorization=f, M=m_val, z=z, B=b)
+    return NegTypeReport(STRICT_NEGATIVE_TYPE, spectrum, margins, a, u, M=m_val, z=z, B=b)
 
 
 def _dispatch(x, u) -> tuple[SymMatrix, np.ndarray, bool]:

@@ -309,6 +309,9 @@ class TestMainGap:
         # The 7-cycle's dihedral group; a root solved outright drops nothing.
         assert payload["diagnostics"]["bnb_group_order"] == 14
         assert payload["diagnostics"]["bnb_symmetric"] == 0
+        assert {key for key in payload["diagnostics"] if key.startswith("bnb_")} == {
+            "bnb_certified", "bnb_nodes", "bnb_pruned", "bnb_enumerated", "bnb_eigen_solves",
+            "bnb_tied", "bnb_group_order", "bnb_symmetric", "bnb_gap", "bnb_delta"}
 
     def test_bnb_symmetry_in_both_reports(self, capsys, monkeypatch):
         # Past _ENUM_FREE + 1 points the 21-cycle's search drops nodes that

@@ -72,6 +72,32 @@ class TestProjectToF:
         with pytest.raises(ZeroFunctional):
             project_to_F(SymMatrix(np.eye(2)), np.zeros(2))
 
+    @pytest.mark.parametrize("first", [-1.3, 0.0, 0.7])
+    def test_rank_two_update_matches_dense_reflector(self, first):
+        # The reference forms q^T A q with the dense reflector, as the
+        # projection once did.  Its first entry's sign picks the reflector,
+        # and a zero first entry takes the + branch.
+        rng = np.random.default_rng(5)
+        n = 9
+        x = rng.standard_normal((n, n))
+        a = SymMatrix(x + x.T)
+        u = rng.uniform(0.5, 2.0, n)
+        u[0] = first
+        got = project_to_F(a, u).a
+        assert np.array_equal(got, got.T)
+
+        unit = u / np.linalg.norm(u)
+        v = unit.copy()
+        v[0] += 1.0 if unit[0] >= 0.0 else -1.0
+        v /= np.linalg.norm(v)
+        q = (np.eye(n) - 2.0 * np.outer(v, v))[:, 1:]
+        assert np.max(np.abs(q.T @ u)) <= 1e-14 * np.linalg.norm(u)
+        ref = q.T @ a.a @ q
+        tol = 1e-13 * a.max_abs
+        assert np.max(np.abs(got - ref)) <= tol
+        ref_spectrum = np.linalg.eigvalsh(0.5 * (ref + ref.T))
+        assert np.max(np.abs(eigenvalues_sym(SymMatrix(got)) - ref_spectrum)) <= tol
+
 
 class TestOscillation:
     def test_all_ones_functional_is_half_spread(self):
@@ -189,7 +215,7 @@ class TestClassify:
     def test_large_even_cycle_non_strict(self):
         rep = classify(cycle_ntm(500))
         assert rep.verdict == NEGATIVE_TYPE_NON_STRICT
-        assert rep.factorization is None
+        assert rep.B is None
 
     @pytest.mark.parametrize("n", [6, 9, 20])
     def test_cloud_just_below_p2_strict(self, n):
@@ -220,7 +246,7 @@ class TestClassify:
         assert rep.verdict == verdict
         # The eig margin alone decides: above 1 is not of negative type,
         # below -1 strict and in between non-strict.  Only a strict verdict
-        # factors A and checks B u.
+        # builds B and checks B u.
         eig = rep.margins["eig"]
         assert (eig > 1.0) == (verdict == NOT_NEGATIVE_TYPE)
         assert (eig < -1.0) == (verdict == STRICT_NEGATIVE_TYPE)
@@ -231,7 +257,7 @@ class TestClassify:
             assert rep.margins["eig_full"] > 1.0
         if strict:
             assert rep.margins["B_u"] <= 1.0
-        assert (rep.factorization is not None) == strict
+        assert (rep.B is not None) == strict
 
 
 class TestComputeMZ:
