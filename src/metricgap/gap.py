@@ -23,7 +23,7 @@ B s = B_:H s_H + B_:L s_L.  Sign symmetry lets every route fix the first
 coordinate, halving the work.  beta_opnorm takes ||B s||_1 only where
 (B s | s) comes within a derived threshold of the largest value met so
 far, since B is positive semidefinite up to rounding.  With one BLAS
-thread at n = 23-24, each route takes 3-6 ns per sign vector on trees,
+thread at n = 23-24, each route takes 2.5-4 ns per sign vector on trees,
 point clouds and odd cycles.
 
 Tie-breaking contract: every candidate that rounding could make maximal is
@@ -101,16 +101,16 @@ from .metric import NegTypeMatrix, power_matrix
 from .negtype import STRICT_NEGATIVE_TYPE, NegTypeReport, Tolerances, automorphisms, classify
 
 # solve_gap's default cutoff for exact enumeration: 2^(n-1) sign vectors
-# at 3-6 ns each through the sign-table kernel, for the maximum and for
-# each cross-check, 0.03-0.05 s per route at n = 24 (measured at n = 23-24
-# on a 2-core Xeon with one BLAS thread, Python 3.11, NumPy 2.4).
+# at 2.5-4 ns each through the sign-table kernel, for the maximum and for
+# each cross-check, 0.02-0.035 s per route at n = 24 (measured at n = 23-24
+# on a busy 2-core Xeon with one BLAS thread, Python 3.11, NumPy 2.4).
 MAX_ENUM_N = 24
 
 # No route enumerates past this n, whatever the cutoff.  _sign_blocks
 # builds its suffix tables, 2^((n-1)//2) rows of (n-1)//2 floats, before
 # the first block is valued: 80 MB at n = 40, 1.5 GB at n = 48.  At
-# 3-6 ns per sign vector (see MAX_ENUM_N), one route over the 2^39 sign
-# vectors of n = 40 takes 27-55 minutes, and at n = 48 five to ten days;
+# 2.5-4 ns per sign vector (see MAX_ENUM_N), one route over the 2^39 sign
+# vectors of n = 40 takes 23-37 minutes, and at n = 48 four to seven days;
 # each further point doubles the time, and every second one the tables.
 ENUM_CEILING = 40
 
@@ -232,7 +232,11 @@ def _split_values(arr: np.ndarray, high: np.ndarray, low: np.ndarray, out: np.nd
     k = high.shape[1]
     q_high = np.einsum("ij,ij->i", high @ arr[:k, :k], high)
     q_low = np.einsum("ij,ij->i", low @ arr[k:, k:], low)
-    np.add(q_high[:, None], q_low[None, :], out=out)
+    # Copying q_L into every row and adding q_H row by row takes numpy's
+    # contiguous paths; the addition commutes, so each entry is the same
+    # float as q_H + q_L.
+    out[...] = q_low
+    np.add(out, q_high[:, None], out=out)
     np.matmul(high @ arr[:k, k:], low.T, out=tmp)
     tmp *= 2.0
     out += tmp
@@ -294,7 +298,10 @@ def _best_in_block(arr: np.ndarray, vals: np.ndarray, high: np.ndarray, low: np.
     top = float(vals.max())
     if top < best_val - g:
         return best_val, best_key, second
-    for i, j in zip(*np.nonzero(vals >= max(top - 2.0 * g, best_val - g))):
+    # The flat scan and divmod give the 2-D np.nonzero's (i, j) pairs in the
+    # same row-major order, at a tenth of its cost on a full block.
+    hits = np.flatnonzero(vals >= max(top - 2.0 * g, best_val - g))
+    for i, j in zip(*np.divmod(hits, vals.shape[1])):
         s = np.concatenate((prefix, high[i, 1:], low[j]))
         best_val, best_key, second = _fold(_canonical(arr, s), tuple(s), best_val, best_key,
                                            second)
@@ -392,7 +399,7 @@ def beta_opnorm(b) -> float:
         if top < threshold:
             continue
         # "Not below", so that a value that overflowed to NaN is kept.
-        rows, cols = np.nonzero(~(vals < threshold))
+        rows, cols = np.divmod(np.flatnonzero(~(vals < threshold)), vals.shape[1])
         # The same full-block products as an unfiltered table, and the same
         # sequential sum over columns (accumulate, unlike a reduction, adds
         # in order), so each norm is the same float as its entry there.
@@ -529,9 +536,11 @@ def _children(arr: np.ndarray, diag: list, depth: int, qf: float, h):
 
 def _bound_error(k: int, depth: int, prefix_abs: float, a_norm: float, shifts_abs: float) -> float:
     """Rounding error of a node bound of order k; derived in branch_and_bound."""
-    return _EPS * (
-        (k + 2) * (depth + 2) * prefix_abs + (k**3 + 4 * k) * a_norm + (k + 3) * shifts_abs
-    )
+    # Each integer factor times eps is exact and below 1, so no product
+    # overflows where the bound does not, and the sum is the same float as
+    # eps times the sum of the unscaled terms wherever that stays normal.
+    return (((k + 2) * (depth + 2) * _EPS) * prefix_abs + ((k**3 + 4 * k) * _EPS) * a_norm
+            + ((k + 3) * _EPS) * shifts_abs)
 
 
 def _top_eig(a: np.ndarray, vectors: bool = True):
@@ -577,8 +586,7 @@ def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: floa
     number of eigen-solves taken and whether ``holds_tie`` stopped it.
     """
     k = a.shape[0]
-    flat = a.reshape(-1)
-    diag = flat[:: k + 1]
+    diag = a.reshape(-1)[:: k + 1]
     q_diag = diag.copy()
     target = incumbent - qf
     scale = 1.0
@@ -606,8 +614,28 @@ def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: floa
             break
     f, shifts, top, v = best
     np.add(q_diag, shifts, out=diag)
-    # The Frobenius norm, as np.linalg.norm computes it.
-    return f, shifts, top, v, math.sqrt(flat @ flat), step + 1, tied
+    return f, shifts, top, v, _frobenius(a), step + 1, tied
+
+
+def _frobenius(a: np.ndarray) -> float:
+    """The Frobenius norm of ``a``, summed as np.linalg.norm sums it.
+
+    A finite sum of squares of at least 2^-968 is used as it is: a square
+    below the normal range loses at most 2^-1075, and up to 2^22 of them
+    less than 2^-85 of that sum.  Where the squares overflow (|a| past
+    about 1e154) or their sum falls below 2^-968 (|a| below about 1e-154),
+    the sum is taken over the entries scaled by 2^-m, m the exponent of
+    the largest |entry|; scaling by a power of two, and the root of a sum
+    scaled by 2^-2m, are exact.
+    """
+    flat = a.reshape(-1)
+    with np.errstate(over="ignore"):
+        squares = float(flat @ flat)
+    if 2.0**-968 <= squares < math.inf:
+        return math.sqrt(squares)
+    m = math.frexp(float(np.abs(flat).max()))[1]
+    flat = np.ldexp(flat, -m)
+    return float(np.ldexp(math.sqrt(flat @ flat), m))
 
 
 def _shift_step(shifts: np.ndarray, excess: float, v: np.ndarray, last):
@@ -1048,7 +1076,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
                 if diag_list[0] + f < top_bound:
                     top_bound = diag_list[0] + f
                     entry = (-top_bound, 1, bits, _bound_error(
-                        n, 1, prefix_abs[1], float(np.linalg.norm(q)),
+                        n, 1, prefix_abs[1], _frobenius(q),
                         float(np.add.reduce(np.abs(shifts))))) + entry[4:]
             certified = bool(top_bound <= best_val)
             heap.append(entry)

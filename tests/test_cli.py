@@ -607,6 +607,35 @@ class TestMainExitCodes:
         assert "smallest normal" in err
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags", [[], ["--bnb", "--max-n", "10"]])
+    def test_B_past_the_float_range_is_3(self, capsys, monkeypatch, flags):
+        # B is about 1e307 and sum |B_ij| overflows: every block value
+        # overflowed, so the enumeration kept no maximizer and the report
+        # ended in a traceback, and branch-and-bound reported an infinite
+        # beta as certified.
+        text = json.dumps({"path": {"n": 20, "weights": [1e-307] * 19}})
+        code, out, err = run_main(capsys, ["gap", "-", *flags], text, monkeypatch)
+        assert code == 3
+        assert out == ""
+        assert "largest float" in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n, weight", [(20, 1e-160), (30, 1e-304)])
+    def test_bnb_delta_finite_at_extreme_scales(self, capsys, monkeypatch, n, weight):
+        # At 1e-160 B is about 1e160, so the squares of the entries of a node
+        # matrix overflow: the Frobenius norm in delta's eigen-solver term
+        # came out inf, and the report printed "bnb_delta":Infinity.  At
+        # 1e-304, just inside the float range, k^3 times that norm
+        # overflowed before its factor eps was applied.
+        text = json.dumps({"path": {"n": n, "weights": [weight] * (n - 1)}})
+        flags = ["--bnb", "--max-n", "10", "--bnb-budget", "100", "--report", "machine"]
+        code, out, err = run_main(capsys, ["gap", "-", *flags], text, monkeypatch)
+        assert code == 0
+        assert err == ""
+        diagnostics = json.loads(out, parse_constant=reject_constant)["diagnostics"]
+        assert 0.0 < diagnostics["bnb_delta"] < 1e-3 * json.loads(out)["beta"]
+
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_path_is_3(self, capsys, monkeypatch):
         # Connected, but the path from vertex 0 to vertex 2 is longer than
         # the largest float.

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -160,6 +161,27 @@ class TestBetaHypercube:
         v, s = beta_hypercube(SymMatrix([[0.0]]))
         assert v == 0.0
         assert np.array_equal(s, [1.0])
+
+
+class TestSplitValues:
+    @pytest.mark.parametrize("block", [8, 64, gap._BLOCK])
+    @pytest.mark.parametrize("scale", [2.0**-400, 2.0**400], ids=["2^-400", "2^400"])
+    def test_sums_in_the_documented_order(self, monkeypatch, block, scale):
+        # beta_binary returns the split values and beta_opnorm filters on
+        # them, so their float order is part of the result: bit for bit
+        # (q_H + q_L) + 2 (x_H B_HL) x_L^T, on both kinds of table.  With
+        # the small blocks, the first 32 blocks of each order are checked.
+        monkeypatch.setattr(gap, "_BLOCK", block)
+        for n in range(2, 22):
+            arr = indefinite_B(n, n).a * scale
+            for binary in (False, True):
+                blocks = itertools.islice(gap._valued_blocks(arr, binary), 32)
+                for high, low, vals in blocks:
+                    k = high.shape[1]
+                    q_high = np.einsum("ij,ij->i", high @ arr[:k, :k], high)
+                    q_low = np.einsum("ij,ij->i", low @ arr[k:, k:], low)
+                    cross = (high @ arr[:k, k:]) @ low.T
+                    assert np.array_equal(vals, (q_high[:, None] + q_low[None, :]) + 2.0 * cross)
 
 
 class TestBetaOpnormBinary:
@@ -605,6 +627,24 @@ class TestBranchAndBound:
         assert r.certified
         assert r.nodes_expanded <= 5000
         assert r.nodes_pruned > 0
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_B(power_matrix(path_metric(gen_path(20)), 1.0)).B,
+        lambda: cycle_B(29),
+        lambda: cloud_B(24, 0),
+    ])
+    def test_delta_scales_with_B(self, make):
+        # delta's eigen-solver term takes the Frobenius norm of Q + Diag d.
+        # Summed over the squares of its entries, that norm overflowed at
+        # 2^600 (delta inf, with a warning) and underflowed at 2^-600
+        # (delta about a tenth of its value scaled by 2^k).
+        b = make().a
+        base = branch_and_bound(b, budget=300)
+        for k in (-600, -300, 300, 600):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r = branch_and_bound(np.ldexp(b, k), budget=300)
+            assert math.ldexp(r.delta, -k) == pytest.approx(base.delta, rel=1e-12)
 
 
 def local_search_loop(arr, val, key, second=-np.inf):
