@@ -95,7 +95,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotStrict, TooLarge
+from .errors import InvalidSize, NotStrict, TooLarge
 from .linalg import SymMatrix, dsyevr
 from .metric import NegTypeMatrix, power_matrix
 from .negtype import STRICT_NEGATIVE_TYPE, NegTypeReport, Tolerances, automorphisms, classify
@@ -618,21 +618,16 @@ def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: floa
 
 
 def _frobenius(a: np.ndarray) -> float:
-    """The Frobenius norm of ``a``, summed as np.linalg.norm sums it.
+    """The Frobenius norm of ``a``, summed as np.linalg.norm sums it but over
+    the entries scaled by 2^-m, m the exponent of the largest |entry|.
 
-    A finite sum of squares of at least 2^-968 is used as it is: a square
-    below the normal range loses at most 2^-1075, and up to 2^22 of them
-    less than 2^-85 of that sum.  Where the squares overflow (|a| past
-    about 1e154) or their sum falls below 2^-968 (|a| below about 1e-154),
-    the sum is taken over the entries scaled by 2^-m, m the exponent of
-    the largest |entry|; scaling by a power of two, and the root of a sum
-    scaled by 2^-2m, are exact.
+    Scaled, the largest square lies in [1/4, 1), so the sum cannot
+    overflow, and a square underflows only below about 2^-1020 of the
+    largest.  Scaling by a power of two and the root of a sum scaled by
+    2^-2m are exact, so the result is np.linalg.norm's float wherever no
+    square, scaled or not, overflows or underflows.
     """
     flat = a.reshape(-1)
-    with np.errstate(over="ignore"):
-        squares = float(flat @ flat)
-    if 2.0**-968 <= squares < math.inf:
-        return math.sqrt(squares)
     m = math.frexp(float(np.abs(flat).max()))[1]
     flat = np.ldexp(flat, -m)
     return float(np.ldexp(math.sqrt(flat @ flat), m))
@@ -941,7 +936,8 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     returned with ``certified`` false rather than raising.  Either way
     every sign vector s has (B s | s) <= max(best_bound, beta) + delta,
     where delta covers the rounding of every bound that discarded nodes
-    and of the canonical incumbent (see BnbResult).
+    and of the canonical incumbent (see BnbResult).  A B whose
+    4 n sum |B_ij| overflows raises InvalidSize.
     """
     # Dropping by symmetry.  Under the group G the list generates, call the
     # largest image of a sign vector x with x_0 = +1 its leader.  The
@@ -968,6 +964,19 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
         return BnbResult(v, s, True, 0, v, 0.0, 0, 0, 0, 0, 0, order)
 
     prefix_abs = np.concatenate(([0.0], np.cumsum(np.abs(arr).sum(axis=1))))
+    # classify leaves B only the headroom of the enumeration, S + g with
+    # S = sum|B_ij|.  A node bound k lmax(Q + Diag d) - sum d, for a node
+    # matrix Q of order k <= n whose absolute row sums are at most S, is at
+    # most n (S + 2 max|d|), and 1-flip gains reach 8 S.  The shifts d
+    # start at -diag B_FF, within S; the subgradient steps kept them within
+    # 0.35 S on odd cycles, random trees and point clouds, a measured bound
+    # rather than a derived one.  delta applies eps to each term first
+    # (_bound_error).  So the search refuses a B whose 4 n S overflows.
+    with np.errstate(over="ignore"):
+        reach = 4.0 * n * float(prefix_abs[n])
+    if not reach < np.finfo(float).max:
+        raise InvalidSize(f"B reaches {np.abs(arr).max():.3e}: branch-and-bound's bounds "
+                          "over it overflow the largest float")
 
     # The bound of a node at depth d, with k = n - d + 1, is computed as
     # fl(qf^ + fl(fl(k lam^) - fl(sum d))), where lam^ is the top eigenvalue

@@ -223,17 +223,18 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
         raise InvalidSize(f"B reaches only {b.max_abs:.3e}: its rounding falls "
                           "below the smallest normal float")
     # At the other end, S = sum|B_ij| bounds every split value, norm
-    # ||B s||_1 and canonical value of a sign vector, and 1-flip gains are
-    # at most 8 S.  branch_and_bound forms f = k lmax(Q + Diag d) - sum d
-    # for a node matrix Q of order k <= n, whose absolute row sums are at
-    # most S, so |f| <= n (S + 2 max|d|).  Its shifts start at -diag B_FF,
-    # within S, and its subgradient steps kept them within 0.35 S on odd
-    # cycles, random trees and point clouds; its delta applies eps to each
-    # term first.  beta_opnorm's mu n is at most n S (1 + n^2 eps).  Every
-    # intermediate is then below 4 n S, so B is refused where that
-    # overflows (S itself does on a 20-point path of weights 1e-307).
+    # ||B s||_1, canonical value and four times 0/1 value the enumeration
+    # routes form, and each partial sum of their terms.  Each is computed
+    # within g / 2 of its exact value, g = 4 (n + 3) eps S (see
+    # gap._rounding_guard), so none overflows unless S + g does.
+    # beta_opnorm's mu n, up to n S, may overflow; that only lowers its
+    # threshold.  Where S overflows, the values can too: on the 20-point
+    # path of weights 1e-307, whose maximum is S, every block value did and
+    # the enumeration kept none; at 2e-307 it kept a finite value below the
+    # maximum.  branch_and_bound needs more headroom and checks its own.
     with np.errstate(over="ignore"):
-        reach = 4.0 * n * float(np.abs(b.a).sum())
+        reach = float(np.abs(b.a).sum())
+        reach += 4.0 * (n + 3) * _EPS * reach
     if not reach < np.finfo(float).max:
         raise InvalidSize(f"B reaches {b.max_abs:.3e}: the gap routes' sums over it "
                           "overflow the largest float")

@@ -620,6 +620,25 @@ class TestMainExitCodes:
         assert "largest float" in err
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weight", [3e-307, 1e-306, 1e-305])
+    def test_B_near_the_top_of_the_range_enumerates(self, capsys, monkeypatch, weight):
+        # sum |B_ij| = beta is 1.27e308, 3.8e307 and 3.8e306: the enumeration
+        # stays inside the float range and answers, while branch-and-bound,
+        # whose bounds reach 4 n sum |B_ij|, refuses with exit 3 (its delta
+        # was infinite here).
+        text = json.dumps({"path": {"n": 20, "weights": [weight] * 19}})
+        code, out, err = run_main(capsys, ["gap", "-", "--report", "machine"], text, monkeypatch)
+        assert code == 0
+        assert err == ""
+        report = json.loads(out, parse_constant=reject_constant)
+        assert report["beta"] == pytest.approx(38 / weight, rel=1e-12)
+        flags = ["--bnb", "--max-n", "10", "--bnb-budget", "100"]
+        code, out, err = run_main(capsys, ["gap", "-", *flags], text, monkeypatch)
+        assert code == 3
+        assert out == ""
+        assert "branch-and-bound" in err
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n, weight", [(20, 1e-160), (30, 1e-304)])
     def test_bnb_delta_finite_at_extreme_scales(self, capsys, monkeypatch, n, weight):
         # At 1e-160 B is about 1e160, so the squares of the entries of a node

@@ -628,6 +628,16 @@ class TestBranchAndBound:
         assert r.nodes_expanded <= 5000
         assert r.nodes_pruned > 0
 
+    def test_frobenius_is_the_plain_norm_in_range(self):
+        # Scaled by a power of two, the norm is np.linalg.norm's float
+        # bit for bit wherever the plain sum of squares stays normal.
+        rng = np.random.default_rng(0)
+        for k in (1, 2, 7, 30):
+            for scale in (1e-100, 1e-3, 1.0, 1e3, 1e100):
+                a = rng.standard_normal((k, k)) * scale
+                assert gap._frobenius(a) == float(np.linalg.norm(a))
+        assert gap._frobenius(np.zeros((3, 3))) == 0.0
+
     @pytest.mark.parametrize("make", [
         lambda: build_B(power_matrix(path_metric(gen_path(20)), 1.0)).B,
         lambda: cycle_B(29),
