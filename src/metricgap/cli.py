@@ -406,6 +406,8 @@ def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
     t0 = time.perf_counter()
     if args.bnb_budget < 0:
         raise SchemaError(f"--bnb-budget must be nonnegative, got {args.bnb_budget}")
+    if args.max_n < 0:
+        raise SchemaError(f"--max-n must be nonnegative, got {args.max_n}")
     space, family = realize(doc)
     p = doc.p if args.p is None else _require_exponent(args.p, "--p")
     tols = None

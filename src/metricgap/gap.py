@@ -23,8 +23,8 @@ B s = B_:H s_H + B_:L s_L.  Sign symmetry lets every route fix the first
 coordinate, halving the work.  beta_opnorm takes ||B s||_1 only where
 (B s | s) comes within a derived threshold of the largest value met so
 far, since B is positive semidefinite up to rounding.  With one BLAS
-thread at n = 23-24, each route takes 2.5-4 ns per sign vector on trees,
-point clouds and odd cycles.
+thread at n = 23-24, each route takes 1.7-3.2 ns per sign vector on
+trees, point clouds and odd cycles.
 
 Tie-breaking contract: every candidate that rounding could make maximal is
 re-evaluated with the canonical expression float(s @ B @ s), maxima are
@@ -101,16 +101,16 @@ from .metric import NegTypeMatrix, power_matrix
 from .negtype import STRICT_NEGATIVE_TYPE, NegTypeReport, Tolerances, automorphisms, classify
 
 # solve_gap's default cutoff for exact enumeration: 2^(n-1) sign vectors
-# at 2.5-4 ns each through the sign-table kernel, for the maximum and for
-# each cross-check, 0.02-0.035 s per route at n = 24 (measured at n = 23-24
+# at 1.7-3.2 ns each through the sign-table kernel, for the maximum and for
+# each cross-check, 0.014-0.027 s per route at n = 24 (measured at n = 23-24
 # on a busy 2-core Xeon with one BLAS thread, Python 3.11, NumPy 2.4).
 MAX_ENUM_N = 24
 
 # No route enumerates past this n, whatever the cutoff.  _sign_blocks
 # builds its suffix tables, 2^((n-1)//2) rows of (n-1)//2 floats, before
 # the first block is valued: 80 MB at n = 40, 1.5 GB at n = 48.  At
-# 2.5-4 ns per sign vector (see MAX_ENUM_N), one route over the 2^39 sign
-# vectors of n = 40 takes 23-37 minutes, and at n = 48 four to seven days;
+# 1.7-3.2 ns per sign vector (see MAX_ENUM_N), one route over the 2^39 sign
+# vectors of n = 40 takes 16-29 minutes, and at n = 48 three to five days;
 # each further point doubles the time, and every second one the tables.
 ENUM_CEILING = 40
 
@@ -212,33 +212,58 @@ def _valued_blocks(arr: np.ndarray, binary: bool = False):
 
     The walk allocates its two tables of a block's shape on the first block
     and writes every block's values into them, so a table read after the
-    next block is overwritten.
+    next block is overwritten.  _sign_blocks yields every L table of one H
+    table before the next H table, so the prefix terms are taken once per
+    H table.
     """
-    vals = tmp = None
+    vals = tmp = terms = last_high = None
     for high, low in _sign_blocks(arr.shape[0], binary):
         if vals is None:
             vals, tmp = np.empty((len(high), len(low))), np.empty((len(high), len(low)))
-        yield high, low, _split_values(arr, high, low, vals, tmp)
+        if high is not last_high:
+            terms, last_high = _prefix_terms(arr, high), high
+        yield high, low, _split_values(arr, terms, low, vals, tmp)
 
 
-def _split_values(arr: np.ndarray, high: np.ndarray, low: np.ndarray, out: np.ndarray,
-                  tmp: np.ndarray) -> np.ndarray:
+def _prefix_terms(arr: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The terms of _split_values that depend on the prefix table alone:
+    [q_H, 1], q_H the quadratic form of the leading diagonal block, and the
+    doubled coupling 2 (x_H B_HL)."""
+    k = high.shape[1]
+    left = np.empty((len(high), 2))
+    np.einsum("ij,ij->i", high @ arr[:k, :k], high, out=left[:, 0])
+    left[:, 1] = 1.0
+    coupling = high @ arr[:k, k:]
+    coupling *= 2.0
+    return left, coupling
+
+
+def _split_values(arr: np.ndarray, terms: tuple[np.ndarray, np.ndarray], low: np.ndarray,
+                  out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """(B x | x) for every x = [high_i, low_j], written into the table ``out``.
 
-    With x = (x_H, x_L) the quadratic splits into q_H + q_L + 2 (x_H B_HL) x_L^T,
-    where q_H and q_L are the quadratic forms of the diagonal blocks; the
-    sums are taken in that order.  ``tmp`` is scratch of the same shape.
+    ``terms`` is _prefix_terms(arr, high).  With x = (x_H, x_L) the
+    quadratic splits into q_H + q_L + 2 (x_H B_HL) x_L^T, where q_H and q_L
+    are the quadratic forms of the diagonal blocks; every entry is the float
+    (q_H + q_L) + 2 (x_H B_HL) x_L^T, summed in that order.  ``tmp`` is
+    scratch of the same shape.
+
+    Two matrix products and one add give those floats wherever
+    sum|B_ij| + g (_rounding_guard) is finite.  Each entry of
+    [q_H, 1] [1; q_L] is the sum of two exact products, rounded once, so it
+    is fl(q_H + q_L) in whatever order the GEMM adds them.  Doubling is
+    exact, so each product and partial sum of (2 x_H B_HL) x_L^T is exactly
+    twice that of (x_H B_HL) x_L^T, and the table needs no doubling pass.
+    Each |2 (x_H B_HL)_j|, and each partial sum, is at most sum|B_ij|, so
+    nothing overflows that the documented order keeps finite.
     """
-    k = high.shape[1]
-    q_high = np.einsum("ij,ij->i", high @ arr[:k, :k], high)
-    q_low = np.einsum("ij,ij->i", low @ arr[k:, k:], low)
-    # Copying q_L into every row and adding q_H row by row takes numpy's
-    # contiguous paths; the addition commutes, so each entry is the same
-    # float as q_H + q_L.
-    out[...] = q_low
-    np.add(out, q_high[:, None], out=out)
-    np.matmul(high @ arr[:k, k:], low.T, out=tmp)
-    tmp *= 2.0
+    left, coupling = terms
+    k = arr.shape[0] - low.shape[1]
+    right = np.empty((2, len(low)))
+    right[0] = 1.0
+    np.einsum("ij,ij->i", low @ arr[k:, k:], low, out=right[1])
+    np.matmul(left, right, out=out)
+    np.matmul(coupling, low.T, out=tmp)
     out += tmp
     return out
 
@@ -1101,7 +1126,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
         if leaf is not None:
             enumerated += 1
             high, low, vals, tmp = leaf
-            _split_values(q, high, low, vals, tmp)
+            _split_values(q, _prefix_terms(q, high), low, vals, tmp)
             vals += qf
             best_val, best_key, second = _best_in_block(arr, vals, high, low, prefix, g,
                                                         best_val, best_key, second)

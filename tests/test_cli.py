@@ -551,6 +551,17 @@ class TestMainExitCodes:
         assert out == ""
         assert "input error" in err
 
+    @pytest.mark.parametrize("flags", [[], ["--bnb"]], ids=["enumeration", "bnb"])
+    def test_negative_max_n_is_2(self, capsys, monkeypatch, flags):
+        # Not a cutoff below every input (exit 5), nor a cutoff of 0 under
+        # --bnb: refused as an option, before the input is read.
+        code, out, err = run_main(
+            capsys, ["gap", "-", "--max-n", "-3", *flags], '{"cycle": 7}', monkeypatch
+        )
+        assert code == 2
+        assert out == ""
+        assert "input error" in err and "--max-n" in err
+
     def test_past_enumeration_ceiling_is_5(self, capsys, monkeypatch):
         # Refused before any sign table is built, whatever --max-n says.
         def no_tables(n):

@@ -62,6 +62,17 @@ def indefinite_B(n, seed, centered=False):
 SCALES = (1.0, 1e4, 2.0**-20, 1e200)
 
 
+def top_scale(arr):
+    """A factor that takes sum|B_ij| + g (gap._rounding_guard) of ``arr`` to
+    just under the largest float."""
+    top = np.finfo(float).max
+    scale = top / (float(np.abs(arr).sum()) + gap._rounding_guard(arr)) * (1.0 - 1e-9)
+    scaled = arr * scale
+    total = float(np.abs(scaled).sum()) + gap._rounding_guard(scaled)
+    assert math.isfinite(total) and total > 0.999 * top
+    return scale
+
+
 def unpruned_opnorm(arr):
     """max ||B s||_1 over every entry of every block of gap._sign_blocks."""
     n = arr.shape[0]
@@ -165,15 +176,18 @@ class TestBetaHypercube:
 
 class TestSplitValues:
     @pytest.mark.parametrize("block", [8, 64, gap._BLOCK])
-    @pytest.mark.parametrize("scale", [2.0**-400, 2.0**400], ids=["2^-400", "2^400"])
+    @pytest.mark.parametrize("scale", [2.0**-400, 2.0**400, None], ids=["2^-400", "2^400", "top"])
     def test_sums_in_the_documented_order(self, monkeypatch, block, scale):
         # beta_binary returns the split values and beta_opnorm filters on
         # them, so their float order is part of the result: bit for bit
         # (q_H + q_L) + 2 (x_H B_HL) x_L^T, on both kinds of table.  With
         # the small blocks, the first 32 blocks of each order are checked.
+        # "top" scales B so that sum|B_ij| + g sits just under the largest
+        # float, the edge of the range where the kernel keeps that order.
         monkeypatch.setattr(gap, "_BLOCK", block)
         for n in range(2, 22):
-            arr = indefinite_B(n, n).a * scale
+            arr = indefinite_B(n, n).a
+            arr = arr * (scale or top_scale(arr))
             for binary in (False, True):
                 blocks = itertools.islice(gap._valued_blocks(arr, binary), 32)
                 for high, low, vals in blocks:
@@ -182,6 +196,70 @@ class TestSplitValues:
                     q_low = np.einsum("ij,ij->i", low @ arr[k:, k:], low)
                     cross = (high @ arr[:k, k:]) @ low.T
                     assert np.array_equal(vals, (q_high[:, None] + q_low[None, :]) + 2.0 * cross)
+
+    @pytest.mark.parametrize("k", range(2, 16))
+    def test_leaf_values_in_the_documented_order(self, monkeypatch, k):
+        # A leaf of branch_and_bound values qf + x^T Q x over the completions
+        # of its prefix, for its node matrix Q = [[0, h^T], [h, B_FF]]: bit
+        # for bit qf + ((q_H + q_L) + 2 (x_H Q_HL) x_L^T).  The leaves of
+        # order k sit below prefixes of length 4 of a random B.
+        n = k + 3
+        arr = indefinite_B(n, 1000 + k).a
+        monkeypatch.setattr(gap, "_ENUM_FREE", k - 1)
+        prefix_terms, best_in_block = gap._prefix_terms, gap._best_in_block
+        nodes, leaves = [], []
+
+        def terms(q, high):
+            nodes.append(q.copy())
+            return prefix_terms(q, high)
+
+        def fold(arr_, vals, high, low, prefix, *args):
+            leaves.append((vals.copy(), high, low, prefix.copy()))
+            return best_in_block(arr_, vals, high, low, prefix, *args)
+
+        monkeypatch.setattr(gap, "_prefix_terms", terms)
+        monkeypatch.setattr(gap, "_best_in_block", fold)
+        branch_and_bound(SymMatrix(arr), budget=50)
+        assert leaves
+        depth = n - k + 1
+        for q, (vals, high, low, prefix) in zip(nodes, leaves, strict=True):
+            assert len(prefix) == depth and prefix[0] == 1.0
+            assert q[0, 0] == 0.0 and np.array_equal(q[0, 1:], q[1:, 0])
+            assert np.array_equal(q[1:, 1:], arr[depth:, depth:])
+            np.testing.assert_allclose(q[1:, 0], arr[depth:, :depth] @ prefix,
+                                       rtol=1e-12, atol=1e-12)
+            h = high.shape[1]
+            q_high = np.einsum("ij,ij->i", high @ q[:h, :h], high)
+            q_low = np.einsum("ij,ij->i", low @ q[h:, h:], low)
+            cross = (high @ q[:h, h:]) @ low.T
+            qf = float(prefix @ arr[:depth, :depth] @ prefix)
+            assert np.array_equal(vals, qf + ((q_high[:, None] + q_low[None, :]) + 2.0 * cross))
+
+    @pytest.mark.parametrize("block", [8, 64, gap._BLOCK])
+    def test_prefix_terms_once_per_high_table(self, monkeypatch, block):
+        # _sign_blocks yields every L table of one H table before the next,
+        # so each route's walk takes the prefix terms once per H table, in
+        # the order of the tables.
+        monkeypatch.setattr(gap, "_BLOCK", block)
+        prefix_terms = gap._prefix_terms
+        calls = []
+
+        def counted(arr, high):
+            calls.append(high)
+            return prefix_terms(arr, high)
+
+        monkeypatch.setattr(gap, "_prefix_terms", counted)
+        for n in (2, 9, 14, 18):
+            b = tree_B(n, n)
+            for route, binary in ((beta_hypercube, False), (beta_opnorm, False),
+                                  (beta_binary, True)):
+                highs = [high for high, _ in gap._sign_blocks(n, binary)]
+                tables = [high for i, high in enumerate(highs) if i == 0 or high is not highs[i - 1]]
+                assert len(tables) == len({id(high) for high in highs})
+                calls.clear()
+                route(b)
+                assert len(calls) == len(tables)
+                assert all(np.array_equal(c, t) for c, t in zip(calls, tables, strict=True))
 
 
 class TestBetaOpnormBinary:
