@@ -486,69 +486,46 @@ def _oracle_check(family: tuple, gamma: float) -> dict:
 
 
 def run_oracle_suite(args) -> tuple[bool, list[dict]]:
-    """Pipeline-versus-closed-form sweep over the three solved families.
+    """Run the gap pipeline (run_gap, with the gap subcommand's defaults and
+    --method gray) on generator documents of the three solved families, and
+    compare each gamma with its closed form (_oracle_check).
 
-    With --inject-fault the first tree comparison is knocked off by 1e-3
-    to prove the comparator can fail; the suite then reports a mismatch.
+    Even cycles must read NegativeTypeNonStrict, with gamma 0, and every
+    other instance strict; a row that fails either test, or reads
+    NotNegativeType (gamma None, no closed form compared), is a mismatch.
+    With --inject-fault the first tree's closed form is skewed by 1e-3 to
+    prove the comparator can fail; the suite then reports a mismatch.
     """
     for flag, value in (("--seed", args.seed), ("--trees", args.trees)):
         if value < 0:
             raise SchemaError(f"{flag} must be nonnegative, got {value}")
+    gap_args = _build_parser().parse_args(["gap", "-", "--method", "gray"])
+    rng = np.random.default_rng(args.seed)
+    cases = [("discrete", "discrete", n) for n in range(2, 13)]
+    cases += [("cycle", "cycle", n) for n in range(3, 16)]
+    cases += [("tree", "random_tree", {"n": int(rng.integers(2, 13)), "seed": args.seed + 1000 + i})
+              for i in range(args.trees)]
     rows = []
     ok = True
-    rel_tol = 1e-9
-
-    def check(family: str, n: int, gamma_pipeline: float, gamma_oracle: float):
-        nonlocal ok
-        err = _relative_error(gamma_pipeline, gamma_oracle)
-        good = err <= rel_tol
-        ok = ok and good
-        rows.append(
-            {
-                "family": family,
-                "n": n,
-                "gamma": gamma_pipeline,
-                "oracle": gamma_oracle,
-                "rel_err": err,
-                "ok": good,
-            }
-        )
-
-    for n in range(2, 13):
-        res = solve_gap(gen_discrete(n), compute_witness=False, cross_check=False)
-        check("discrete", n, res.gamma, closed_forms.gamma_discrete(n).gamma)
-
-    for n in range(3, 16):
-        space = path_metric(gen_cycle(n))
-        if n % 2 == 0:
-            verdict = classify(power_matrix(space, 1.0)).verdict
-            good = verdict == NEGATIVE_TYPE_NON_STRICT
-            ok = ok and good
-            rows.append(
-                {
-                    "family": "cycle",
-                    "n": n,
-                    "gamma": 0.0,
-                    "oracle": 0.0,
-                    "rel_err": 0.0,
-                    "ok": good,
-                    "verdict": verdict,
-                }
-            )
-        else:
-            res = solve_gap(space, compute_witness=False, cross_check=False)
-            check("cycle", n, res.gamma, closed_forms.gamma_cycle(n).gamma)
-
-    rng = np.random.default_rng(args.seed)
-    for i in range(args.trees):
-        n = int(rng.integers(2, 13))
-        tree = gen_random_tree(n, seed=args.seed + 1000 + i)
-        res = solve_gap(path_metric(tree), compute_witness=False, cross_check=False)
-        oracle_gamma = closed_forms.gamma_tree(tree).gamma
-        if args.inject_fault and i == 0:
-            oracle_gamma *= 1.0 + 1e-3
-        check("tree", n, res.gamma, oracle_gamma)
-
+    skew = args.inject_fault
+    for family, name, spec in cases:
+        report, _ = run_gap(InputDocument("generator", {"name": name, "spec": spec}), gap_args)
+        checks = report.cross_checks
+        row = {"family": family, "n": report.n, "gamma": report.gamma,
+               "oracle": checks.get("oracle_gamma"),
+               "rel_err": checks.get("oracle_rel_err", checks.get("oracle_abs_err"))}
+        even = family == "cycle" and report.n % 2 == 0
+        if even:
+            row["verdict"] = report.verdict
+        if skew and family == "tree" and row["oracle"] is not None:
+            skew = False
+            row["oracle"] *= 1.0 + 1e-3
+            row["rel_err"] = _relative_error(report.gamma, row["oracle"])
+        # Either verdict gives a gamma, and so the closed-form keys.
+        expected = NEGATIVE_TYPE_NON_STRICT if even else STRICT_NEGATIVE_TYPE
+        row["ok"] = report.verdict == expected and row["rel_err"] <= 1e-9
+        ok = ok and row["ok"]
+        rows.append(row)
     return ok, rows
 
 
@@ -623,12 +600,15 @@ def main(argv=None) -> int:
                                separators=(",", ":")) + "\n"
                 )
             else:
+                def num(v, spec):
+                    return "none" if v is None else format(v, spec)
+
                 for row in rows:
                     status = "ok " if row["ok"] else "BAD"
                     sys.stdout.write(
                         f"{status} {row['family']:<8} n={row['n']:<3} "
-                        f"gamma={row['gamma']:.12g} oracle={row['oracle']:.12g} "
-                        f"rel_err={row['rel_err']:.3e}\n"
+                        f"gamma={num(row['gamma'], '.12g')} oracle={num(row['oracle'], '.12g')} "
+                        f"rel_err={num(row['rel_err'], '.3e')}\n"
                     )
                 verdict = "all checks passed" if ok else "MISMATCH"
                 sys.stdout.write(f"oracle suite: {verdict} ({len(rows)} comparisons)\n")

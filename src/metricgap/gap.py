@@ -50,9 +50,10 @@ Past the cutoff, branch_and_bound searches sign prefixes best first.  Each
 queued node carries its prefix, and the prefix's coupling to the free
 coordinates, as its own arrays, made from its parent's when the node is
 queued, so the search reaches any depth.  A node with at most _ENUM_FREE
-free coordinates is solved outright: the sign-table kernel values all its
-completions as one block, in the sign tables the three routes share
-(_one_block), and the tie-break contract picks among them.  Any other
+free coordinates is solved outright: the walk the three routes reduce,
+_valued_blocks, values all its completions, as one block of the shared
+sign tables (_one_block), and the tie-break contract picks among them
+(_best_in_block).  Any other
 node's bound is the shifted-eigenvalue bound of Poljak and Rendl,
 qf + (m+1) lmax(Q + Diag d) - sum d over the m free coordinates, tightened
 by at most _SHIFT_STEPS over-relaxed subgradient steps on the shifts d
@@ -90,7 +91,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +98,14 @@ import numpy as np
 from .errors import InvalidSize, NotStrict, TooLarge
 from .linalg import SymMatrix, dsyevr
 from .metric import NegTypeMatrix, power_matrix
-from .negtype import STRICT_NEGATIVE_TYPE, NegTypeReport, Tolerances, automorphisms, classify
+from .negtype import (
+    STRICT_NEGATIVE_TYPE,
+    NegTypeReport,
+    _permuted,
+    _rounding_guard,
+    automorphisms,
+    classify,
+)
 
 # solve_gap's default cutoff for exact enumeration: 2^(n-1) sign vectors
 # at 1.7-3.2 ns each through the sign-table kernel, for the maximum and for
@@ -266,30 +273,6 @@ def _split_values(arr: np.ndarray, terms: tuple[np.ndarray, np.ndarray], low: np
     np.matmul(coupling, low.T, out=tmp)
     out += tmp
     return out
-
-
-def _rounding_guard(arr: np.ndarray) -> float:
-    """Twice the most by which two evaluations of one sign vector's (B s | s)
-    can differ."""
-    # Both the split value and the canonical value of a sign vector sum the
-    # n^2 terms +-B_ij through products of depth at most n (error at most
-    # gamma_n (2 + gamma_n) sum|B_ij|, gamma_n = n u / (1 - n u), u = eps / 2)
-    # and at most two further additions of magnitude at most sum|B_ij|.  The
-    # two values therefore differ by at most about (2n + 1) eps sum|B_ij|;
-    # g = 4 (n + 3) eps sum|B_ij| doubles that.
-    # branch_and_bound values the completions of a sign prefix s_P of
-    # length d as qf + split(Q), Q = [[0, h^T], [h, B_FF]] of order
-    # k = n - d + 1.  With S_XY the sum of |B_ij| over rows X and columns
-    # Y: qf is within gamma_2d S_PP; each of the 2 (k - 1) entries of h in
-    # Q, a sequential sum of d terms, is within gamma_d of its row's sum
-    # over P, 2 gamma_d S_FP in all; the split of Q adds gamma_k (2 +
-    # gamma_k) and two roundings on S_FF + 2 S_FP (1 + gamma_d), and the
-    # sum with qf one rounding of at most sum|B_ij|.  In units of u that is
-    # at most (2d + 1) S_PP + (d + 2k + 3) 2 S_FP + (2k + 3) S_FF
-    # <= (2n + 4) sum|B_ij| to first order, a rounding depth of n + 2 in
-    # eps against the canonical value's n + 1, so g doubles this
-    # difference too.
-    return 4.0 * (arr.shape[0] + 3) * np.finfo(float).eps * float(np.abs(arr).sum())
 
 
 def _fold(v: float, key: tuple, best_val: float, best_key, second: float):
@@ -534,8 +517,8 @@ _SHIFT_STEPS = 6
 _SHIFT_RELAX = 1.2
 
 # Nodes with at most this many free coordinates are solved outright: the
-# sign-table kernel values all 2^m completions of one as a single block
-# (_one_block of order m + 1, which must stay within _BLOCK), instead of
+# walk of the three routes, _valued_blocks, values all 2^m completions of
+# one, as a single block while 2^m <= _BLOCK, instead of
 # reaching them one queued node at a time; on the odd cycles 29 and 31 a
 # third of all nodes lay in such subtrees.  Of 12-18, tried with one BLAS
 # thread on the odd cycles 29, 31, 41 and 51 and on 3-D clouds with n = 30,
@@ -797,11 +780,8 @@ def _asymmetry(arr: np.ndarray, group: np.ndarray) -> float:
     # terms by at most gamma_(n^2) of the exact sum, so the exact maximum
     # is within (n^2 + 2) u (1.01) <= n^2 eps of the computed one for n >= 2.
     n = arr.shape[0]
-    rows = max(1, (1 << 13) // (n * n))
-    most = max(
-        float(np.abs(arr[block[:, :, None], block[:, None, :]] - arr).sum(axis=(1, 2)).max())
-        for block in np.split(group, range(rows, len(group), rows))
-    )
+    most = max(float(np.abs(images - arr).sum(axis=(1, 2)).max())
+               for images in _permuted(arr, group))
     return most + n * n * _EPS * most
 
 
@@ -888,33 +868,28 @@ def _local_search(arr: np.ndarray, val: float, key: tuple,
             for i in np.flatnonzero(~(gains[start:] < threshold)) + start:
                 t = s.copy()
                 t[i] = -t[i]
-                v = _canonical(arr, t)
                 t_key = tuple(t)
-                if v > val or (v == val and t_key < key):
-                    val, key, second, improved = v, t_key, max(second, val), True
-                    s, start = t, i + 1
+                val, key, second = _fold(_canonical(arr, t), t_key, val, key, second)
+                if key is t_key:
+                    s, start, improved = t, i + 1, True
                     break
-                second = max(second, v)
             else:
                 break
     return val, key, second
 
 
-def _node_buffers(arr: np.ndarray, k: int):
-    """A buffer for the node matrices Q of order k, its block B_FF filled
-    in, and, for an order solved outright, its block: the sign tables of
-    _one_block and two tables of their shape (None for any other order).
+def _node_buffers(arr: np.ndarray, k: int) -> np.ndarray:
+    """A buffer for the node matrices Q of order k, its block B_FF filled in.
 
     Every node of order k has the same free coordinates, so only Q's first
-    row and column and its diagonal change from node to node.
+    row and column and its diagonal change from node to node.  A node
+    solved outright is valued by the walk of the three routes,
+    _valued_blocks(Q).
     """
     depth = arr.shape[0] - k + 1
     q = np.empty((k, k))
     q[1:, 1:] = arr[depth:, depth:]
-    if k > _ENUM_FREE + 1:
-        return q, None
-    high, low = _one_block(k, False)
-    return q, (high, low, np.empty((len(high), len(low))), np.empty((len(high), len(low))))
+    return q
 
 
 def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbResult:
@@ -1102,7 +1077,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
                 # The budget stops the search before the root is expanded:
                 # the root takes the bound at its starting shifts, one solve,
                 # where that is below the trivial one.
-                q = _node_buffers(arr, n)[0]
+                q = _node_buffers(arr, n)
                 shifts = -_load_node(q, h, diag[1:])
                 np.fill_diagonal(q, 0.0)
                 f = n * _top_eig(q, vectors=False) - float(np.add.reduce(shifts))
@@ -1117,19 +1092,17 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
             break
         pops += 1
         k = n - depth + 1
-        buffer = buffers.get(k)
-        if buffer is None:
-            buffer = buffers[k] = _node_buffers(arr, k)
-        q, leaf = buffer
+        q = buffers.get(k)
+        if q is None:
+            q = buffers[k] = _node_buffers(arr, k)
         q_diag = _load_node(q, h, diag[depth:])
         qf = float(prefix @ arr[:depth, :depth] @ prefix)
-        if leaf is not None:
+        if k <= _ENUM_FREE + 1:
             enumerated += 1
-            high, low, vals, tmp = leaf
-            _split_values(q, _prefix_terms(q, high), low, vals, tmp)
-            vals += qf
-            best_val, best_key, second = _best_in_block(arr, vals, high, low, prefix, g,
-                                                        best_val, best_key, second)
+            for high, low, vals in _valued_blocks(q):
+                vals += qf
+                best_val, best_key, second = _best_in_block(arr, vals, high, low, prefix, g,
+                                                            best_val, best_key, second)
             continue
         if parent_shifts is None:
             shifts = -q_diag
@@ -1169,10 +1142,9 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
             # top eigenvector: the nodes below it on the path to that sign
             # vector take no solve while it is another maximizer.
             tie = (key, v) if stopped else None
-            if v > best_val or (v == best_val and key < best_key):
-                best_val, best_key, second = _local_search(arr, v, key, max(second, best_val))
-            elif v > second and key != best_key:
-                second = v
+            best_val, best_key, second = _fold(v, key, best_val, best_key, second)
+            if best_key is key:
+                best_val, best_key, second = _local_search(arr, v, key, second)
             if qf + f < top_bound:
                 top_bound = qf + f
                 err = _bound_error(k, depth, prefix_abs[depth], a_norm,
@@ -1337,7 +1309,6 @@ class GapResult:
     beta_by_opnorm: float | None
     beta_by_binary: float | None
     method: str
-    wall_time: float
     bnb: BnbResult | None = None
 
     @property
@@ -1350,7 +1321,6 @@ def solve_gap(
     x,
     p: float = 1.0,
     *,
-    tols: Tolerances | None = None,
     cross_check: bool = True,
     max_enum_n: int = MAX_ENUM_N,
     use_bnb: bool = False,
@@ -1361,8 +1331,7 @@ def solve_gap(
     gap constant.  Strict verdict required; classify first if unsure.
 
     ``x`` may also be the NegTypeReport of an earlier ``classify``, which
-    is then used as is; its tolerances were fixed when it was made, so
-    passing ``tols`` alongside it is an error.
+    is then used as is.
 
     n alone fixes the one exact route, which yields beta and a maximizer:
     the sign-vector enumeration beta_hypercube up to the cutoff
@@ -1374,13 +1343,10 @@ def solve_gap(
     the all-ones vector, beta_binary.  branch_and_bound is handed the
     automorphism group of the report's A and u.
     """
-    t0 = time.perf_counter()
     if isinstance(x, NegTypeReport):
-        if tols is not None:
-            raise ValueError("tolerances are fixed by the NegTypeReport; do not pass tols")
         report = x
     else:
-        report = classify(x if isinstance(x, NegTypeMatrix) else power_matrix(x, p), tols=tols)
+        report = classify(x if isinstance(x, NegTypeMatrix) else power_matrix(x, p))
     if report.verdict != STRICT_NEGATIVE_TYPE:
         raise NotStrict(f"verdict is {report.verdict}; the gap constant requires strictness")
     b = report.B
@@ -1420,6 +1386,5 @@ def solve_gap(
         beta_by_opnorm=beta_op,
         beta_by_binary=beta_bin,
         method=method,
-        wall_time=time.perf_counter() - t0,
         bnb=bnb,
     )

@@ -125,7 +125,8 @@ def project_to_F(a: SymMatrix, u) -> SymMatrix:
     y = 2 w - 2 (v | w) v; S + S^T, and so the result, is exactly
     symmetric.  The exact factor 2 is applied to S + S^T rather than to y,
     and H A H's leading entry is not formed, so that neither overflows
-    where the result does not (distances near 1e308).
+    where the result does not (distances near 1e308).  Where the result
+    does overflow (six points at distance 1e308), raises InvalidSize.
     """
     u = np.asarray(u, dtype=float)
     n = a.n
@@ -141,11 +142,16 @@ def project_to_F(a: SymMatrix, u) -> SymMatrix:
     sign = 1.0 if unit[0] >= 0.0 else -1.0
     v[0] += sign
     v /= np.linalg.norm(v)
-    w = a.a @ v
-    s = np.outer(v[1:], w[1:] - float(v @ w) * v[1:])
-    s += s.T
-    s *= 2.0
-    return SymMatrix(a.a[1:, 1:] - s)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = a.a @ v
+        s = np.outer(v[1:], w[1:] - float(v @ w) * v[1:])
+        s += s.T
+        s *= 2.0
+        s = a.a[1:, 1:] - s
+    if not np.isfinite(s).all():
+        raise InvalidSize(f"A reaches {a.max_abs:.3e}: its compression to F overflows "
+                          "the largest float")
+    return SymMatrix(s)
 
 
 def oscillation(x, u) -> float:
@@ -179,6 +185,30 @@ def _check_kernel(label: str, m: SymMatrix, v: np.ndarray) -> float:
     if margin > 1.0:
         raise ArithmeticError(f"kernel residual too large: |{label}| = {res:.3e}")
     return margin
+
+
+def _rounding_guard(arr: np.ndarray) -> float:
+    """Twice the most by which two evaluations of one sign vector's (B s | s)
+    can differ."""
+    # Both the split value and the canonical value of a sign vector sum the
+    # n^2 terms +-B_ij through products of depth at most n (error at most
+    # gamma_n (2 + gamma_n) sum|B_ij|, gamma_n = n u / (1 - n u), u = eps / 2)
+    # and at most two further additions of magnitude at most sum|B_ij|.  The
+    # two values therefore differ by at most about (2n + 1) eps sum|B_ij|;
+    # g = 4 (n + 3) eps sum|B_ij| doubles that.
+    # branch_and_bound values the completions of a sign prefix s_P of
+    # length d as qf + split(Q), Q = [[0, h^T], [h, B_FF]] of order
+    # k = n - d + 1.  With S_XY the sum of |B_ij| over rows X and columns
+    # Y: qf is within gamma_2d S_PP; each of the 2 (k - 1) entries of h in
+    # Q, a sequential sum of d terms, is within gamma_d of its row's sum
+    # over P, 2 gamma_d S_FP in all; the split of Q adds gamma_k (2 +
+    # gamma_k) and two roundings on S_FF + 2 S_FP (1 + gamma_d), and the
+    # sum with qf one rounding of at most sum|B_ij|.  In units of u that is
+    # at most (2d + 1) S_PP + (d + 2k + 3) 2 S_FP + (2k + 3) S_FF
+    # <= (2n + 4) sum|B_ij| to first order, a rounding depth of n + 2 in
+    # eps against the canonical value's n + 1, so g doubles this
+    # difference too.
+    return 4.0 * (arr.shape[0] + 3) * _EPS * float(np.abs(arr).sum())
 
 
 def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -> NegTypeReport:
@@ -225,16 +255,15 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -
     # At the other end, S = sum|B_ij| bounds every split value, norm
     # ||B s||_1, canonical value and four times 0/1 value the enumeration
     # routes form, and each partial sum of their terms.  Each is computed
-    # within g / 2 of its exact value, g = 4 (n + 3) eps S (see
-    # gap._rounding_guard), so none overflows unless S + g does.
+    # within g / 2 of its exact value, g = _rounding_guard(B), so none
+    # overflows unless S + g does.
     # beta_opnorm's mu n, up to n S, may overflow; that only lowers its
     # threshold.  Where S overflows, the values can too: on the 20-point
     # path of weights 1e-307, whose maximum is S, every block value did and
     # the enumeration kept none; at 2e-307 it kept a finite value below the
     # maximum.  branch_and_bound needs more headroom and checks its own.
     with np.errstate(over="ignore"):
-        reach = float(np.abs(b.a).sum())
-        reach += 4.0 * (n + 3) * _EPS * reach
+        reach = float(np.abs(b.a).sum()) + _rounding_guard(b.a)
     if not reach < np.finfo(float).max:
         raise InvalidSize(f"B reaches {b.max_abs:.3e}: the gap routes' sums over it "
                           "overflow the largest float")
@@ -283,6 +312,15 @@ def _labels(keys: np.ndarray) -> np.ndarray:
     labels = np.empty_like(new)
     labels[order] = np.cumsum(new) - 1
     return labels
+
+
+def _permuted(arr: np.ndarray, sigmas: np.ndarray):
+    """Yield arr[sigma][:, sigma] for the rows sigma of ``sigmas``, in order,
+    stacked in arrays of about 2^13 entries each."""
+    n = arr.shape[0]
+    rows = max(1, (1 << 13) // (n * n))
+    for block in np.split(sigmas, range(rows, len(sigmas), rows)):
+        yield arr[block[:, :, None], block[:, None, :]]
 
 
 def automorphisms(a, u) -> np.ndarray:
@@ -354,14 +392,10 @@ def automorphisms(a, u) -> np.ndarray:
         maps = np.searchsorted(distinct, steps)
     if len(maps) > _GROUP_CAP:
         return trivial
-    # Row r of sigmas maps point i to the point whose key is key[i]; the
-    # check that it fixes A runs on blocks of about 2^13 entries.
+    # Row r of sigmas maps point i to the point whose key is key[i].
     sigmas = np.argsort(maps, axis=1)[:, key]
-    rows = max(1, (1 << 13) // (n * n))
-    fixed = np.concatenate([
-        (arr[block[:, :, None], block[:, None, :]] == arr).all(axis=(1, 2))
-        for block in np.split(sigmas, range(rows, len(sigmas), rows))
-    ]) & (u[sigmas] == u).all(axis=1)
+    fixed = np.concatenate([(images == arr).all(axis=(1, 2))
+                            for images in _permuted(arr, sigmas)]) & (u[sigmas] == u).all(axis=1)
     sigmas = sigmas[fixed]
     if len(sigmas) < 2:
         return trivial

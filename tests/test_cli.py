@@ -19,7 +19,7 @@ from metricgap.cli import (
     parse_input,
     realize,
 )
-from metricgap import gap
+from metricgap import gap, negtype
 from metricgap.closed_forms import gamma_cycle, gamma_tree
 from metricgap.errors import ParseError, SchemaError
 
@@ -177,6 +177,14 @@ class TestReports:
 def reject_constant(name):
     """parse_constant for json.loads: RFC 8259 has no NaN or Infinity."""
     raise ValueError(f"{name} is not JSON")
+
+
+def scaled_cloud(n, top):
+    """Distances of n standard normal points in 3-D (seed 0), scaled so that
+    the largest is ``top``."""
+    p = np.random.default_rng(0).standard_normal((n, 3))
+    d = np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1))
+    return d * (top / d.max())
 
 
 def run_main(capsys, argv, stdin_text=None, monkeypatch=None):
@@ -618,6 +626,23 @@ class TestMainExitCodes:
         assert "smallest normal" in err
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flags", [[], ["--bnb", "--max-n", "2"]])
+    @pytest.mark.parametrize("text", [
+        json.dumps({"distances": (1e308 * (1.0 - np.eye(6))).tolist()}),
+        json.dumps({"distances": (1.5e308 * (1.0 - np.eye(3))).tolist()}),
+        json.dumps({"distances": (1.79e308 * (1.0 - np.eye(3))).tolist()}),
+        json.dumps({"distances": scaled_cloud(6, 1.7e308).tolist()}),
+        '{"random_tree": {"n": 5, "weight_range": [1e300, 1e308]}}',
+    ], ids=["six-1e308", "triangle-1.5e308", "triangle-1.79e308", "cloud-1.7e308", "tree-1e308"])
+    def test_projection_past_the_float_range_is_3(self, capsys, monkeypatch, text, flags):
+        # A's compression to the hyperplane F overflows.  SymMatrix refused
+        # the result with a ValueError, which escaped main (exit 1).
+        code, out, err = run_main(capsys, ["gap", "-", *flags], text, monkeypatch)
+        assert code == 3
+        assert out == ""
+        assert "compression to F" in err
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flags", [[], ["--bnb", "--max-n", "10"]])
     def test_B_past_the_float_range_is_3(self, capsys, monkeypatch, flags):
         # B is about 1e307 and sum |B_ij| overflows: every block value
@@ -727,6 +752,42 @@ class TestMainOracleBench:
         code, out, _ = run_main(capsys, ["oracle", "--trees", "1", "--report", "machine"])
         families = {row["family"] for row in json.loads(out)["rows"]}
         assert families == {"discrete", "cycle", "tree"}
+
+    @pytest.mark.parametrize("verdict", [negtype.NEGATIVE_TYPE_NON_STRICT,
+                                         negtype.NOT_NEGATIVE_TYPE])
+    def test_oracle_wrong_verdict_is_a_mismatch(self, capsys, monkeypatch, verdict):
+        # The 5-cycle, the one instance with n = 5 and largest distance 2,
+        # read with a wrong verdict.  solve_gap raised NotStrict out of main
+        # (exit 1) for both.  A NotNegativeType report has no gamma and no
+        # closed form to compare.
+        analyze = negtype._analyze
+
+        def misread(a, u, from_metric, tols):
+            report = analyze(a, u, from_metric, tols)
+            if a.n == 5 and a.max_abs == 2.0:
+                return negtype.NegTypeReport(verdict, report.projected_spectrum,
+                                             report.margins, a, u)
+            return report
+
+        monkeypatch.setattr(negtype, "_analyze", misread)
+        code, out, err = run_main(capsys, ["oracle", "--trees", "0", "--report", "machine"])
+        assert code == 6
+        assert "oracle mismatch" in err
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert payload["ok"] is False
+        bad, = [row for row in payload["rows"] if not row["ok"]]
+        assert (bad["family"], bad["n"]) == ("cycle", 5)
+        if verdict == negtype.NOT_NEGATIVE_TYPE:
+            assert bad["gamma"] is bad["oracle"] is bad["rel_err"] is None
+        else:
+            assert bad["gamma"] == 0.0 and bad["rel_err"] == 1.0
+        code, out, err = run_main(capsys, ["oracle", "--trees", "0"])
+        assert code == 6
+        assert "oracle mismatch" in err
+        bad_line, = [line for line in out.splitlines() if line.startswith("BAD")]
+        assert bad_line.startswith("BAD cycle    n=5 ")
+        assert ("gamma=none" in bad_line) == (verdict == negtype.NOT_NEGATIVE_TYPE)
+        assert out.endswith("oracle suite: MISMATCH (24 comparisons)\n")
 
 
 # Documents for the fuzz test below.  Half are drawn from valid values only,

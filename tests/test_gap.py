@@ -150,9 +150,18 @@ class TestBetaHypercube:
         (high, low), = list(gap._sign_blocks(n))
         assert high is gap._one_block(n, False)[0] and low is gap._one_block(n, False)[1]
         assert not high.flags.writeable and not low.flags.writeable
+        # With _ENUM_FREE = n - 1, every node solved outright has order n.
         monkeypatch.setattr(gap, "_ENUM_FREE", n - 1)
-        _, (leaf_high, leaf_low, _, _) = gap._node_buffers(np.zeros((n, n)), n)
-        assert leaf_high is high and leaf_low is low
+        leaves = []
+        best_in_block = gap._best_in_block
+
+        def capture(arr, vals, leaf_high, leaf_low, *rest):
+            leaves.append((leaf_high, leaf_low))
+            return best_in_block(arr, vals, leaf_high, leaf_low, *rest)
+
+        monkeypatch.setattr(gap, "_best_in_block", capture)
+        assert branch_and_bound(discrete_B(n + 2)).nodes_enumerated > 0
+        assert leaves and all(h is high and l is low for h, l in leaves)
         signs = {tuple(row) + tuple(suffix) for row in high for suffix in low}
         assert len(signs) == 1 << (n - 1) and all(s[0] == 1.0 for s in signs)
 
@@ -1175,8 +1184,6 @@ class TestSolveGap:
         assert np.array_equal(via_report.witness_y0, direct.witness_y0)
         with pytest.raises(NotStrict):
             solve_gap(classify(power_matrix(path_metric(gen_cycle(6)), 1.0)))
-        with pytest.raises(ValueError):
-            solve_gap(classify(ntm), tols=Tolerances())
 
     def test_p_parameter(self):
         # At p = 0 every space looks discrete.

@@ -72,6 +72,14 @@ class TestProjectToF:
         with pytest.raises(ZeroFunctional):
             project_to_F(SymMatrix(np.eye(2)), np.zeros(2))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("side, n", [(1e308, 6), (1.5e308, 3), (1.79e308, 3)])
+    def test_overflow_raises_invalid_size(self, side, n):
+        # The rank-two update passes the largest float.  SymMatrix refused
+        # the result with a ValueError, after numpy warned of the overflow.
+        with pytest.raises(InvalidSize, match="compression to F"):
+            project_to_F(SymMatrix(side * (1.0 - np.eye(n))), np.ones(n))
+
     @pytest.mark.parametrize("first", [-1.3, 0.0, 0.7])
     def test_rank_two_update_matches_dense_reflector(self, first):
         # The reference forms q^T A q with the dense reflector, as the
