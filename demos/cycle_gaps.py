@@ -15,7 +15,7 @@ def main() -> int:
         oracle = mg.gamma_cycle(n)
         verdict = mg.classify(mg.power_matrix(space, 1.0)).verdict
         if verdict == mg.STRICT_NEGATIVE_TYPE:
-            got = mg.solve_gap(space, compute_witness=False).gamma
+            got = mg.solve_gap(space).gamma
             diff = abs(got - oracle.gamma) / oracle.gamma
             print(f"{n:>3} {verdict:24s} {got:>18.12f} {oracle.gamma:>16.12f} {diff:>10.1e}")
         else:

@@ -18,7 +18,7 @@ def main() -> int:
         n = int(rng.integers(5, 13))
         tree = mg.gen_random_tree(n, weight_range=(0.1, 10.0), seed=60 + i)
         space = mg.path_metric(tree)
-        res = mg.solve_gap(space, compute_witness=False)
+        res = mg.solve_gap(space)
         oracle = mg.gamma_tree(tree)
         b_gap = np.max(np.abs(mg.build_B(mg.power_matrix(space, 1.0)).B.a
                               - mg.B_tree(tree).a))

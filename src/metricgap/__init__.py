@@ -63,7 +63,6 @@ from .negtype import (
     NOT_NEGATIVE_TYPE,
     STRICT_NEGATIVE_TYPE,
     NegTypeReport,
-    Tolerances,
     build_B,
     classify,
     oscillation,
@@ -87,7 +86,6 @@ __all__ = [
     "OracleResult",
     "STRICT_NEGATIVE_TYPE",
     "SymMatrix",
-    "Tolerances",
     "WeightedGraph",
     "beta_binary",
     "beta_hypercube",

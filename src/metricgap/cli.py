@@ -65,7 +65,6 @@ from .negtype import (
     NEGATIVE_TYPE_NON_STRICT,
     NOT_NEGATIVE_TYPE,
     STRICT_NEGATIVE_TYPE,
-    Tolerances,
     classify,
 )
 
@@ -410,13 +409,7 @@ def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
         raise SchemaError(f"--max-n must be nonnegative, got {args.max_n}")
     space, family = realize(doc)
     p = doc.p if args.p is None else _require_exponent(args.p, "--p")
-    tols = None
-    if args.tol is not None:
-        tol = _require_number(args.tol, "--tol")
-        if tol <= 0:
-            raise SchemaError(f"--tol must be a positive number, got {args.tol!r}")
-        tols = Tolerances(eig=tol)
-    analysis = classify(power_matrix(space, p), tols=tols)
+    analysis = classify(power_matrix(space, p))
     result = None
     if analysis.verdict == STRICT_NEGATIVE_TYPE:
         result = solve_gap(
@@ -425,7 +418,6 @@ def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
             max_enum_n=args.max_n,
             use_bnb=args.bnb,
             bnb_budget=args.bnb_budget,
-            compute_witness=args.witness,
         )
 
     report = Report(
@@ -453,7 +445,7 @@ def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
                 bnb_group_order=bnb.group_order, bnb_symmetric=bnb.nodes_symmetric,
                 bnb_gap=max(0.0, bnb.best_bound - bnb.beta), bnb_delta=bnb.delta)
         report.s_star = _plain(result.s_star)
-        if result.witness_y0 is not None:
+        if args.witness:
             report.witness = _plain(result.witness_y0)
         for route, value in (("opnorm", result.beta_by_opnorm), ("binary", result.beta_by_binary)):
             if value is not None:
@@ -558,10 +550,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     gap.add_argument("--max-n", type=int, default=MAX_ENUM_N,
                      help=f"enumeration cutoff; none enumerates past n = {ENUM_CEILING}")
-    gap.add_argument("--tol", type=float, default=None,
-                     help="override the relative tolerance of the zero test on the top "
-                          "projected eigenvalue (a positive number; default "
-                          f"{Tolerances().eig:g})")
     gap.add_argument("--report", choices=("text", "machine"), default="text")
     gap.add_argument("--witness", action="store_true", help="include the extremal witness")
     gap.add_argument("--bnb", action="store_true",

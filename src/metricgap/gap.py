@@ -558,9 +558,11 @@ def _top_eig(a: np.ndarray, vectors: bool = True):
     One LAPACK dsyevr call for the k-th of k eigenvalues: Householder
     tridiagonalization, bisection for that eigenvalue and inverse iteration
     for its vector.  When the top of the spectrum is tightly clustered the
-    bisection can find no eigenvalue (the 24-point discrete space's root
-    node, with a 24-fold top eigenvalue, is one case); a finite matrix then
-    gets its top pair from one dsyevr call for the whole spectrum.  Raises
+    bisection can find no eigenvalue (with scipy 1.17.1's LAPACK,
+    branch_and_bound on the 24-point discrete space at a budget of 20
+    nodes meets this at two nodes of order 20, though not at the root,
+    whose top eigenvalue is 24-fold); a finite matrix then gets its top
+    pair from one dsyevr call for the whole spectrum.  Raises
     LinAlgError unless that leaves exactly one finite eigenvalue.  On a NaN
     entry dsyevr reports success, but finds no eigenvalue by index and
     leaves 0 in its place, an unsound bound, while for the whole spectrum
@@ -1296,16 +1298,17 @@ class GapResult:
     """Gap constant and everything produced on the way to it.
 
     ``gamma`` is always derived from ``beta`` as 2.0 / beta, so the two are
-    consistent to the last bit.  Cross-check fields are None when the
-    corresponding route was not run.  ``method`` names the exact route,
-    "gray_scan" or "branch_and_bound"; ``bnb`` is the latter's BnbResult,
-    as branch_and_bound returned it, and None for the former.
+    consistent to the last bit.  ``witness_y0`` is make_witness's B x for
+    ``s_star``.  Cross-check fields are None when the corresponding route
+    was not run.  ``method`` names the exact route, "gray_scan" or
+    "branch_and_bound"; ``bnb`` is the latter's BnbResult, as
+    branch_and_bound returned it, and None for the former.
     """
 
     gamma: float
     beta: float
     s_star: np.ndarray
-    witness_y0: np.ndarray | None
+    witness_y0: np.ndarray
     beta_by_opnorm: float | None
     beta_by_binary: float | None
     method: str
@@ -1325,7 +1328,6 @@ def solve_gap(
     max_enum_n: int = MAX_ENUM_N,
     use_bnb: bool = False,
     bnb_budget: int = 2_000_000,
-    compute_witness: bool = True,
 ) -> GapResult:
     """Full pipeline from a metric space (or prepared power matrix) to the
     gap constant.  Strict verdict required; classify first if unsure.
@@ -1341,7 +1343,8 @@ def solve_gap(
     nothing, and ``cross_check`` adds the value-only routes beta_opnorm
     and, when the report's functional u is constant, so that B annihilates
     the all-ones vector, beta_binary.  branch_and_bound is handed the
-    automorphism group of the report's A and u.
+    automorphism group of the report's A and u.  The witness is always
+    built: one matrix-vector product, small beside the classification.
     """
     if isinstance(x, NegTypeReport):
         report = x
@@ -1375,14 +1378,11 @@ def solve_gap(
             if np.all(report.u == report.u[0]):
                 beta_bin = beta_binary(b)
 
-    gamma = 2.0 / beta
-    y0 = make_witness(report, s_star) if compute_witness else None
-
     return GapResult(
-        gamma=gamma,
+        gamma=2.0 / beta,
         beta=beta,
         s_star=s_star,
-        witness_y0=y0,
+        witness_y0=make_witness(report, s_star),
         beta_by_opnorm=beta_op,
         beta_by_binary=beta_bin,
         method=method,

@@ -50,8 +50,10 @@ NEGATIVE_TYPE_NON_STRICT = "NegativeTypeNonStrict"
 STRICT_NEGATIVE_TYPE = "StrictNegativeType"
 
 _EPS = float(np.finfo(float).eps)
-# The smallest positive float, below which no tolerance may underflow.
+# The smallest positive float, below which no threshold may underflow.
 _TINIEST = 5e-324
+# The top projected eigenvalue counts as zero when its magnitude is at most EIG_TOL * max|A|.
+EIG_TOL = 1e-9
 
 
 def _margin(quantity: float, threshold: float) -> float:
@@ -60,18 +62,6 @@ def _margin(quantity: float, threshold: float) -> float:
     overflows it, and a report must stay JSON."""
     ratio = quantity / max(threshold, _TINIEST)
     return min(max(ratio, -sys.float_info.max), sys.float_info.max)
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """The relative tolerance of the one zero test in classification.
-
-    ``eig`` is scaled by max|A|: the top eigenvalue of A compressed to F
-    counts as zero when its magnitude is at most eig * max|A|.  It must be
-    positive.
-    """
-
-    eig: float = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +77,10 @@ class NegTypeReport:
     only B.
 
     ``margins`` holds each test made, as its quantity over its threshold:
-    ``eig`` (the top projected eigenvalue; above 1 is NotNegativeType,
-    below -1 StrictNegativeType, and in between NegativeTypeNonStrict),
+    ``eig`` (the top projected eigenvalue over EIG_TOL * max|A|; above 1 is
+    NotNegativeType, below -1 StrictNegativeType, and in between
+    NegativeTypeNonStrict, so it also tells what any other tolerance would
+    decide),
     ``eig_full`` (the same for the whole of a bare matrix; at most 1 is
     refused) and, for a strict verdict, ``B_u`` (max|B u|; above 1 is
     refused as broken numerics).  A quotient past the largest float
@@ -211,13 +203,13 @@ def _rounding_guard(arr: np.ndarray) -> float:
     return 4.0 * (arr.shape[0] + 3) * _EPS * float(np.abs(arr).sum())
 
 
-def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool, tols: Tolerances) -> NegTypeReport:
+def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool) -> NegTypeReport:
     n = a.n
     if n < 2:
         raise PositiveDirectionMissing(
             "a single point admits no direction of positive quadratic form"
         )
-    eig_tol = tols.eig * max(a.max_abs, 1e-300)
+    eig_tol = EIG_TOL * max(a.max_abs, 1e-300)
     spectrum = eigenvalues_sym(project_to_F(a, u))
     margins = {"eig": _margin(float(spectrum[-1]), eig_tol)}
     if not from_metric:
@@ -281,7 +273,7 @@ def _dispatch(x, u) -> tuple[SymMatrix, np.ndarray, bool]:
     return a, u, False
 
 
-def classify(x, u=None, tols: Tolerances | None = None) -> NegTypeReport:
+def classify(x, u=None) -> NegTypeReport:
     """Classify the quadratic form of x on the hyperplane orthogonal to u.
 
     x may be a NegTypeMatrix (which carries its own functional) or a bare
@@ -289,7 +281,7 @@ def classify(x, u=None, tols: Tolerances | None = None) -> NegTypeReport:
     existence of a positive direction is verified rather than assumed.
     """
     a, u, from_metric = _dispatch(x, u)
-    return _analyze(a, u, from_metric, tols or Tolerances())
+    return _analyze(a, u, from_metric)
 
 
 # Most elements automorphisms lists; a larger group, such as the n! of the
@@ -402,10 +394,10 @@ def automorphisms(a, u) -> np.ndarray:
     return sigmas[np.lexsort(sigmas.T[::-1])]
 
 
-def build_B(x, u=None, tols: Tolerances | None = None) -> NegTypeReport:
+def build_B(x, u=None) -> NegTypeReport:
     """Classify x and insist on the strict verdict, under which the report
     carries B, C, M, z and u; raises NotStrict otherwise."""
-    report = classify(x, u, tols)
+    report = classify(x, u)
     if report.verdict != STRICT_NEGATIVE_TYPE:
         raise NotStrict(f"verdict is {report.verdict}; B is defined only in the strict case")
     return report

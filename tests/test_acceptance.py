@@ -229,10 +229,10 @@ def test_criterion_11_scale_covariance():
         for i in range(5):
             bases.append(random_point_metric(5 + i, seed=1150 + i))
         for base in bases:
-            res = mg.solve_gap(base, compute_witness=False)
+            res = mg.solve_gap(base)
             for c in (0.5, 3.0):
                 scaled = mg.validate_metric(c * base.d.a)
-                res_c = mg.solve_gap(scaled, compute_witness=False)
+                res_c = mg.solve_gap(scaled)
                 assert rel(res_c.gamma, c * res.gamma) <= 1e-9
                 assert np.array_equal(res_c.s_star, res.s_star)
 

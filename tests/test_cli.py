@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from metricgap.cli import (
     MAX_POINTS,
-    InputDocument,
     Report,
     emit_report,
     main,
@@ -20,7 +19,7 @@ from metricgap.cli import (
     realize,
 )
 from metricgap import gap, negtype
-from metricgap.closed_forms import gamma_cycle, gamma_tree
+from metricgap.closed_forms import gamma_cycle
 from metricgap.errors import ParseError, SchemaError
 
 
@@ -236,18 +235,6 @@ class TestMainGap:
         # Each number of a list at 6 significant digits, as everywhere else.
         assert "projected_spectrum: [-2.61803, -2.61803, -0.381966, -0.381966]" in lines
 
-    def test_tol_scales_the_margins(self, capsys, monkeypatch):
-        margins = []
-        for flags in ([], ["--tol", "1e-6"]):
-            code, out, _ = run_main(
-                capsys, ["gap", "-", "--report", "machine", *flags], '{"cycle": 7}', monkeypatch
-            )
-            assert code == 0
-            payload = json.loads(out)
-            assert payload["verdict"] == "StrictNegativeType"
-            margins.append(payload["diagnostics"]["margins"])
-        assert margins[1]["eig"] == pytest.approx(1e-3 * margins[0]["eig"], rel=1e-12)
-
     def test_witness_flag(self, capsys, monkeypatch):
         code, out, _ = run_main(
             capsys, ["gap", "-", "--report", "machine", "--witness"],
@@ -389,7 +376,8 @@ class TestMainGap:
     @pytest.mark.parametrize(
         "argv",
         [["bench"], ["gap", "-", "--method", "opnorm"], ["gap", "-", "--method", "binary"],
-         ["gap", "-", "--format", "json"], ["gap", "-", "--format", "csv"]],
+         ["gap", "-", "--format", "json"], ["gap", "-", "--format", "csv"],
+         ["gap", "-", "--tol", "1e-6"]],
     )
     def test_retired_options_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
@@ -507,16 +495,6 @@ class TestMainExitCodes:
             pytest.param('{"cycle":5}', 2, ["--p", "nan"], id="p-flag-nan"),
             pytest.param('{"cycle":5}', 2, ["--p", "inf"], id="p-flag-inf"),
             pytest.param('{"cycle":5}', 2, ["--p", "-1"], id="p-flag-negative"),
-            pytest.param('{"cycle":5}', 2, ["--tol", "nan"], id="tol-flag-nan"),
-            pytest.param('{"cycle":5}', 2, ["--tol", "inf"], id="tol-flag-inf"),
-            pytest.param('{"cycle":5}', 2, ["--tol", "-1"], id="tol-flag-negative"),
-            pytest.param('{"cycle":5}', 2, ["--tol", "0"], id="tol-flag-zero"),
-            # A tolerance that underflows to zero once scaled by max|A^-1|;
-            # its margins saturate, so the machine report stays JSON.
-            pytest.param('{"distances":[[0,1e5],[1e5,0]]}', 0,
-                         ["--tol", "1e-320", "--report", "machine"], id="tol-flag-underflows"),
-            pytest.param('{"cycle":5}', 0, ["--tol", "1e-320", "--report", "machine"],
-                         id="tol-flag-underflows-cycle"),
             # Sizes past MAX_POINTS, rejected before anything of that size is built.
             ('{"cycle":%d}' % 10**20, 2, []),
             ('{"path":%d}' % 10**20, 2, []),
@@ -762,8 +740,8 @@ class TestMainOracleBench:
         # closed form to compare.
         analyze = negtype._analyze
 
-        def misread(a, u, from_metric, tols):
-            report = analyze(a, u, from_metric, tols)
+        def misread(a, u, from_metric):
+            report = analyze(a, u, from_metric)
             if a.n == 5 and a.max_abs == 2.0:
                 return negtype.NegTypeReport(verdict, report.projected_spectrum,
                                              report.margins, a, u)

@@ -179,16 +179,16 @@ class TestAgainstPipeline:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_discrete(self, n):
-        res = solve_gap(gen_discrete(n), cross_check=False, compute_witness=False)
+        res = solve_gap(gen_discrete(n), cross_check=False)
         assert res.gamma == pytest.approx(gamma_discrete(n).gamma, rel=1e-10)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
     def test_cycles(self, n):
-        res = solve_gap(path_metric(gen_cycle(n)), cross_check=False, compute_witness=False)
+        res = solve_gap(path_metric(gen_cycle(n)), cross_check=False)
         assert res.gamma == pytest.approx(gamma_cycle(n).gamma, rel=1e-10)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_trees(self, seed):
         tree = gen_random_tree(7, seed=300 + seed)
-        res = solve_gap(path_metric(tree), cross_check=False, compute_witness=False)
+        res = solve_gap(path_metric(tree), cross_check=False)
         assert res.gamma == pytest.approx(gamma_tree(tree).gamma, rel=1e-9)

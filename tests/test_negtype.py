@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 
 import numpy as np
@@ -26,6 +27,7 @@ from metricgap.negtype import (
     NEGATIVE_TYPE_NON_STRICT,
     NOT_NEGATIVE_TYPE,
     STRICT_NEGATIVE_TYPE,
+    _margin,
     automorphisms,
     build_B,
     classify,
@@ -127,6 +129,27 @@ class TestOscillation:
     def test_zero_functional(self):
         with pytest.raises(ZeroFunctional):
             oscillation([1.0], [0.0])
+
+
+class TestMargin:
+    # Every margin of a report is a finite float, so a machine report stays
+    # JSON whatever the threshold.
+    @pytest.mark.parametrize("threshold", [0.0, 1e-320, 5e-324])
+    def test_zero_or_subnormal_threshold(self, threshold):
+        # The threshold is raised to the smallest positive float, never
+        # divided by as zero.
+        assert _margin(-2.5e-320, threshold) == -2.5e-320 / max(threshold, 5e-324)
+        assert _margin(0.0, threshold) == 0.0
+
+    @pytest.mark.parametrize("quantity, threshold", [(1.0, 1e-310), (1e300, 1e-10), (1.0, 0.0)])
+    def test_quotient_past_the_largest_float_saturates(self, quantity, threshold):
+        assert _margin(quantity, threshold) == sys.float_info.max
+        assert _margin(-quantity, threshold) == -sys.float_info.max
+
+    @pytest.mark.parametrize("quantity, threshold", [(-3.0, 1.5), (2.5e-10, 1e-9),
+                                                      (1e300, 1e10), (-7e-300, 1e-300)])
+    def test_ordinary_quotient_unchanged(self, quantity, threshold):
+        assert _margin(quantity, threshold) == quantity / threshold
 
 
 class TestClassify:
