@@ -3,9 +3,10 @@ spaces.
 
 The public surface is re-exported here; the modules group as
 
-  linalg        symmetric matrices, pivoted LDL^T, spectra
+  linalg        symmetric matrices and the LAPACK wrappers
   metric        metric validation, graphs, generators, power matrices
-  negtype       classification and the corrected matrices B and C
+  negtype       classification, the LDL^T of A (three LAPACK calls) and
+                the corrected matrices B and C
   gap           exact sign-vector maximization, witnesses, branch-and-bound
   closed_forms  oracles for discrete spaces, cycles, and trees
   cli           command-line front end
@@ -36,14 +37,7 @@ from .gap import (
     solve_gap,
     verify_gap_inequality,
 )
-from .linalg import (
-    Factorization,
-    SymMatrix,
-    eigenvalues_sym,
-    factor,
-    invert,
-    solve,
-)
+from .linalg import SymMatrix
 from .metric import (
     MetricSpace,
     NegTypeMatrix,
@@ -74,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "B_tree",
     "BnbResult",
-    "Factorization",
     "GapInequalityReport",
     "GapResult",
     "MAX_ENUM_N",
@@ -94,9 +87,7 @@ __all__ = [
     "build_B",
     "classify",
     "cycle_binary_maximizer",
-    "eigenvalues_sym",
     "errors",
-    "factor",
     "gamma_cycle",
     "gamma_discrete",
     "gamma_tree",
@@ -107,14 +98,12 @@ __all__ = [
     "gen_tree",
     "inverse_cycle",
     "inverse_tree",
-    "invert",
     "is_tree",
     "make_witness",
     "oscillation",
     "path_metric",
     "power_matrix",
     "project_to_F",
-    "solve",
     "solve_gap",
     "tree_two_coloring",
     "validate_metric",

@@ -84,8 +84,8 @@ _GENERATOR_KEYS = ("discrete", "cycle", "path", "tree", "random_tree")
 
 # Largest number of points a document may name, checked before anything of
 # that size is built.  Classification holds several dense n x n float
-# copies of the space (distances, A, its LDL^T factor, B and C), 32 MiB
-# each at this size.
+# copies of the space (distances, A, the packed LDL^T factors of its three
+# LAPACK calls, A^-1, B and C), 32 MiB each at this size.
 MAX_POINTS = 2048
 
 

@@ -13,10 +13,6 @@ class AsymmetricInput(MetricGapError):
     """A matrix that must be symmetric is not, beyond tolerance."""
 
 
-class SingularSystem(MetricGapError):
-    """Solve or inversion requested on a factorization flagged singular."""
-
-
 class NonzeroDiagonal(MetricGapError):
     """A distance matrix has a nonzero diagonal entry."""
 

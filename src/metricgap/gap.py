@@ -396,7 +396,7 @@ def beta_opnorm(b) -> float:
     g = _rounding_guard(arr)
     eps = np.finfo(float).eps
     row_sum = float(np.abs(arr).sum(axis=1).max())
-    mu = max(0.0, _top_eig(-arr, vectors=False)) + n * n * eps * row_sum
+    mu = max(0.0, _top_eig(-arr)[0]) + n * n * eps * row_sum
     beta_hat = best = -np.inf
     for high, low, vals in _valued_blocks(arr):
         top = float(vals.max())
@@ -551,9 +551,9 @@ def _bound_error(k: int, depth: int, prefix_abs: float, a_norm: float, shifts_ab
             + ((k + 3) * _EPS) * shifts_abs)
 
 
-def _top_eig(a: np.ndarray, vectors: bool = True):
+def _top_eig(a: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of the symmetric matrix ``a``, with its unit
-    eigenvector when ``vectors`` is set.
+    eigenvector.
 
     One LAPACK dsyevr call for the k-th of k eigenvalues: Householder
     tridiagonalization, bisection for that eigenvalue and inverse iteration
@@ -571,14 +571,14 @@ def _top_eig(a: np.ndarray, vectors: bool = True):
     k = a.shape[0]
     # compute_v, range, lower, vl, vu, il and iu, passed by position: f2py
     # takes about a microsecond longer to match keywords.
-    w, z, m, _, info = dsyevr(a, vectors, "I", 0, 0.0, 1.0, k, k)
+    w, z, m, _, info = dsyevr(a, True, "I", 0, 0.0, 1.0, k, k)
     if (info != 0 or m != 1) and np.isfinite(a).all():
-        w, z, m, _, info = dsyevr(a, compute_v=vectors, range="A")
+        w, z, m, _, info = dsyevr(a, range="A")
         w, z, m = w[k - 1 :], z[:, k - 1 :], m - k + 1
     top = float(w[0])
     if info != 0 or m != 1 or not math.isfinite(top):
         raise np.linalg.LinAlgError(f"dsyevr found {m} top eigenvalues (info {info})")
-    return (top, z[:, 0]) if vectors else top
+    return top, z[:, 0]
 
 
 def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: float,
@@ -1082,7 +1082,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
                 q = _node_buffers(arr, n)
                 shifts = -_load_node(q, h, diag[1:])
                 np.fill_diagonal(q, 0.0)
-                f = n * _top_eig(q, vectors=False) - float(np.add.reduce(shifts))
+                f = n * _top_eig(q)[0] - float(np.add.reduce(shifts))
                 solves += 1
                 if diag_list[0] + f < top_bound:
                     top_bound = diag_list[0] + f

@@ -1,37 +1,31 @@
-"""Dense symmetric linear algebra sized for matrices up to a few hundred rows.
+"""Dense symmetric matrices, and the LAPACK wrappers the package calls.
 
-Distance-power matrices have a zero diagonal and are indefinite, so the
-workhorse factorization is a pivoted LDL^T (Bunch-Kaufman with 1x1 and 2x2
-diagonal blocks) rather than Cholesky.  It is kept as LAPACK's dsytrf
-leaves it, L and D packed into one n x n array beside the pivot vector, and
-solves and inverses hand that back to LAPACK (dsytrs, dsytri).  Singularity,
-an exactly zero pivot, is a reported state of the factorization, not an
-exception; it only becomes an error when a solve is attempted.  Nearness
-to singularity is not judged here: classification decides it from the
-spectrum.
+SymMatrix is a symmetric matrix checked and frozen once, so that later
+steps share it without copying.  Of the wrappers, negtype.classify calls
+dsytrf (sized by dsytrf_lwork), dsytri and dsytrs itself for the pivoted
+LDL^T of A (Bunch-Kaufman, with 1x1 and 2x2 diagonal blocks), and
+gap._top_eig calls dsyevr.
 
-The LAPACK wrappers, these four and the dsyevr of gap._top_eig, come from
-scipy's compiled _flapack module, loaded from its file on its own:
-importing scipy.linalg.lapack to reach it would import all of scipy.linalg.
-The scipy package itself is imported first, since its light init (not
-scipy.linalg's) makes the bundled BLAS and LAPACK libraries loadable on
-some platforms.  The module is registered under its scipy name, so a
-later scipy.linalg import reuses it and hands out the very same wrapper
-objects.
+They come from scipy's compiled _flapack module, loaded from its file on
+its own: importing scipy.linalg.lapack to reach it would import all of
+scipy.linalg.  The scipy package itself is imported first, since its
+light init (not scipy.linalg's) makes the bundled BLAS and LAPACK
+libraries loadable on some platforms.  The module is registered under
+its scipy name, so a later scipy.linalg import reuses it and hands out
+the very same wrapper objects.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import sys
-from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from .errors import AsymmetricInput, DimensionMismatch, SingularSystem
+from .errors import AsymmetricInput, DimensionMismatch
 
 
 def _load_flapack():
@@ -109,73 +103,3 @@ class SymMatrix:
 
     def __repr__(self) -> str:
         return f"SymMatrix(n={self.n}, max_abs={self.max_abs:.6g})"
-
-
-@dataclass(frozen=True, eq=False)
-class Factorization:
-    """Pivoted LDL^T factorization of a symmetric matrix, as LAPACK's dsytrf
-    leaves it for the lower triangle.
-
-    ``packed`` holds the 1x1 and 2x2 blocks of D on its diagonal and first
-    subdiagonal and the multipliers of the unit lower triangular L below
-    them; its strict upper triangle is unused.  ``pivots`` is dsytrf's
-    1-based ipiv: a positive entry k at row i means rows i and k were
-    swapped for a 1x1 pivot, and the rows i, i+1 of a 2x2 block both carry
-    -k, where rows i+1 and k were swapped.
-    """
-
-    packed: np.ndarray
-    pivots: np.ndarray
-    singular_flag: bool
-
-    @property
-    def n(self) -> int:
-        return self.packed.shape[0]
-
-
-def factor(m: SymMatrix) -> Factorization:
-    """Factor a symmetric matrix, reporting singularity instead of raising.
-
-    The singular flag is set when dsytrf meets an exactly zero pivot, as it
-    does on an all-zero matrix; no pivot is compared with a tolerance.
-    """
-    packed, pivots, info = dsytrf(m.a, lower=1, lwork=int(dsytrf_lwork(m.n, lower=1)[0]))
-    return Factorization(packed, pivots, info > 0)
-
-
-def _check_nonsingular(f: Factorization) -> None:
-    if f.singular_flag:
-        raise SingularSystem("matrix flagged singular (a zero pivot)")
-
-
-def solve(f: Factorization, b) -> np.ndarray:
-    """Solve ``a @ x = b`` through the factorization.
-
-    ``b`` may be a vector or a matrix of stacked right-hand sides.
-    """
-    _check_nonsingular(f)
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != f.n:
-        raise DimensionMismatch(f"right-hand side has {b.shape[0]} rows, expected {f.n}")
-    return dsytrs(f.packed, f.pivots, b, lower=1)[0]
-
-
-def invert(f: Factorization) -> SymMatrix:
-    """Full inverse through the factorization.
-
-    LAPACK's dsytri writes the lower triangle of the inverse, which is
-    mirrored, so the result is exactly symmetric.
-    """
-    _check_nonsingular(f)
-    x, info = dsytri(f.packed, f.pivots, lower=1)
-    if info != 0:
-        raise SingularSystem(f"zero pivot in row {info}")
-    x = np.tril(x)
-    x += np.tril(x, -1).T
-    return SymMatrix(x)
-
-
-def eigenvalues_sym(m: SymMatrix) -> np.ndarray:
-    """All eigenvalues, ascending."""
-    return np.linalg.eigvalsh(m.a)
-

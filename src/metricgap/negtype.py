@@ -10,7 +10,8 @@ u.  Three verdicts are possible:
   * StrictNegativeType     negative on all of F except the origin
 
 One number decides among them: the top eigenvalue of A compressed to F,
-against a tolerance relative to max|A|.  Only a strict verdict factors A.
+against a tolerance relative to max|A|.  Only a strict verdict factors A,
+by LAPACK's pivoted LDL^T.
 
 In the strict case, provided the form is positive somewhere off F, the
 constrained maximum M = sup {(A x | x) : x in F_1} is finite and equals
@@ -42,7 +43,7 @@ from .errors import (
     PositiveDirectionMissing,
     ZeroFunctional,
 )
-from .linalg import SymMatrix, eigenvalues_sym, factor, invert, solve
+from .linalg import SymMatrix, dsytrf, dsytrf_lwork, dsytri, dsytrs
 from .metric import NegTypeMatrix
 
 NOT_NEGATIVE_TYPE = "NotNegativeType"
@@ -210,10 +211,10 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool) -> NegTypeReport:
             "a single point admits no direction of positive quadratic form"
         )
     eig_tol = EIG_TOL * max(a.max_abs, 1e-300)
-    spectrum = eigenvalues_sym(project_to_F(a, u))
+    spectrum = np.linalg.eigvalsh(project_to_F(a, u).a)
     margins = {"eig": _margin(float(spectrum[-1]), eig_tol)}
     if not from_metric:
-        margins["eig_full"] = _margin(float(eigenvalues_sym(a)[-1]), eig_tol)
+        margins["eig_full"] = _margin(float(np.linalg.eigvalsh(a.a)[-1]), eig_tol)
 
     if margins["eig"] > 1.0:
         return NegTypeReport(NOT_NEGATIVE_TYPE, spectrum, margins, a, u)
@@ -230,13 +231,21 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool) -> NegTypeReport:
     # with n >= 2 is, and eig_full checks a bare matrix.  By Cauchy
     # interlacing A then has one positive eigenvalue and n - 1 negative
     # ones, so A is nonsingular and (A^-1 u | u) > 0, which makes M > 0;
-    # no test on a pivot or on (A^-1 u | u) could overturn the verdict.
-    f = factor(a)
-    a_inv = invert(f)
-    ainv_u = solve(f, u)
+    # no test on a pivot or on (A^-1 u | u) could overturn the verdict,
+    # and a zero pivot in the LDL^T of A below is broken numerics.
+    packed, pivots, info = dsytrf(a.a, lower=1, lwork=int(dsytrf_lwork(n, lower=1)[0]))
+    if info == 0:
+        a_inv, info = dsytri(packed, pivots, lower=1)
+    if info != 0:
+        raise ArithmeticError(f"zero pivot in row {info} of the LDL^T of A")
+    # dsytri writes only the lower triangle of A^-1; mirroring it makes
+    # A^-1 exactly symmetric.
+    a_inv = np.tril(a_inv)
+    a_inv += np.tril(a_inv, -1).T
+    ainv_u = dsytrs(packed, pivots, u, lower=1)[0]
     m_val = 1.0 / float(ainv_u @ u)
     z = m_val * ainv_u
-    b = SymMatrix(np.outer(z, z) / m_val - a_inv.a)
+    b = SymMatrix(np.outer(z, z) / m_val - a_inv)
     # Where eps max|B| is subnormal, B's entries have lost bits to
     # underflow and the rounding bounds of the gap routes, relative to
     # max|B|, fail (a triangle of side 1e308 gives beta 2.0e-308 against

@@ -141,9 +141,12 @@ class TestTree:
         prod = inverse_tree(tree).a @ a
         assert np.max(np.abs(prod - np.eye(tree.n))) <= 1e-10
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_B_tree_matches_pipeline(self, seed):
-        tree = gen_random_tree(4 + seed, seed=200 + seed)
+    # n = 65 and 130 run dsytrf's blocked path.
+    @pytest.mark.parametrize("n, seed", [(4 + s, 200 + s) for s in range(6)]
+                             + [(65, 265), (130, 330)],
+                             ids=[*map(str, range(6)), "n65", "n130"])
+    def test_B_tree_matches_pipeline(self, n, seed):
+        tree = gen_random_tree(n, seed=seed)
         gm = build_B(power_matrix(path_metric(tree), 1.0))
         closed = B_tree(tree).a
         scale = max(np.max(np.abs(closed)), 1.0)

@@ -8,16 +8,11 @@ import pytest
 import scipy.linalg
 
 import metricgap
-from metricgap import linalg
-from metricgap.errors import AsymmetricInput, DimensionMismatch, SingularSystem
-from metricgap.linalg import (
-    SymMatrix,
-    eigenvalues_sym,
-    factor,
-    invert,
-    solve,
-)
-from metricgap.metric import gen_cycle, gen_discrete, path_metric
+from metricgap import linalg, negtype
+from metricgap.errors import AsymmetricInput, DimensionMismatch
+from metricgap.linalg import SymMatrix
+from metricgap.metric import gen_cycle, gen_discrete, path_metric, power_matrix
+from metricgap.negtype import classify
 
 from oracles import det_cofactor, random_point_metric
 
@@ -32,6 +27,29 @@ def zero_diagonal_sym(n, seed):
     a = random_sym(n, seed).a.copy()
     np.fill_diagonal(a, 0.0)
     return SymMatrix(a)
+
+
+def ldl(a):
+    """The pivoted LDL^T of ``a`` as negtype.classify takes it from dsytrf,
+    on the lower triangle: the packed factors, the pivots and info, which
+    is nonzero at an exactly zero pivot."""
+    a = np.asarray(a, dtype=float)
+    return linalg.dsytrf(a, lower=1, lwork=int(linalg.dsytrf_lwork(a.shape[0], lower=1)[0]))
+
+
+def solve(a, b):
+    packed, pivots, _ = ldl(a)
+    return linalg.dsytrs(packed, pivots, b, lower=1)[0]
+
+
+def invert(a):
+    """A^-1 as classify forms it: dsytri's lower triangle, mirrored."""
+    packed, pivots, _ = ldl(a)
+    x, info = linalg.dsytri(packed, pivots, lower=1)
+    assert info == 0
+    x = np.tril(x)
+    x += np.tril(x, -1).T
+    return x
 
 
 def unpack(packed, pivots):
@@ -139,57 +157,56 @@ class TestSymMatrix:
         assert np.array_equal(np.asarray(m), np.eye(2))
 
 
+# TestFactor and TestSolveInvert call LAPACK as negtype.classify does, on
+# more inputs than the strict ones it factors: 2x2 pivot blocks, dsytrf's
+# blocked path and singular matrices, whose nonzero info classify raises on.
 class TestFactor:
     def test_identity(self):
-        f = factor(SymMatrix(np.eye(3)))
-        assert not f.singular_flag
-        assert np.array_equal(rebuild(f.packed, f.pivots), np.eye(3))
+        packed, pivots, info = ldl(np.eye(3))
+        assert info == 0
+        assert np.array_equal(rebuild(packed, pivots), np.eye(3))
 
     def test_all_ones_is_singular(self):
-        f = factor(SymMatrix(np.ones((2, 2))))
-        assert f.singular_flag
+        assert ldl(np.ones((2, 2)))[2] > 0
 
     def test_zero_matrix_is_singular(self):
-        f = factor(SymMatrix(np.zeros((2, 2))))
-        assert f.singular_flag
+        assert ldl(np.zeros((2, 2)))[2] > 0
 
     def test_three_point_uniform_space_nonsingular(self):
         # det of the 3x3 all-ones-off-diagonal matrix is 2, by cofactor
         # expansion with the reference oracle.
         a = np.ones((3, 3)) - np.eye(3)
         assert det_cofactor(a) == pytest.approx(2.0, abs=1e-12)
-        assert not factor(SymMatrix(a)).singular_flag
+        assert ldl(a)[2] == 0
 
     def test_zero_diagonal_two_by_two_pivot(self):
         # [[0, 1], [1, 0]] forces a 2x2 pivot block, which is the whole of D.
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        f = factor(SymMatrix(a))
-        assert not f.singular_flag
-        assert list(f.pivots) == [-2, -2]
-        assert np.array_equal(rebuild(f.packed, f.pivots), a)
+        packed, pivots, info = ldl(a)
+        assert info == 0
+        assert list(pivots) == [-2, -2]
+        assert np.array_equal(rebuild(packed, pivots), a)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_reconstructs_input(self, seed):
         m = random_sym(7, seed)
-        f = factor(m)
-        rebuilt = rebuild(f.packed, f.pivots)
+        rebuilt = rebuild(*ldl(m.a)[:2])
         assert np.max(np.abs(rebuilt - m.a)) <= 1e-12 * max(1.0, m.max_abs)
 
     @pytest.mark.parametrize("make", [c[1] for c in PIVOT_CASES], ids=[c[0] for c in PIVOT_CASES])
     def test_pivots_match_ldl_reference(self, make):
         m = SymMatrix(make())
-        f = factor(m)
-        assert np.array_equal(unpack(f.packed, f.pivots)[1], ldl_reference(m.a))
-        assert np.max(np.abs(rebuild(f.packed, f.pivots) - m.a)) <= 1e-12 * m.n * m.max_abs
+        packed, pivots, _ = ldl(m.a)
+        assert np.array_equal(unpack(packed, pivots)[1], ldl_reference(m.a))
+        assert np.max(np.abs(rebuild(packed, pivots) - m.a)) <= 1e-12 * m.n * m.max_abs
 
     @pytest.mark.parametrize("n", [6, 10, 20, 130])
     def test_even_cycle_is_singular(self, n):
         # The singularity shows in D to rounding, as an eigenvalue within
-        # n eps max|A| of zero.  factor flags only an exactly zero pivot;
+        # n eps max|A| of zero.  dsytrf flags only an exactly zero pivot;
         # classification reads near-singularity from the projected spectrum.
         m = SymMatrix(cycle_matrix(n))
-        f = factor(m)
-        d = unpack(f.packed, f.pivots)[1]
+        d = unpack(*ldl(m.a)[:2])[1]
         assert np.min(np.abs(np.linalg.eigvalsh(d))) <= n * np.finfo(float).eps * m.max_abs
 
 
@@ -199,26 +216,28 @@ class TestSolveInvert:
     )
     def test_solve_recovers_rhs(self, n, seed):
         m = random_sym(n, seed)
-        f = factor(m)
         rng = np.random.default_rng(1000 + seed)
         b = rng.standard_normal(n)
-        x = solve(f, b)
+        x = solve(m.a, b)
         assert np.max(np.abs(m.a @ x - b)) <= 1e-9 * max(1.0, np.max(np.abs(b)))
 
     def test_solve_matrix_rhs(self):
         m = random_sym(5, 42)
-        x = solve(factor(m), np.eye(5))
+        x = solve(m.a, np.eye(5))
         assert np.max(np.abs(m.a @ x - np.eye(5))) <= 1e-10
 
-    def test_solve_singular_raises(self):
-        f = factor(SymMatrix(np.ones((3, 3))))
-        with pytest.raises(SingularSystem):
-            solve(f, np.ones(3))
-
-    def test_solve_dimension_mismatch(self):
-        f = factor(SymMatrix(np.eye(3)))
-        with pytest.raises(DimensionMismatch):
-            solve(f, np.ones(4))
+    def test_solve_singular_raises(self, monkeypatch):
+        # A strict verdict makes A nonsingular, so a zero pivot reported by
+        # dsytrf or dsytri can only be a numerical failure: classify raises
+        # instead of solving for A^-1 u, and builds no B.
+        for routine in ("dsytrf", "dsytri"):
+            real = getattr(negtype, routine)
+            with monkeypatch.context() as patch:
+                patch.setattr(negtype, routine,
+                              lambda *args, real=real, **kwargs: (*real(*args, **kwargs)[:-1], 1))
+                patch.setattr(negtype, "dsytrs", lambda *args, **kwargs: pytest.fail("solved"))
+                with pytest.raises(ArithmeticError, match="zero pivot in row 1"):
+                    classify(power_matrix(path_metric(gen_cycle(7)), 1.0))
 
     def test_invert_uniform_space_closed_form(self):
         # Inverse of the n-point all-ones-off-diagonal matrix is
@@ -226,28 +245,28 @@ class TestSolveInvert:
         n = 4
         a = SymMatrix(np.ones((n, n)) - np.eye(n))
         expected = np.ones((n, n)) / (n - 1) - np.eye(n)
-        assert np.max(np.abs(invert(factor(a)).a - expected)) <= 1e-12
+        assert np.max(np.abs(invert(a.a) - expected)) <= 1e-12
 
     @pytest.mark.parametrize(
         "n, seed", [(6, s) for s in range(4)] + [(70, 4)], ids=[*map(str, range(4)), "n70"]
     )
     def test_invert_matches_numpy(self, n, seed):
         m = random_sym(n, seed)
-        got = invert(factor(m)).a
+        got = invert(m.a)
         assert np.max(np.abs(got - np.linalg.inv(m.a))) <= 1e-9 * np.max(np.abs(got))
 
 
 class TestEigQuad:
     def test_uniform_space_spectrum(self):
-        # Frozen after checking the characteristic polynomial with the
-        # cofactor determinant: -1 (three times) and 3.
-        a = SymMatrix(np.ones((4, 4)) - np.eye(4))
-        got = eigenvalues_sym(a)
-        assert np.allclose(got, [-1.0, -1.0, -1.0, 3.0], atol=1e-12)
+        # A = J - I has the eigenvalue 3 on the ones vector and -1 on the
+        # hyperplane F orthogonal to it, where classify compresses it.
+        got = classify(power_matrix(gen_discrete(4), 1.0)).projected_spectrum
+        assert np.allclose(got, [-1.0, -1.0, -1.0], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_ascending_order(self, seed):
-        vals = eigenvalues_sym(random_sym(9, seed))
+        # classify reads the verdict from the last entry.
+        vals = classify(random_sym(9, seed)).projected_spectrum
         assert np.all(np.diff(vals) >= 0)
 
 
