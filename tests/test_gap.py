@@ -518,13 +518,30 @@ class TestTopEig:
         self.check(a)
         assert whole == ["A"]
 
+    @pytest.mark.parametrize("by_index_fails", [True, False])
     @pytest.mark.parametrize("k", [1, 2, 9, 31])
-    def test_nan_entry_raises(self, k):
+    def test_nan_entry_raises(self, monkeypatch, k, by_index_fails):
+        # With by_index_fails the by-index call reports no eigenvalue even at
+        # order 1, where dsyevr returns the NaN itself; a NaN matrix must
+        # still not reach the whole-spectrum call, which can return finite
+        # values for it.
+        real = gap.dsyevr
+        whole = []
+
+        def dsyevr(a, *args, **kwargs):
+            w, z, m, isuppz, info = real(a, *args, **kwargs)
+            if args[1:2] == ("I",):
+                return w, z, 0 if by_index_fails else m, isuppz, info
+            whole.append(kwargs["range"])
+            return w, z, m, isuppz, info
+
+        monkeypatch.setattr(gap, "dsyevr", dsyevr)
         a = np.random.default_rng(k).standard_normal((k, k))
         a = a + a.T
         a[k // 2, k - 1] = a[k - 1, k // 2] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
             gap._top_eig(a)
+        assert whole == []
 
 
 class TestZeroDirections:
