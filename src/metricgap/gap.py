@@ -80,10 +80,10 @@ beta_true <= max(best_bound, beta) + delta.  Each solved step takes one
 LAPACK solve for the top eigenpair alone (_top_eig), and these solves
 take two fifths to a half of the search's time.  With one BLAS thread on
 a busy 2-core Xeon, the odd cycles with n = 29, 31, 51, 71 and 101
-certified with their group in 0.03-0.05, 0.03, 0.25, 1.0 and 16 s, the
-random trees gen_random_tree(n, seed=0) with n = 66 and 100 in 0.14 and
-0.55 s, and 3-D clouds of 60 standard normal points (seeds 0-2) in
-4.2-4.6 s; the README gives node and eigen-solve counts.
+certified with their group in 0.02, 0.02, 0.14, 0.6 and 6 s, the
+random trees gen_random_tree(n, seed=0) with n = 66 and 100 in 0.12 and
+0.6 s, and 3-D clouds of 60 standard normal points (seeds 0-2) in
+3.4-4.3 s; the README gives node and eigen-solve counts.
 """
 
 from __future__ import annotations
@@ -485,34 +485,21 @@ class BnbResult:
 # linear model f(d) + g.(d' - d) of the bound reaches the prune level.  f is
 # convex, so it lies above that model, and at the point aimed at it is
 # still above the level: the plain step (mu = 1) falls short, and the node
-# takes further solves or is branched on.  Both were chosen by one sweep,
-# mu = 1.0-1.3 with 5-7 steps, over the odd cycles 29-61,
-# gen_random_tree(n, seed) with n = 40-100 and seeds 0-1, and 3-D clouds
-# with n = 30-60 and seeds 0-2.  Against the plain step with 6 steps,
-# mu = 1.2 with 6 steps took 26-44 % fewer eigen-solves on each family, with
-# beta unchanged bit for bit and every run certified.  mu = 1.15-1.25 with
-# 6-7 steps came within 13 % of it on every family, and 5 steps took more
-# nodes on every family.  The safe range is narrow: longer steps overshoot
-# on random trees (mu = 1.3 took half again as many solves as 1.2 on them,
-# 1.35 took gen_random_tree(60, seed=0) from 137 nodes to 2,077, and 1.5
-# left it uncertified after 5,000), and mu = 0.95 took cycle29 from 1,419
-# solves to 1,701.
+# takes further solves or is branched on.  Every step keeps its full
+# length: halving it after each solve that did not lower f took 18 % more
+# solves on 54 inputs, with beta unchanged.  Both constants were chosen by
+# one sweep, mu = 1.0-1.3 with 5-8 steps, over the odd cycles 29-61 with
+# their group, gen_random_tree(n, seed) with n = 40-100 and seeds 0-1, and
+# 3-D clouds with n = 30-50 and seeds 0-2, every run certified with beta
+# unchanged bit for bit.  Against mu = 1.2
+# with 6 steps, mu = 1.0 took 44-73 % more eigen-solves on each family.
+# The safe range is narrow: on random trees longer steps overshoot
+# (mu = 1.3 took 5.5 times the solves) and 5 steps took 2.8 times the
+# solves.  7 steps took 2-20 % fewer on each family of the sweep but 6 %
+# more on twelve 3-D clouds with n = 30 (seeds 0-11).
 # A node that holds another maximizer stops stepping early (see
-# branch_and_bound): on the odd cycles 29 and 31 the nodes on the paths to
-# their n tied maximizers took 60 % of the subgradient solves, and
-# stopping them took 16-38 % of the solves off the odd cycles 29-71, with
-# beta unchanged bit for bit.
-# Both were checked again once steps were deflected and a child's first
-# step came free (_shift_step, branch_and_bound), on 19 inputs: the odd
-# cycles 29, 31, 41 and 51 with their group, gen_random_tree(n, seed) with
-# n = 40, 60, 66 and 100 and seeds 0-1, and 3-D clouds with n = 30 and 40
-# (seeds 0-2) and n = 50 (seed 0).  Against mu = 1.2 with 6 steps (23,404
-# eigen-solves in all), mu = 1.0 took 39 % more, and mu = 1.4 left
-# gen_random_tree(n, seed=0) with n = 40, 60 and 66 uncertified after
-# 30,000 nodes (over 170,000 solves each).  5 steps took 10 % more solves
-# in all and took gen_random_tree(66, seed=0) from 838 to 2,286; 7 steps
-# took 3.5 % fewer in all, from the trees, but more on the odd cycles 29
-# and 41 (13 % and 12 %) and on every cloud with n = 30.
+# branch_and_bound): stepping on to the end took 30 % more solves on the
+# odd cycles 29-71 with their group, with beta unchanged bit for bit.
 _SHIFT_STEPS = 6
 _SHIFT_RELAX = 1.2
 
@@ -599,7 +586,6 @@ def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: floa
     diag = a.reshape(-1)[:: k + 1]
     q_diag = diag.copy()
     target = incumbent - qf
-    scale = 1.0
     best = None
     tied = False
     last = None
@@ -611,15 +597,13 @@ def _shifted_bound(a: np.ndarray, shifts: np.ndarray, qf: float, incumbent: floa
         f = k * top - float(np.add.reduce(shifts))
         if best is None or f < best[0]:
             best = (f, shifts, top, v)
-        else:
-            scale /= 2.0
         if qf + best[0] <= incumbent or step == _SHIFT_STEPS - 1:
             break
         if holds_tie is not None and holds_tie(v):
             tied = True
             break
         # The break above skips the step after the last solve.
-        shifts, last = _shift_step(shifts, _SHIFT_RELAX * scale * (f - target), v, last)
+        shifts, last = _shift_step(shifts, _SHIFT_RELAX * (f - target), v, last)
         if last is None:
             break
     f, shifts, top, v = best
