@@ -6,7 +6,9 @@ vectors in blocks of prefix and suffix sign tables: the sign-vector maximum
 operator norm through ||B s||_1.  Branch-and-bound prunes with
 shifted-eigenvalue bounds and certifies its answer up to a derived rounding
 allowance, which is how sizes past the enumeration cutoff stay reachable.
-The table shows the four agree; benchmark/run.py times them.
+A tree's B is sign-balanced, so branch-and-bound certifies it at the root,
+with no node expanded.  The table shows the four agree; benchmark/run.py
+times them.
 """
 
 import metricgap as mg

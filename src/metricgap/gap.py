@@ -46,15 +46,23 @@ members of that orbit whose canonical values are within the rounding
 guard of the one it met, it returns the best under the tie-break, so
 which member the search met does not show in its result.
 
-Past the cutoff, branch_and_bound searches sign prefixes best first.  Each
-queued node carries its prefix, and the prefix's coupling to the free
-coordinates, as its own arrays, made from its parent's when the node is
-queued, so the search reaches any depth.  A node with at most _ENUM_FREE
-free coordinates is solved outright: the walk the three routes reduce,
-_valued_blocks, values all its completions, as one block of the shared
-sign tables (_one_block), and the tie-break contract picks among them
-(_best_in_block).  Any other
-node's bound is the shifted-eigenvalue bound of Poljak and Rendl,
+Past the cutoff, branch_and_bound first tries the root test: an incumbent
+from a greedy descent and a 1-flip local search, in index order, that
+comes within a root bound's rounding allowance of the trivial bound
+sum |B_ij| certifies with no node expanded.  It does on a sign-balanced B,
+whose beta is sum |B_ij|, such as a tree's (Harary 1953).  Any other B is
+searched with its coordinates in descending order of B_ii, values within
+rounding of each other kept in index order, and the result is mapped back
+to the caller's order; odd cycles and discrete spaces, whose B_ii are all
+equal up to rounding, are searched in index order.  The search takes sign
+prefixes best first.  Each queued node carries its prefix, and the
+prefix's coupling to the free coordinates, as its own arrays, made from
+its parent's when the node is queued, so the search reaches any depth.
+A node with at most _ENUM_FREE free coordinates is solved outright: the
+walk the three routes reduce, _valued_blocks, values all its completions,
+as one block of the shared sign tables (_one_block), and the tie-break
+contract picks among them (_best_in_block).  Any other node's bound is
+the shifted-eigenvalue bound of Poljak and Rendl,
 qf + (m+1) lmax(Q + Diag d) - sum d over the m free coordinates, tightened
 by at most _SHIFT_STEPS over-relaxed subgradient steps on the shifts d
 (the comment there says how both constants were chosen).  A step that
@@ -80,10 +88,10 @@ beta_true <= max(best_bound, beta) + delta.  Each solved step takes one
 LAPACK solve for the top eigenpair alone (_top_eig), and these solves
 take two fifths to a half of the search's time.  With one BLAS thread on
 a busy 2-core Xeon, the odd cycles with n = 29, 31, 51, 71 and 101
-certified with their group in 0.02, 0.02, 0.14, 0.6 and 6 s, the
-random trees gen_random_tree(n, seed=0) with n = 66 and 100 in 0.12 and
-0.6 s, and 3-D clouds of 60 standard normal points (seeds 0-2) in
-3.4-4.3 s; the README gives node and eigen-solve counts.
+certified with their group in 0.02, 0.02, 0.14, 0.6 and 6 s, 3-D clouds
+of 60 standard normal points (seeds 0-2) in 1.0-2.0 s, and random trees
+gen_random_tree(n, seed) at the root; the README gives node and
+eigen-solve counts.
 """
 
 from __future__ import annotations
@@ -445,11 +453,14 @@ class BnbResult:
     is the maximum up to ``delta``.  ``s_star`` is then a maximizer up to
     ``delta``; past n = _ENUM_FREE + 1 it need not follow the tie-break
     contract of the enumeration (module docstring), since a node is pruned
-    on its raw bound.  With an automorphism group, ``s_star`` may also be
-    another member of the maximizer's orbit, and ``delta`` then adds the
-    asymmetry of the computed B under the group, max over sigma of
-    sum |B_ij - B_sigma(i)sigma(j)| with its rounding, which covers the
-    sign vectors of the nodes the group dropped.  ``nodes_pruned`` counts
+    on its raw bound and the coordinates may be searched in another order.
+    A result the root test certifies (branch_and_bound) has no node
+    expanded, no eigen-solve and best_bound = beta.  With an automorphism
+    group, ``s_star`` may also be another member of the maximizer's orbit,
+    and ``delta`` then adds the asymmetry of the computed B under the
+    group, max over sigma of sum |B_ij - B_sigma(i)sigma(j)| with its
+    rounding, which covers the sign vectors of the nodes the group dropped.
+    ``nodes_pruned`` counts
     the expanded nodes whose bound, after their subgradient steps, fell to
     the incumbent and, when the result certifies, the nodes still queued,
     whose bounds all have; ``nodes_enumerated`` counts the expanded nodes
@@ -864,6 +875,35 @@ def _local_search(arr: np.ndarray, val: float, key: tuple,
     return val, key, second
 
 
+def _prefix_abs(arr: np.ndarray) -> np.ndarray:
+    """0 and the running sums of the rows' sums of |B_ij|, in row order."""
+    return np.concatenate(([0.0], np.cumsum(np.abs(arr).sum(axis=1))))
+
+
+def _heavy_first(diag: np.ndarray) -> np.ndarray | None:
+    """The coordinates in descending order of B_ii, or None where that is
+    index order.  A run of values each within n^2 eps max|B_ii| of the
+    next keeps index order, so rounding alone reorders nothing."""
+    n = len(diag)
+    by_value = np.argsort(-diag, kind="stable")
+    apart = -np.diff(diag[by_value]) > n * n * _EPS * float(np.abs(diag).max())
+    runs = np.concatenate(([0], np.cumsum(apart)))
+    perm = by_value[np.lexsort((by_value, runs))]
+    return None if np.array_equal(perm, np.arange(n)) else perm
+
+
+def _root_start(arr: np.ndarray, prefix_abs: np.ndarray):
+    """The root's Q + Diag d at its starting shifts d = -diag Q, whose
+    diagonal is zero, with d and the rounding error (_bound_error) of a
+    root bound taken there."""
+    n = arr.shape[0]
+    q = _node_buffers(arr, n)
+    shifts = -_load_node(q, arr[1:, 0], arr.diagonal()[1:])
+    np.fill_diagonal(q, 0.0)
+    return q, shifts, _bound_error(n, 1, prefix_abs[1], _frobenius(q),
+                                   float(np.add.reduce(np.abs(shifts))))
+
+
 def _node_buffers(arr: np.ndarray, k: int) -> np.ndarray:
     """A buffer for the node matrices Q of order k, its block B_FF filled in.
 
@@ -900,6 +940,22 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     maximizer are branched on without a solve.  Children queue under their
     parent's bound, and the root under the trivial bound sum |B_ij|.
 
+    Past _ENUM_FREE + 1 points the search starts with the root test: the
+    incumbent (below), found in the caller's order, certifies when
+    sum |B_ij| exceeds it by at most the rounding allowance of a root bound
+    at its starting shifts (_bound_error), with no node expanded, no
+    eigen-solve and delta (sum |B_ij| - beta) plus the rounding of that sum
+    and of beta.  Every sign vector has (B s | s) <= sum |B_ij|, so this
+    certificate rests on no eigensolver constant.  It passes on a
+    sign-balanced B, one whose off-diagonal signs are those of e_i e_j for
+    some sign vector e, such as a tree's: there beta is sum |B_ij|.
+    Otherwise B is searched with its coordinates in descending order of
+    B_ii, a run of values each within n^2 eps max|B_ii| of the next in
+    index order, and the automorphisms conjugated to match.  The maximizer
+    is mapped back, and beta re-evaluated canonically on the caller's B,
+    delta adding the difference; where the order is index order, as on odd
+    cycles and discrete spaces, nothing is permuted.
+
     ``automorphisms``, when given, lists permutations sigma of the points,
     one per row, closed under composition (ValueError otherwise), such as
     negtype.automorphisms finds for the input B came from.  A child is then
@@ -911,11 +967,11 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     the members of the maximizer's orbit whose values are within rounding
     of the one found.
     The incumbent starts from a greedy descent and a 1-flip local search,
-    so even a zero budget returns a valid (uncertified) candidate, with the
-    root's bound at its starting shifts, one eigen-solve, as
-    ``best_bound``.  Any other budget expands the
-    root, so for n <= _ENUM_FREE + 1 the result is beta_hypercube's,
-    maximizer included.
+    so even a zero budget returns a valid candidate: certified if the root
+    test passes, and otherwise uncertified, with the root's bound at its
+    starting shifts, one eigen-solve, as ``best_bound``.  Any other budget
+    expands the root, so for n <= _ENUM_FREE + 1 the result is
+    beta_hypercube's, maximizer included.
 
     The result certifies when the best outstanding bound falls to the
     incumbent; if the node budget runs out first the best-found answer is
@@ -949,7 +1005,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
         v = _canonical(arr, s)
         return BnbResult(v, s, True, 0, v, 0.0, 0, 0, 0, 0, 0, order)
 
-    prefix_abs = np.concatenate(([0.0], np.cumsum(np.abs(arr).sum(axis=1))))
+    prefix_abs = _prefix_abs(arr)
     # classify leaves B only the headroom of the enumeration, S + g with
     # S = sum|B_ij|.  A node bound k lmax(Q + Diag d) - sum d, for a node
     # matrix Q of order k <= n whose absolute row sums are at most S, is at
@@ -1029,6 +1085,52 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
         g_q, g_h = child_q[pick], child_h[pick]
     best_val, best_key, second = _local_search(arr, _canonical(arr, g_signs), tuple(g_signs))
 
+    total_abs = float(prefix_abs[n])
+    delta = 0.0
+    at_root = False
+    perm = caller = None
+    if n > _ENUM_FREE + 1:
+        # The root test.  Every sign vector has (B s | s) <= S <= S^ plus
+        # the root's error (n + 1) eps S^ (above), so an incumbent within a
+        # root bound's rounding allowance of S^ certifies, with delta
+        # (S^ - beta^) plus that error: the root is discarded on its key.
+        # The allowance only decides when to stop, and delta carries the
+        # whole gap.  S^ - beta^ is exact where beta^ >= S^ / 2 (Sterbenz),
+        # and the error's spare eps S^ covers its rounding elsewhere.  A
+        # sign-balanced B (a tree's, say) has beta = S.  The test runs
+        # before the budget is read, as it expands no node, and in the
+        # caller's order: on gen_random_tree(n, seed) with n = 150, 300 and
+        # 500 (seeds 0-1) the greedy descent in index order comes within
+        # 2e-12 S of S, and in heavy-first order it stops 0.5-1 % short.
+        at_root = total_abs - best_val <= _root_start(arr, prefix_abs)[2]
+        if at_root:
+            delta = total_abs - best_val + (n + 1) * _EPS * total_abs
+        else:
+            perm = _heavy_first(diag)
+    if perm is not None:
+        # The search runs on B with its coordinates in heavy-first order,
+        # the group conjugated to match, from the incumbent carried over
+        # and valued on the permuted B; the result is mapped back at the
+        # end.  sigma' = perm^-1 o sigma o perm is an automorphism of
+        # B[perm][:, perm] exactly when sigma is one of B.  ``second`` keeps
+        # its value from the caller's order, which rounding may move by an
+        # ulp or two; it only decides when nodes look for another maximizer.
+        # On 3-D clouds this order took cloud50 seed 1 from 7,015 nodes to
+        # 1,631, and cloud80 seed 0, not certified after 60,000 nodes in
+        # index order, certifies in 25,687.
+        caller = arr, group, g
+        arr = arr[np.ix_(perm, perm)]
+        if group is not None:
+            group = np.argsort(perm)[group[:, perm]]
+        prefix_abs = _prefix_abs(arr)
+        total_abs = float(prefix_abs[n])
+        diag = arr.diagonal()
+        diag_list = diag.tolist()
+        g = _rounding_guard(arr)
+        s = np.array(best_key)[perm]
+        s *= s[0]
+        best_val, best_key = _canonical(arr, s), tuple(s)
+
     # A queue entry: (-bound, depth, prefix bits, bound error, the parent's
     # shifts, the first entry of this node's starting shifts, sign prefix,
     # coupling h = B_FP s_P, the parent's top eigenvalue and eigenvector,
@@ -1038,9 +1140,8 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     # prefix order.  Bit i of the prefix bits is set where s_i = +1; an
     # int of any size, it only breaks ties of bound and depth in the
     # queue's order, so no entry compares past it.
-    total_abs = float(prefix_abs[n])
-    heap = [(-total_abs, 1, 1, (n + 1) * _EPS * total_abs, None, 0.0, np.ones(1),
-             arr[1:, 0].copy(), None, None)]
+    heap = [] if at_root else [(-total_abs, 1, 1, (n + 1) * _EPS * total_abs, None, 0.0,
+                                np.ones(1), arr[1:, 0].copy(), None, None)]
     buffers = {}
     pops = 0
     pruned = 0
@@ -1049,7 +1150,6 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     tied = 0
     symmetric = 0
     sym_tables = {}
-    delta = 0.0
     certified = False
     while heap:
         entry = heapq.heappop(heap)
@@ -1063,16 +1163,12 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
                 # The budget stops the search before the root is expanded:
                 # the root takes the bound at its starting shifts, one solve,
                 # where that is below the trivial one.
-                q = _node_buffers(arr, n)
-                shifts = -_load_node(q, h, diag[1:])
-                np.fill_diagonal(q, 0.0)
+                q, shifts, root_err = _root_start(arr, prefix_abs)
                 f = n * _top_eig(q)[0] - float(np.add.reduce(shifts))
                 solves += 1
                 if diag_list[0] + f < top_bound:
                     top_bound = diag_list[0] + f
-                    entry = (-top_bound, 1, bits, _bound_error(
-                        n, 1, prefix_abs[1], _frobenius(q),
-                        float(np.add.reduce(np.abs(shifts))))) + entry[4:]
+                    entry = (-top_bound, 1, bits, root_err) + entry[4:]
             certified = bool(top_bound <= best_val)
             heap.append(entry)
             break
@@ -1167,6 +1263,27 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
         certified = True
         top_bound = best_val
 
+    if certified:
+        pruned += len(heap)
+    delta = max([delta] + [e[3] for e in heap])
+    delta += _EPS * (n + 1) * total_abs
+    if symmetric:
+        delta += _asymmetry(arr, group)
+    if caller is not None:
+        # Back in the caller's order, beta is the canonical value on the
+        # caller's B.  It differs from the search's by the rounding of the
+        # two sums, which delta adds, so the certificate still holds at
+        # the new beta, and certified still means best_bound <= beta.
+        arr, group, g = caller
+        s = np.empty(n)
+        s[perm] = best_key
+        s *= s[0]
+        v = _canonical(arr, s)
+        delta += abs(best_val - v)
+        best_val, best_key = v, tuple(s)
+        if certified:
+            top_bound = min(top_bound, v)
+        certified = bool(top_bound <= v)
     if group is not None:
         # The search may meet any member of the maximizer's orbit, whose
         # canonical values differ by rounding alone under a symmetry of B.
@@ -1180,12 +1297,6 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
             v = _canonical(arr, t)
             if best_val <= v <= found + g:
                 best_val, best_key, _ = _fold(v, tuple(t), best_val, best_key, -np.inf)
-    if certified:
-        pruned += len(heap)
-    delta = max([delta] + [e[3] for e in heap])
-    delta += _EPS * (n + 1) * total_abs
-    if symmetric:
-        delta += _asymmetry(arr, group)
     return BnbResult(best_val, np.array(best_key), certified, pops, float(top_bound), float(delta),
                      pruned, enumerated, solves, tied, symmetric, order)
 

@@ -21,6 +21,7 @@ from metricgap.cli import (
 from metricgap import gap, negtype
 from metricgap.closed_forms import gamma_cycle
 from metricgap.errors import ParseError, SchemaError
+from metricgap.metric import gen_random_tree
 
 
 class TestParseInput:
@@ -322,13 +323,21 @@ class TestMainGap:
         assert f"bnb_symmetric: {diagnostics['bnb_symmetric']}\n" in text
 
     def test_bnb_past_depth_64(self, capsys, monkeypatch):
+        # gen_random_tree(100, seed=0) with its vertices renamed: its search
+        # reaches depth 76 (under its own labels it certifies at the root).
+        tree = gen_random_tree(100, seed=0)
+        label = np.random.default_rng(1).permutation(100).tolist()
+        edges = [[label[i] + 1, label[j] + 1, w] for i, j, w in tree.edges]
         code, out, err = run_main(
             capsys, ["gap", "-", "--bnb", "--report", "machine"],
-            '{"random_tree": {"n": 66, "seed": 0}}', monkeypatch,
+            json.dumps({"tree": {"edges": edges}}), monkeypatch,
         )
         assert code == 0
         assert err == ""
-        assert json.loads(out)["diagnostics"]["bnb_certified"] is True
+        payload = json.loads(out)
+        assert payload["diagnostics"]["bnb_certified"] is True
+        assert payload["diagnostics"]["bnb_nodes"] > 0
+        assert payload["cross_checks"]["oracle_rel_err"] <= 1e-9
 
     def test_bnb_on_discrete_space_exits_0(self, capsys, monkeypatch):
         # Its nodes have tightly clustered top eigenvalues.
@@ -351,8 +360,9 @@ class TestMainGap:
         assert not [key for key in diagnostics if key.startswith("bnb_")]
 
     def test_large_tree_strict_under_zero_budget(self, capsys, monkeypatch):
-        # Past the cutoff, with no node to expand, branch-and-bound returns
-        # its greedy incumbent, which on a tree is the closed form's beta.
+        # Past the cutoff, with no node to expand, branch-and-bound still
+        # certifies a tree at the root: its greedy incumbent reaches
+        # sum |B_ij|, the closed form's beta.
         code, out, _ = run_main(
             capsys, ["gap", "-", "--bnb", "--bnb-budget", "0", "--report", "machine"],
             '{"random_tree": {"n": 500, "seed": 0}}', monkeypatch,

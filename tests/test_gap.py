@@ -18,6 +18,7 @@ from metricgap.gap import (
 )
 from metricgap.linalg import SymMatrix
 from metricgap.metric import (
+    WeightedGraph,
     gen_cycle,
     gen_discrete,
     gen_path,
@@ -44,6 +45,15 @@ def discrete_B(n):
 
 def cloud_B(n, seed):
     return build_B(power_matrix(random_point_metric(n, seed), 1.0)).B
+
+
+def relabelled_tree(n, seed, label_seed):
+    """gen_random_tree(n, seed) with its vertices renamed by a random
+    permutation: the same tree, whose B the greedy descent of
+    branch_and_bound, taken in index order, does not 2-colour."""
+    tree = gen_random_tree(n, seed=seed)
+    label = np.random.default_rng(label_seed).permutation(n).tolist()
+    return WeightedGraph(n, tuple((label[i], label[j], w) for i, j, w in tree.edges))
 
 
 def indefinite_B(n, seed, centered=False):
@@ -211,9 +221,13 @@ class TestSplitValues:
         # A leaf of branch_and_bound values qf + x^T Q x over the completions
         # of its prefix, for its node matrix Q = [[0, h^T], [h, B_FF]]: bit
         # for bit qf + ((q_H + q_L) + 2 (x_H Q_HL) x_L^T).  The leaves of
-        # order k sit below prefixes of length 4 of a random B.
+        # order k sit below prefixes of length 4 of a random B, whose
+        # coordinates the search takes in descending order of B_ii (they
+        # lie far apart), so Q and qf come from B in that order.
         n = k + 3
-        arr = indefinite_B(n, 1000 + k).a
+        caller = indefinite_B(n, 1000 + k).a
+        heavy_first = np.argsort(-caller.diagonal())
+        arr = caller[np.ix_(heavy_first, heavy_first)]
         monkeypatch.setattr(gap, "_ENUM_FREE", k - 1)
         prefix_terms, best_in_block = gap._prefix_terms, gap._best_in_block
         nodes, leaves = [], []
@@ -228,7 +242,7 @@ class TestSplitValues:
 
         monkeypatch.setattr(gap, "_prefix_terms", terms)
         monkeypatch.setattr(gap, "_best_in_block", fold)
-        branch_and_bound(SymMatrix(arr), budget=50)
+        branch_and_bound(SymMatrix(caller), budget=50)
         assert leaves
         depth = n - k + 1
         for q, (vals, high, low, prefix) in zip(nodes, leaves, strict=True):
@@ -637,7 +651,8 @@ class TestBranchAndBound:
 
     def test_budget_exhaustion_returns_best_found(self):
         # Past _ENUM_FREE + 1 points, so the root is bounded, not solved.
-        b = tree_B(20, 21)
+        # A tree's B would certify at the root, with no node expanded.
+        b = cloud_B(20, 21)
         r = branch_and_bound(b, budget=3)
         assert not r.certified
         v, _ = beta_hypercube(b)
@@ -652,7 +667,10 @@ class TestBranchAndBound:
         assert float(r.s_star @ b.a @ r.s_star) == r.beta
 
     @pytest.mark.parametrize("make", [
-        lambda: tree_B(gap._ENUM_FREE + 2, 3),
+        # A tree at p = 0.5: at p = 1 its B is sign-balanced and certifies
+        # at the root, with no eigen-solve.
+        lambda: build_B(power_matrix(path_metric(gen_random_tree(gap._ENUM_FREE + 2, seed=3)),
+                                     0.5)).B,
         lambda: cloud_B(gap._ENUM_FREE + 4, 5),
         lambda: cycle_B(gap._ENUM_FREE + 5),
         lambda: discrete_B(gap._ENUM_FREE + 2),
@@ -735,8 +753,10 @@ class TestBranchAndBound:
         assert r.eigen_solves <= {29: 650, 31: 800}[n]
 
     @pytest.mark.parametrize("make, ties", [
-        (lambda: tree_B(60, 0), False),
-        (lambda: tree_B(66, 0), False),
+        # Renamed trees: under gen_random_tree's labels they certify at the
+        # root, with no node to check.
+        (lambda: build_B(power_matrix(path_metric(relabelled_tree(60, 0, 1)), 1.0)).B, False),
+        (lambda: build_B(power_matrix(path_metric(relabelled_tree(66, 0, 1)), 1.0)).B, False),
         (lambda: cloud_B(30, 0), False),
         (lambda: cycle_B(29), True),
         (lambda: cycle_B(31), True),
@@ -750,14 +770,16 @@ class TestBranchAndBound:
         b = make()
         r = branch_and_bound(b, budget=5000)
         assert r.certified
+        assert r.nodes_expanded > 0
         assert (r.nodes_tied > 0) == ties
         if ties:
             assert abs(r.beta - gamma_cycle(b.n).beta) <= r.delta
 
     def test_random_tree_60_certifies_within_node_budget(self):
-        # 125 nodes; over-long steps (an over-relaxation of 1.35) take
-        # 3,537.
-        tree = gen_random_tree(60, seed=0)
+        # Renamed, as under gen_random_tree's labels it certifies at the
+        # root: 149 nodes.  Over-long steps (an over-relaxation of 1.35)
+        # leave it uncertified after 20,000.
+        tree = relabelled_tree(60, 0, 1)
         r = branch_and_bound(build_B(power_matrix(path_metric(tree), 1.0)).B, budget=1000)
         assert r.certified
 
@@ -770,22 +792,79 @@ class TestBranchAndBound:
             return top_eig(*args, **kwargs)
 
         monkeypatch.setattr(gap, "_top_eig", counted)
-        for b in (cycle_B(29), tree_B(20, 21)):
+        # A tree's B would certify at the root, with no solve at all.
+        for b in (cycle_B(29), cloud_B(20, 21)):
             calls.clear()
             r = branch_and_bound(b)
             assert r.eigen_solves == len(calls) > b.n
 
     @pytest.mark.parametrize("n", [66, 100])
-    def test_random_tree_past_depth_64(self, n):
-        # Nodes reach depth 64 and beyond, where a sign prefix held in one
-        # int64 would overflow.
+    def test_random_tree_past_depth_64(self, monkeypatch, n):
+        # Nodes of the 100-point tree reach depth 64 and beyond, where a
+        # sign prefix held in one int64 would overflow.  gen_random_tree's
+        # own labels let the greedy descent 2-colour a tree, which then
+        # certifies at the root; renamed, the 66- and 100-point trees
+        # search 167 and 641 nodes, down to depths 49 and 76.
+        import heapq
+        import types
+
         from metricgap.closed_forms import gamma_tree
 
-        tree = gen_random_tree(n, seed=0)
+        depths = []
+
+        def popped(heap):
+            entry = heapq.heappop(heap)
+            depths.append(entry[1])
+            return entry
+
+        monkeypatch.setattr(gap, "heapq", types.SimpleNamespace(
+            heappop=popped, heappush=heapq.heappush))
+        tree = relabelled_tree(n, 0, 1)
         r = branch_and_bound(build_B(power_matrix(path_metric(tree), 1.0)).B)
         beta = gamma_tree(tree).beta
         assert r.certified
+        assert max(depths) > {66: 40, 100: 64}[n]
         assert abs(r.beta - beta) <= r.delta + 1e-12 * beta
+
+    def test_cloud_50_seed_1_certifies_within_node_budget(self):
+        # Taken in descending order of B_ii it takes 1,631 nodes; in index
+        # order it took 7,015.
+        r = branch_and_bound(cloud_B(50, 1), budget=2500)
+        assert r.certified
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n", [150, 300])
+    def test_random_tree_certifies_at_the_root(self, n, seed):
+        # A tree's B is sign-balanced, so beta is sum |B_ij|, and the greedy
+        # descent reaches it: no node is expanded and no eigen-solve taken.
+        # In index order the search took 11 to 1,861 nodes on trees with
+        # n = 20-120, and left the 150-point tree of seed 0 uncertified
+        # after 2,000.
+        from metricgap.closed_forms import gamma_tree
+
+        tree = gen_random_tree(n, seed=seed)
+        r = branch_and_bound(build_B(power_matrix(path_metric(tree), 1.0)).B, budget=100)
+        beta = gamma_tree(tree).beta
+        assert r.certified
+        assert r.nodes_expanded == r.eigen_solves == 0
+        assert abs(r.beta - beta) <= r.delta
+        assert r.delta <= 1e-9 * r.beta
+
+    def test_cloud_is_not_certified_at_the_root(self):
+        r = branch_and_bound(cloud_B(30, 0))
+        assert r.certified
+        assert r.nodes_expanded > 0 and r.eigen_solves > 0
+
+    def test_heavy_first_order(self):
+        # An odd cycle's and a discrete space's B_ii are equal up to
+        # rounding, so their order stays the identity.
+        assert gap._heavy_first(cycle_B(29).a.diagonal()) is None
+        assert gap._heavy_first(discrete_B(21).a.diagonal()) is None
+        diag = cloud_B(30, 0).a.diagonal()
+        assert np.array_equal(gap._heavy_first(diag), np.argsort(-diag))
+        # Values within n^2 eps max|B_ii| of each other keep index order.
+        diag = np.array([1.0, 2.0, 3.0, 2.0 + 1e-15, 0.5])
+        assert gap._heavy_first(diag).tolist() == [2, 1, 3, 0, 4]
 
     def test_cloud_24_certifies_within_small_budget(self):
         r = branch_and_bound(cloud_B(24, 0), budget=5000)
@@ -985,6 +1064,25 @@ class TestSymmetricBranchAndBound:
                     == [getattr(plain, f) for f in fields if f != "s_star"])
             assert r.nodes_symmetric == 0
 
+    @pytest.mark.parametrize("n", [17, 19, 21])
+    def test_group_follows_the_heavy_first_order(self, monkeypatch, n):
+        # A path at p = 0.5: its reversal is a symmetry, and its B_ii differ,
+        # so the search runs in heavy-first order with the group conjugated
+        # by it.  A group left in the caller's order would drop nodes that
+        # are no symmetric copies, and its asymmetry would swell delta.
+        monkeypatch.setattr(gap, "_ENUM_FREE", 6)
+        report = build_B(power_matrix(path_metric(gen_path(n)), 0.5))
+        group = automorphisms(report.A, report.u)
+        assert len(group) == 2
+        assert gap._heavy_first(report.B.a.diagonal()) is not None
+        r = branch_and_bound(report.B, automorphisms=group)
+        v, _ = beta_hypercube(report.B)
+        assert r.certified
+        assert r.nodes_symmetric > 0
+        assert abs(r.beta - v) <= r.delta <= 1e-9 * r.beta
+        assert r.beta == float(r.s_star @ report.B.a @ r.s_star)
+        assert r.s_star[0] == 1.0
+
     def test_group_not_closed_raises(self):
         report, group = cycle_group(9)
         b = report.B
@@ -1056,8 +1154,13 @@ class TestSymmetricBranchAndBound:
         # by more than the rounding of any bound; delta must cover it.
         monkeypatch.setattr(gap, "_ENUM_FREE", 6)
         report, group = cycle_group(17)
+        # The perturbation leaves the diagonal alone, which keeps the
+        # diagonal's entries within rounding of each other: the search takes
+        # the coordinates in index order, the order this draw is chosen for.
         e = np.random.default_rng(2).standard_normal((17, 17)) * 1e-6
-        b = report.B.a + e + e.T
+        e += e.T
+        np.fill_diagonal(e, 0.0)
+        b = report.B.a + e
         r = branch_and_bound(b, automorphisms=group)
         v, _ = beta_hypercube(b)
         assert r.certified
