@@ -2,12 +2,12 @@
 
 Subcommands:
 
-  gap     classify an input space and compute its gap constant; --method
-          gray runs the exact route alone, all (the default) adds the
-          operator-norm and 0/1 cross-checks
+  gap     classify an input space and compute its gap constant, with the
+          operator-norm and 0/1 cross-checks on every enumeration run
   oracle  regression-check the generic pipeline against the closed forms
 
-Timing lives outside the CLI, in benchmark/run.py.
+--timing adds one run's wall time to the report; benchmark timing lives in
+benchmark/run.py.
 
 Inputs are JSON documents or plain CSV matrices, told apart by their
 first character; see parse_input.  Every size a document names is at most
@@ -414,7 +414,6 @@ def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
     if analysis.verdict == STRICT_NEGATIVE_TYPE:
         result = solve_gap(
             analysis,
-            cross_check=args.method == "all",
             max_enum_n=args.max_n,
             use_bnb=args.bnb,
             bnb_budget=args.bnb_budget,
@@ -478,9 +477,9 @@ def _oracle_check(family: tuple, gamma: float) -> dict:
 
 
 def run_oracle_suite(args) -> tuple[bool, list[dict]]:
-    """Run the gap pipeline (run_gap, with the gap subcommand's defaults and
-    --method gray) on generator documents of the three solved families, and
-    compare each gamma with its closed form (_oracle_check).
+    """Run the gap pipeline (run_gap, with the gap subcommand's defaults)
+    on generator documents of the three solved families, and compare each
+    gamma with its closed form (_oracle_check).
 
     Even cycles must read NegativeTypeNonStrict, with gamma 0, and every
     other instance strict; a row that fails either test, or reads
@@ -491,7 +490,7 @@ def run_oracle_suite(args) -> tuple[bool, list[dict]]:
     for flag, value in (("--seed", args.seed), ("--trees", args.trees)):
         if value < 0:
             raise SchemaError(f"{flag} must be nonnegative, got {value}")
-    gap_args = _build_parser().parse_args(["gap", "-", "--method", "gray"])
+    gap_args = _build_parser().parse_args(["gap", "-"])
     rng = np.random.default_rng(args.seed)
     cases = [("discrete", "discrete", n) for n in range(2, 13)]
     cases += [("cycle", "cycle", n) for n in range(3, 16)]
@@ -544,10 +543,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gap = sub.add_parser("gap", help="compute the gap of one input space")
     gap.add_argument("input", help="path to a JSON or CSV input, or - for stdin")
     gap.add_argument("--p", type=float, default=None, help="metric exponent (default 1)")
-    gap.add_argument(
-        "--method", choices=("gray", "all"), default="all",
-        help="gray: the exact route alone; all: add the opnorm and binary cross-checks",
-    )
     gap.add_argument("--max-n", type=int, default=MAX_ENUM_N,
                      help=f"enumeration cutoff; none enumerates past n = {ENUM_CEILING}")
     gap.add_argument("--report", choices=("text", "machine"), default="text")

@@ -19,7 +19,7 @@ cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,43 +30,24 @@ from .metric import WeightedGraph, is_tree
 
 @dataclass(frozen=True, eq=False)
 class OracleResult:
-    """Closed-form values for one instance.
-
-    ``aux`` holds whatever explicit objects the family admits: inverse and
-    corrected matrices, Laplacians, explicit maximizers.  ``beta`` is None
-    exactly when gamma is 0.
-    """
+    """Closed-form gamma and beta for one instance; ``beta`` is None
+    exactly when gamma is 0."""
 
     gamma: float
     beta: float | None
-    aux: dict = field(default_factory=dict)
 
 
 def gamma_discrete(n: int) -> OracleResult:
     """Discrete n-space: all nonzero distances equal 1.
 
-    The inverse of the all-ones-minus-identity matrix and the corrected
-    matrix B = I - (1/n) 1 1^T are included in ``aux``; the maximum of
-    (B s | s) is attained at balanced sign vectors, giving beta = n for
-    even n and n - 1/n for odd n.
+    The maximum of (B s | s) is attained at balanced sign vectors, giving
+    beta = n for even n and n - 1/n for odd n.
     """
     if n < 2:
         raise InvalidSize(f"discrete space needs n >= 2, got {n}")
-    gamma = 0.5 * (1.0 / (n // 2) + 1.0 / ((n + 1) // 2))
-    beta = float(n) if n % 2 == 0 else n - 1.0 / n
-    ones = np.ones((n, n))
-    a_inv = ones / (n - 1) - np.eye(n)
-    b = np.eye(n) - ones / n
-    m_val = (n - 1) / n
     return OracleResult(
-        gamma=gamma,
-        beta=beta,
-        aux={
-            "A_inv": SymMatrix(a_inv),
-            "B": SymMatrix(b),
-            "M": m_val,
-            "z": np.full(n, 1.0 / n),
-        },
+        gamma=0.5 * (1.0 / (n // 2) + 1.0 / ((n + 1) // 2)),
+        beta=float(n) if n % 2 == 0 else n - 1.0 / n,
     )
 
 
@@ -127,37 +108,19 @@ def inverse_cycle(n: int) -> SymMatrix:
 def gamma_cycle(n: int) -> OracleResult:
     """Unweighted cycle with the shortest-path metric.
 
-    Odd n = 2k + 1: gamma = n / (2 (n^2 - 2n - 1)), with
-    beta = 4 (4k^2 - 2) / (2k + 1) and the explicit binary maximizer in
-    ``aux``.  Even n: the space is non-strict and gamma = 0.
+    Odd n = 2k + 1: gamma = n / (2 (n^2 - 2n - 1)) and
+    beta = 4 (4k^2 - 2) / (2k + 1), four times the binary maximum that
+    cycle_binary_maximizer attains.  Even n: the space is non-strict and
+    gamma = 0.
     """
     if n < 3:
         raise InvalidSize(f"cycle needs n >= 3, got {n}")
     if n % 2 == 0:
-        return OracleResult(gamma=0.0, beta=None, aux={})
+        return OracleResult(gamma=0.0, beta=None)
     k = (n - 1) // 2
-    gamma = 0.5 * n / (n * n - 2.0 * n - 1.0)
-    binary_max = (4.0 * k * k - 2.0) / n
-    beta = 4.0 * binary_max
-    a_inv = inverse_cycle(n)
-    m_val = k * (k + 1.0) / n
-    b = (
-        2.0 * np.eye(n)
-        + _shift_matrix(n, k)
-        + _shift_matrix(n, k + 1)
-        - (4.0 / n) * np.ones((n, n))
-    )
     return OracleResult(
-        gamma=gamma,
-        beta=beta,
-        aux={
-            "A_inv": a_inv,
-            "B": SymMatrix(b),
-            "M": m_val,
-            "z": np.full(n, 1.0 / n),
-            "binary_max": binary_max,
-            "maximizer_binary": cycle_binary_maximizer(n),
-        },
+        gamma=0.5 * n / (n * n - 2.0 * n - 1.0),
+        beta=4.0 * ((4.0 * k * k - 2.0) / n),
     )
 
 
@@ -174,6 +137,8 @@ def _reciprocal_laplacian(tree: WeightedGraph) -> np.ndarray:
 
 
 def _require_tree(tree: WeightedGraph):
+    if tree.n < 2:
+        raise InvalidSize(f"tree needs n >= 2, got {tree.n}")
     if not is_tree(tree):
         raise NotATree(f"{len(tree.edges)} edges on {tree.n} vertices do not form a tree")
 
@@ -225,19 +190,9 @@ def tree_two_coloring(tree: WeightedGraph) -> np.ndarray:
 def gamma_tree(tree: WeightedGraph) -> OracleResult:
     """Weighted metric tree: gamma = 1 / sum(1/w_e), beta = 2 sum(1/w_e).
 
-    ``aux`` carries the reciprocal-weight Laplacian, the closed-form
-    inverse and B, and the bipartition maximizer.
+    B_tree, inverse_tree and tree_two_coloring give the tree's B, inverse
+    and maximizing sign vector.
     """
     _require_tree(tree)
     recip = sum(1.0 / w for _, _, w in tree.edges)
-    return OracleResult(
-        gamma=1.0 / recip,
-        beta=2.0 * recip,
-        aux={
-            "reciprocal_weight_sum": recip,
-            "L": SymMatrix(_reciprocal_laplacian(tree)),
-            "A_inv": inverse_tree(tree),
-            "B": B_tree(tree),
-            "maximizer_signs": tree_two_coloring(tree),
-        },
-    )
+    return OracleResult(gamma=1.0 / recip, beta=2.0 * recip)

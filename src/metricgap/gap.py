@@ -1394,8 +1394,9 @@ class GapResult:
 
     ``gamma`` is always derived from ``beta`` as 2.0 / beta, so the two are
     consistent to the last bit.  ``witness_y0`` is make_witness's B x for
-    ``s_star``.  Cross-check fields are None when the corresponding route
-    was not run.  ``method`` names the exact route, "gray_scan" or
+    ``s_star``.  ``beta_by_opnorm`` and ``beta_by_binary`` are None after
+    branch_and_bound, and ``beta_by_binary`` also when the functional u is
+    not constant.  ``method`` names the exact route, "gray_scan" or
     "branch_and_bound"; ``bnb`` is the latter's BnbResult, as
     branch_and_bound returned it, and None for the former.
     """
@@ -1419,7 +1420,6 @@ def solve_gap(
     x,
     p: float = 1.0,
     *,
-    cross_check: bool = True,
     max_enum_n: int = MAX_ENUM_N,
     use_bnb: bool = False,
     bnb_budget: int = 2_000_000,
@@ -1435,7 +1435,7 @@ def solve_gap(
     min(``max_enum_n``, ENUM_CEILING), past it branch_and_bound when
     ``use_bnb`` is set (its result may be uncertified if the node budget
     is hit) and TooLarge otherwise.  Within the cutoff ``use_bnb`` changes
-    nothing, and ``cross_check`` adds the value-only routes beta_opnorm
+    nothing.  Enumeration adds the value-only cross-checks beta_opnorm
     and, when the report's functional u is constant, so that B annihilates
     the all-ones vector, beta_binary.  branch_and_bound is handed the
     automorphism group of the report's A and u.  The witness is always
@@ -1468,10 +1468,9 @@ def solve_gap(
     else:
         beta, s_star = beta_hypercube(b)
         method = "gray_scan"
-        if cross_check:
-            beta_op = beta_opnorm(b)
-            if np.all(report.u == report.u[0]):
-                beta_bin = beta_binary(b)
+        beta_op = beta_opnorm(b)
+        if np.all(report.u == report.u[0]):
+            beta_bin = beta_binary(b)
 
     return GapResult(
         gamma=2.0 / beta,

@@ -278,14 +278,6 @@ class TestMainGap:
         code, _, _ = run_main(capsys, ["gap", "-"], text, monkeypatch)
         assert code == 4
 
-    def test_method_selection(self, capsys, monkeypatch):
-        code, out, _ = run_main(
-            capsys, ["gap", "-", "--method", "gray", "--report", "machine"],
-            '{"discrete": 5}', monkeypatch,
-        )
-        payload = json.loads(out)
-        assert "beta_opnorm" not in payload["cross_checks"]
-
     def test_bnb_flag_reports_certification(self, capsys, monkeypatch):
         code, out, _ = run_main(
             capsys, ["gap", "-", "--bnb", "--max-n", "6", "--report", "machine"],
@@ -387,7 +379,8 @@ class TestMainGap:
         "argv",
         [["bench"], ["gap", "-", "--method", "opnorm"], ["gap", "-", "--method", "binary"],
          ["gap", "-", "--format", "json"], ["gap", "-", "--format", "csv"],
-         ["gap", "-", "--tol", "1e-6"]],
+         ["gap", "-", "--tol", "1e-6"], ["gap", "-", "--method", "gray"],
+         ["gap", "-", "--method", "all"]],
     )
     def test_retired_options_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,10 @@ from metricgap.metric import (
 from metricgap.negtype import build_B
 
 
+def _cycle_B_pipeline(n):
+    return build_B(power_matrix(path_metric(gen_cycle(n)), 1.0)).B.a
+
+
 class TestDiscrete:
     def test_frozen_small_values(self):
         # gamma = (1/floor(n/2) + 1/ceil(n/2)) / 2, worked by hand.
@@ -46,13 +52,14 @@ class TestDiscrete:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_aux_inverse_is_inverse(self, n):
         a = power_matrix(gen_discrete(n), 1.0).A.a
-        prod = gamma_discrete(n).aux["A_inv"].a @ a
+        prod = (np.ones((n, n)) / (n - 1) - np.eye(n)) @ a
         assert np.max(np.abs(prod - np.eye(n))) <= 1e-12
 
     def test_aux_B_matches_pipeline(self):
         n = 7
         gm = build_B(power_matrix(gen_discrete(n), 1.0))
-        assert np.max(np.abs(gamma_discrete(n).aux["B"].a - gm.B.a)) <= 1e-12
+        closed = np.eye(n) - np.ones((n, n)) / n
+        assert np.max(np.abs(closed - gm.B.a)) <= 1e-12
 
     def test_invalid_size(self):
         with pytest.raises(InvalidSize):
@@ -89,16 +96,19 @@ class TestCycle:
 
     @pytest.mark.parametrize("n", [5, 7, 9])
     def test_aux_B_matches_pipeline(self, n):
-        gm = build_B(power_matrix(path_metric(gen_cycle(n)), 1.0))
-        assert np.max(np.abs(gamma_cycle(n).aux["B"].a - gm.B.a)) <= 1e-10
+        # B = 2I + C^k + C^{k+1} - (4/n) 1 1^T, C the one-step cyclic shift.
+        k = (n - 1) // 2
+        eye = np.eye(n)
+        closed = (2.0 * eye + np.roll(eye, k, axis=1) + np.roll(eye, k + 1, axis=1)
+                  - (4.0 / n) * np.ones((n, n)))
+        assert np.max(np.abs(closed - _cycle_B_pipeline(n))) <= 1e-10
 
     @pytest.mark.parametrize("n", [5, 7, 9])
     def test_aux_M_matches_pipeline(self, n):
         rep = build_B(power_matrix(path_metric(gen_cycle(n)), 1.0))
-        m_val, z = rep.M, rep.z
-        res = gamma_cycle(n)
-        assert m_val == pytest.approx(res.aux["M"], rel=1e-12)
-        assert np.allclose(z, res.aux["z"], atol=1e-12)
+        k = (n - 1) // 2
+        assert rep.M == pytest.approx(k * (k + 1.0) / n, rel=1e-12)
+        assert np.allclose(rep.z, np.full(n, 1.0 / n), atol=1e-12)
 
     def test_binary_maximizer_small_patterns(self):
         # k = 1 degenerates to the single position {2}; k = 2 gives
@@ -108,11 +118,9 @@ class TestCycle:
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
     def test_binary_maximizer_attains_binary_max(self, n):
-        res = gamma_cycle(n)
-        x = res.aux["maximizer_binary"]
-        b = res.aux["B"].a
-        assert float(x @ b @ x) == pytest.approx(res.aux["binary_max"], rel=1e-12)
-        assert res.beta == pytest.approx(4.0 * res.aux["binary_max"], rel=1e-15)
+        x = cycle_binary_maximizer(n)
+        b = _cycle_B_pipeline(n)
+        assert float(x @ b @ x) == pytest.approx(gamma_cycle(n).beta / 4.0, rel=1e-12)
 
     def test_binary_maximizer_even_raises(self):
         with pytest.raises(EvenCycle):
@@ -154,10 +162,10 @@ class TestTree:
 
     def test_two_coloring_attains_beta(self):
         tree = gen_random_tree(9, seed=5)
-        res = gamma_tree(tree)
-        s = res.aux["maximizer_signs"]
+        b = build_B(power_matrix(path_metric(tree), 1.0)).B.a
+        s = tree_two_coloring(tree)
         assert set(np.unique(s)) == {-1.0, 1.0}
-        assert float(s @ res.aux["B"].a @ s) == pytest.approx(res.beta, rel=1e-12)
+        assert float(s @ b @ s) == pytest.approx(gamma_tree(tree).beta, rel=1e-12)
 
     def test_two_coloring_alternates_across_edges(self):
         tree = gen_path(6)
@@ -175,6 +183,12 @@ class TestTree:
             with pytest.raises(NotATree):
                 fn(g)
 
+    def test_one_vertex_rejected(self):
+        g = WeightedGraph(1, ())
+        for fn in (gamma_tree, inverse_tree):
+            with pytest.raises(InvalidSize):
+                fn(g)
+
 
 class TestAgainstPipeline:
     """The closed forms and the generic pipeline are independent routes;
@@ -182,16 +196,32 @@ class TestAgainstPipeline:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_discrete(self, n):
-        res = solve_gap(gen_discrete(n), cross_check=False)
+        res = solve_gap(gen_discrete(n))
         assert res.gamma == pytest.approx(gamma_discrete(n).gamma, rel=1e-10)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
     def test_cycles(self, n):
-        res = solve_gap(path_metric(gen_cycle(n)), cross_check=False)
+        res = solve_gap(path_metric(gen_cycle(n)))
         assert res.gamma == pytest.approx(gamma_cycle(n).gamma, rel=1e-10)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_trees(self, seed):
         tree = gen_random_tree(7, seed=300 + seed)
-        res = solve_gap(path_metric(tree), cross_check=False)
+        res = solve_gap(path_metric(tree))
         assert res.gamma == pytest.approx(gamma_tree(tree).gamma, rel=1e-9)
+
+
+@pytest.mark.parametrize("oracle, arg", [
+    (gamma_discrete, 2000),
+    (gamma_cycle, 2001),
+    (gamma_tree, gen_random_tree(2000, seed=0)),
+], ids=["discrete", "cycle", "tree"])
+def test_oracle_builds_no_matrix(oracle, arg):
+    # A dense n x n matrix at n = 2000 is 32 MB; the oracles need only sums.
+    tracemalloc.start()
+    try:
+        oracle(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

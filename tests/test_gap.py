@@ -1255,11 +1255,6 @@ class TestSolveGap:
         assert res.beta_by_binary == pytest.approx(res.beta, rel=1e-12)
         assert res.method == "gray_scan"
 
-    def test_methods_subset(self):
-        res = solve_gap(gen_discrete(5), cross_check=False)
-        assert res.beta_by_opnorm is None
-        assert res.beta_by_binary is None
-
     def test_binary_cross_check_needs_constant_functional(self):
         # B w = 0 for this w, not B 1 = 0, so the 0/1 maximum is no
         # cross-check; the operator norm still is.
@@ -1289,7 +1284,7 @@ class TestSolveGap:
         res = solve_gap(space, max_enum_n=10, use_bnb=True)
         assert res.method == "branch_and_bound"
         assert res.bnb_certified
-        full = solve_gap(space, cross_check=False)
+        full = solve_gap(space)
         assert res.beta == full.beta
 
     def test_bnb_takes_over_past_ceiling(self, monkeypatch):
