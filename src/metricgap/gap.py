@@ -19,11 +19,13 @@ enumeration kernel, _sign_blocks.  It splits each sign vector as
 s = (s_H, s_L) and yields blocks of prefix and suffix sign tables (or
 their 0/1 tables, for beta_binary), so a whole block is valued by a few
 matrix products: (B s | s) = q_H + q_L + 2 (s_H B_HL) s_L^T, and
-B s = B_:H s_H + B_:L s_L.  Sign symmetry lets every route fix the first
-coordinate, halving the work.  beta_opnorm takes ||B s||_1 only where
-(B s | s) comes within a derived threshold of the largest value met so
-far, since B is positive semidefinite up to rounding.  With one BLAS
-thread at n = 23-24, each route takes 1.7-3.2 ns per sign vector on
+B s = B_:H s_H + B_:L s_L.  The tables of each order up to MAX_ENUM_N are
+built on its first walk and kept, and a walk takes q_H once per prefix
+table and q_L once per suffix table.  Sign symmetry lets every route fix
+the first coordinate, halving the work.  beta_opnorm takes ||B s||_1 only
+where (B s | s) comes within a derived threshold of the largest value met
+so far, since B is positive semidefinite up to rounding.  With one BLAS
+thread at n = 23-24, each route takes 1.3-2.2 ns per sign vector on
 trees, point clouds and odd cycles.
 
 Tie-breaking contract: every candidate that rounding could make maximal is
@@ -60,8 +62,9 @@ prefix's coupling to the free coordinates, as its own arrays, made from
 its parent's when the node is queued, so the search reaches any depth.
 A node with at most _ENUM_FREE free coordinates is solved outright: the
 walk the three routes reduce, _valued_blocks, values all its completions,
-as one block of the shared sign tables (_one_block), and the tie-break
-contract picks among them (_best_in_block).  Any other node's bound is
+as one block of the cached sign tables of its order, into the one pair of
+value tables the search keeps for that order, and the tie-break contract
+picks among them (_best_in_block).  Any other node's bound is
 the shifted-eigenvalue bound of Poljak and Rendl,
 qf + (m+1) lmax(Q + Diag d) - sum d over the m free coordinates, tightened
 by at most _SHIFT_STEPS over-relaxed subgradient steps on the shifts d
@@ -116,17 +119,20 @@ from .negtype import (
 )
 
 # solve_gap's default cutoff for exact enumeration: 2^(n-1) sign vectors
-# at 1.7-3.2 ns each through the sign-table kernel, for the maximum and for
-# each cross-check, 0.014-0.027 s per route at n = 24 (measured at n = 23-24
-# on a busy 2-core Xeon with one BLAS thread, Python 3.11, NumPy 2.4).
+# at 1.3-2.2 ns each through the sign-table kernel, for the maximum and for
+# each cross-check, 0.011-0.016 s per route at n = 24 (the best of 4 calls
+# at n = 23-24, in three runs on a 2-core Xeon whose load sets the spread,
+# with one BLAS thread, Python 3.11, NumPy 2.4).  The sign tables of every
+# order up to this n are cached (_sign_blocks), 3.4 MiB in all.
 MAX_ENUM_N = 24
 
-# No route enumerates past this n, whatever the cutoff.  _sign_blocks
-# builds its suffix tables, 2^((n-1)//2) rows of (n-1)//2 floats, before
-# the first block is valued: 80 MB at n = 40, 1.5 GB at n = 48.  At
-# 1.7-3.2 ns per sign vector (see MAX_ENUM_N), one route over the 2^39 sign
-# vectors of n = 40 takes 16-29 minutes, and at n = 48 three to five days;
-# each further point doubles the time, and every second one the tables.
+# No route enumerates past this n, whatever the cutoff.  Past MAX_ENUM_N,
+# _sign_blocks builds its suffix tables, 2^((n-1)//2) rows of (n-1)//2
+# floats, before the first block is valued: 80 MB at n = 40, 1.5 GB at
+# n = 48.  At 1.3-2.2 ns per sign vector (see MAX_ENUM_N), one route over
+# the 2^39 sign vectors of n = 40 takes 12-20 minutes, and at n = 48 two to
+# four days; each further point doubles the time, and every second one the
+# tables.
 ENUM_CEILING = 40
 
 # Most sign vectors in one block of the sign-table kernel; a block's table
@@ -170,21 +176,30 @@ def _high_rows(start: int, stop: int, width: int, binary: bool) -> np.ndarray:
     return high
 
 
-@functools.cache
-def _one_block(n: int, binary: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The (H, L) tables of order n as one block, read-only.
-
-    They are the one block _sign_blocks(n, binary) yields when
-    2^(n-1) <= _BLOCK.  Made on the first call for each n and kept; the
-    orders n <= 17 that the default _BLOCK takes in one block need 34 KiB
-    at n = 17 and 104 KiB in all, per value of ``binary``.  ``binary`` has
-    no default: the cache would key a defaulted call apart from a passed one.
-    """
+def _sign_tables(n: int, binary: bool, block: int):
+    """The H tables, lazily, and the list of L tables of _sign_blocks(n,
+    binary) at block size ``block``."""
     low_width = (n - 1) // 2
     high_width = n - 1 - low_width
-    tables = (_high_rows(0, 1 << high_width, high_width, binary),
-              _sign_rows(0, 1 << low_width, low_width, binary))
-    for table in tables:
+    bits = block.bit_length() - 1
+    low_step = 1 << (bits // 2)
+    high_step = 1 << (bits - bits // 2)
+    lows = [
+        _sign_rows(start, min(start + low_step, 1 << low_width), low_width, binary)
+        for start in range(0, 1 << low_width, low_step)
+    ]
+    highs = (_high_rows(start, min(start + high_step, 1 << high_width), high_width, binary)
+             for start in range(0, 1 << high_width, high_step))
+    return highs, lows
+
+
+@functools.cache
+def _cached_tables(n: int, binary: bool, block: int) -> tuple[tuple, tuple]:
+    """_sign_tables(n, binary, block) made whole and read-only, on the
+    first call for each key, and kept."""
+    highs, lows = _sign_tables(n, binary, block)
+    tables = tuple(highs), tuple(lows)
+    for table in tables[0] + tables[1]:
         table.flags.writeable = False
     return tables
 
@@ -199,45 +214,56 @@ def _sign_blocks(n: int, binary: bool = False):
     valued by the same sums whatever the block size.  Both steps and both
     table lengths are powers of two, so every block has the shape of the
     first, and the same L tables recur, in the same order, for every H.
-    An order that fits one block yields the cached pair of _one_block.
     With ``binary``, the tables hold x = (s + 1) / 2 with x_0 = 0 in place
     of s, block for block.
+
+    Up to MAX_ENUM_N the tables come from one read-only cache keyed on
+    (n, binary, _BLOCK), filled on an order's first walk, so every later
+    walk of that order, and every branch-and-bound leaf, builds none.  An
+    order takes 2^h rows of h + 1 floats and 2^(n-1-h) of n - 1 - h: at the
+    default _BLOCK, 592 KiB per value of ``binary`` at n = 24, and 3.4 MiB
+    for every order up to 24 with both.  Past MAX_ENUM_N the L tables are
+    built before the first block and each H table as it is walked.
     """
-    if 1 << (n - 1) <= _BLOCK:
-        yield _one_block(n, binary)
-        return
-    low_width = (n - 1) // 2
-    high_width = n - 1 - low_width
-    bits = _BLOCK.bit_length() - 1
-    low_step = 1 << (bits // 2)
-    high_step = 1 << (bits - bits // 2)
-    lows = [
-        _sign_rows(start, min(start + low_step, 1 << low_width), low_width, binary)
-        for start in range(0, 1 << low_width, low_step)
-    ]
-    for start in range(0, 1 << high_width, high_step):
-        high = _high_rows(start, min(start + high_step, 1 << high_width), high_width, binary)
+    if n <= MAX_ENUM_N:
+        highs, lows = _cached_tables(n, binary, _BLOCK)
+    else:
+        highs, lows = _sign_tables(n, binary, _BLOCK)
+    for high in highs:
         for low in lows:
             yield high, low
 
 
-def _valued_blocks(arr: np.ndarray, binary: bool = False):
+def _valued_blocks(arr: np.ndarray, binary: bool = False, tables=None):
     """Yield (H, L, values) for the blocks of _sign_blocks(n, binary), with
     values[i, j] the split (B x | x) of x = [H_i, L_j].
 
-    The walk allocates its two tables of a block's shape on the first block
-    and writes every block's values into them, so a table read after the
-    next block is overwritten.  _sign_blocks yields every L table of one H
-    table before the next H table, so the prefix terms are taken once per
-    H table.
+    Every block's values are written into one pair of tables of a block's
+    shape (_value_tables), so a table read after the next block is
+    overwritten: the pair ``tables`` where given, else a pair the walk
+    allocates on its first block.  _sign_blocks yields every L table of one
+    H table before the next H table, and the same L tables for every H, so
+    the walk takes the prefix terms once per H table and the suffix row
+    [1; q_L] once per L table.
     """
-    vals = tmp = terms = last_high = None
+    vals, tmp = tables or (None, None)
+    terms = last_high = None
+    rights = []
     for high, low in _sign_blocks(arr.shape[0], binary):
         if vals is None:
-            vals, tmp = np.empty((len(high), len(low))), np.empty((len(high), len(low)))
+            vals, tmp = _value_tables(high, low)
         if high is not last_high:
-            terms, last_high = _prefix_terms(arr, high), high
-        yield high, low, _split_values(arr, terms, low, vals, tmp)
+            terms, last_high, j = _prefix_terms(arr, high), high, 0
+        if j == len(rights):
+            rights.append(_suffix_row(arr, low))
+        yield high, low, _split_values(terms, rights[j], low, vals, tmp)
+        j += 1
+
+
+def _value_tables(high: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two empty tables of the shape of the block (H, L), which every block
+    of its order has."""
+    return np.empty((len(high), len(low))), np.empty((len(high), len(low)))
 
 
 def _prefix_terms(arr: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -253,13 +279,24 @@ def _prefix_terms(arr: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.nda
     return left, coupling
 
 
-def _split_values(arr: np.ndarray, terms: tuple[np.ndarray, np.ndarray], low: np.ndarray,
+def _suffix_row(arr: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """The term of _split_values that depends on the suffix table alone:
+    [1; q_L], q_L the quadratic form of the trailing diagonal block."""
+    k = arr.shape[0] - low.shape[1]
+    right = np.empty((2, len(low)))
+    right[0] = 1.0
+    np.einsum("ij,ij->i", low @ arr[k:, k:], low, out=right[1])
+    return right
+
+
+def _split_values(terms: tuple[np.ndarray, np.ndarray], right: np.ndarray, low: np.ndarray,
                   out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """(B x | x) for every x = [high_i, low_j], written into the table ``out``.
 
-    ``terms`` is _prefix_terms(arr, high).  With x = (x_H, x_L) the
-    quadratic splits into q_H + q_L + 2 (x_H B_HL) x_L^T, where q_H and q_L
-    are the quadratic forms of the diagonal blocks; every entry is the float
+    ``terms`` is _prefix_terms(arr, high) and ``right`` is _suffix_row(arr,
+    low).  With x = (x_H, x_L) the quadratic splits into
+    q_H + q_L + 2 (x_H B_HL) x_L^T, where q_H and q_L are the quadratic
+    forms of the diagonal blocks; every entry is the float
     (q_H + q_L) + 2 (x_H B_HL) x_L^T, summed in that order.  ``tmp`` is
     scratch of the same shape.
 
@@ -273,10 +310,6 @@ def _split_values(arr: np.ndarray, terms: tuple[np.ndarray, np.ndarray], low: np
     nothing overflows that the documented order keeps finite.
     """
     left, coupling = terms
-    k = arr.shape[0] - low.shape[1]
-    right = np.empty((2, len(low)))
-    right[0] = 1.0
-    np.einsum("ij,ij->i", low @ arr[k:, k:], low, out=right[1])
     np.matmul(left, right, out=out)
     np.matmul(coupling, low.T, out=tmp)
     out += tmp
@@ -910,7 +943,8 @@ def _node_buffers(arr: np.ndarray, k: int) -> np.ndarray:
     Every node of order k has the same free coordinates, so only Q's first
     row and column and its diagonal change from node to node.  A node
     solved outright is valued by the walk of the three routes,
-    _valued_blocks(Q).
+    _valued_blocks(Q), into the one pair of value tables that the search
+    keeps for its order.
     """
     depth = arr.shape[0] - k + 1
     q = np.empty((k, k))
@@ -1143,6 +1177,7 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
     heap = [] if at_root else [(-total_abs, 1, 1, (n + 1) * _EPS * total_abs, None, 0.0,
                                 np.ones(1), arr[1:, 0].copy(), None, None)]
     buffers = {}
+    leaf_tables = {}
     pops = 0
     pruned = 0
     solves = 0
@@ -1181,7 +1216,9 @@ def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbRe
         qf = float(prefix @ arr[:depth, :depth] @ prefix)
         if k <= _ENUM_FREE + 1:
             enumerated += 1
-            for high, low, vals in _valued_blocks(q):
+            if k not in leaf_tables:
+                leaf_tables[k] = _value_tables(*next(_sign_blocks(k)))
+            for high, low, vals in _valued_blocks(q, tables=leaf_tables[k]):
                 vals += qf
                 best_val, best_key, second = _best_in_block(arr, vals, high, low, prefix, g,
                                                             best_val, best_key, second)

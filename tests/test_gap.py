@@ -158,7 +158,8 @@ class TestBetaHypercube:
         # branch-and-bound's leaves of that order take too, and no route can
         # write into them.  The pair covers {+1} x {-1,+1}^(n-1) once.
         (high, low), = list(gap._sign_blocks(n))
-        assert high is gap._one_block(n, False)[0] and low is gap._one_block(n, False)[1]
+        highs, lows = gap._cached_tables(n, False, gap._BLOCK)
+        assert len(highs) == len(lows) == 1 and highs[0] is high and lows[0] is low
         assert not high.flags.writeable and not low.flags.writeable
         # With _ENUM_FREE = n - 1, every node solved outright has order n.
         monkeypatch.setattr(gap, "_ENUM_FREE", n - 1)
@@ -283,6 +284,102 @@ class TestSplitValues:
                 route(b)
                 assert len(calls) == len(tables)
                 assert all(np.array_equal(c, t) for c, t in zip(calls, tables, strict=True))
+
+
+class TestSignTableCache:
+    def test_keyed_on_block_size(self, monkeypatch):
+        # A walk of n = 18 at _BLOCK = 8 fills the cache with its small
+        # tables; the walk at the default _BLOCK after it must take its own.
+        # Each walk covers {+1} x {-1,+1}^17 exactly once.
+        n = 18
+        for block, high_shape, low_shape in ((8, (4, 10), (2, 8)),
+                                              (gap._BLOCK, (256, 10), (256, 8))):
+            monkeypatch.setattr(gap, "_BLOCK", block)
+            blocks = list(gap._sign_blocks(n))
+            assert len(blocks) == (1 << (n - 1)) // (high_shape[0] * low_shape[0])
+            assert all(high.shape == high_shape and low.shape == low_shape
+                       for high, low in blocks)
+            signs = np.concatenate([
+                np.hstack((np.repeat(high, len(low), axis=0), np.tile(low, (len(high), 1))))
+                for high, low in blocks
+            ])
+            assert np.all(signs[:, 0] == 1.0) and np.all(np.abs(signs) == 1.0)
+            codes = (signs[:, 1:] < 0) @ (1 << np.arange(n - 1))
+            assert np.array_equal(np.sort(codes), np.arange(1 << (n - 1)))
+
+    def test_second_solve_builds_no_sign_table(self, monkeypatch):
+        # The first solve_gap at n = 20 fills the cache; the second takes
+        # every table from it.  Its peak is then the two 512 KiB value
+        # tables of a block and the routes' scratch (a block's comparison
+        # masks and beta_opnorm's row products, about 170 KiB); building
+        # the tables again would add about 50 KiB on top of that.
+        import tracemalloc
+
+        space = path_metric(gen_random_tree(20, seed=3))
+        solve_gap(space)
+
+        def no_tables(*args):
+            raise AssertionError("sign table built")
+
+        monkeypatch.setattr(gap, "_sign_rows", no_tables)
+        tracemalloc.start()
+        try:
+            solve_gap(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (512 << 10) + (192 << 10)
+
+    def test_past_the_cutoff_tables_are_not_cached(self):
+        # Orders past MAX_ENUM_N stream their tables and leave the cache as
+        # it was.
+        before = gap._cached_tables.cache_info().currsize
+        high, low = next(gap._sign_blocks(gap.MAX_ENUM_N + 1))
+        assert high.flags.writeable and low.flags.writeable
+        assert gap._cached_tables.cache_info().currsize == before
+
+    @pytest.mark.parametrize("block", [8, 64, gap._BLOCK])
+    def test_suffix_row_once_per_low_table(self, monkeypatch, block):
+        # Every H table meets the same L tables, so each walk takes the
+        # suffix row [1; q_L] once per L table, in the order of the tables.
+        monkeypatch.setattr(gap, "_BLOCK", block)
+        suffix_row = gap._suffix_row
+        calls = []
+
+        def counted(arr, low):
+            calls.append(low)
+            return suffix_row(arr, low)
+
+        monkeypatch.setattr(gap, "_suffix_row", counted)
+        for n in (2, 9, 14, 18):
+            b = tree_B(n, n)
+            for route, binary in ((beta_hypercube, False), (beta_opnorm, False),
+                                  (beta_binary, True)):
+                lows = gap._cached_tables(n, binary, block)[1]
+                calls.clear()
+                route(b)
+                assert len(calls) == len(lows)
+                assert all(c is t for c, t in zip(calls, lows, strict=True))
+
+    def test_leaves_of_one_order_share_value_tables(self, monkeypatch):
+        # branch_and_bound keeps one pair of value tables per leaf order,
+        # and a walk with no pair given allocates its own.
+        tables = {}
+        best_in_block = gap._best_in_block
+
+        def capture(arr, vals, high, low, *rest):
+            seen = tables.setdefault(vals.shape, [])
+            if not any(v is vals for v in seen):
+                seen.append(vals)
+            return best_in_block(arr, vals, high, low, *rest)
+
+        monkeypatch.setattr(gap, "_best_in_block", capture)
+        result = branch_and_bound(cloud_B(20, 5), budget=200)
+        assert result.nodes_enumerated > len(tables) > 0
+        assert all(len(seen) == 1 for seen in tables.values())
+        arr = tree_B(9, 9).a
+        walks = [next(gap._valued_blocks(arr))[2] for _ in range(2)]
+        assert walks[0] is not walks[1]
 
 
 class TestBetaOpnormBinary:
