@@ -20,10 +20,15 @@ def main() -> int:
         space = mg.path_metric(tree)
         res = mg.solve_gap(space)
         oracle = mg.gamma_tree(tree)
-        b_gap = np.max(np.abs(mg.build_B(mg.power_matrix(space, 1.0)).B.a
-                              - mg.B_tree(tree).a))
-        coloring = mg.tree_two_coloring(tree)
-        attained = float(coloring @ mg.B_tree(tree).a @ coloring)
+        half_lap = np.zeros((n, n))  # half the reciprocal-weight Laplacian
+        for i, j, w in tree.edges:
+            half_lap[[i, j], [j, i]] -= 0.5 / w
+            half_lap[[i, j], [i, j]] += 0.5 / w
+        b_gap = np.max(np.abs(mg.build_B(mg.power_matrix(space, 1.0)).B.a - half_lap))
+        # The bipartition: +1 where the hop count from vertex 0 is even.
+        hops = mg.path_metric(mg.gen_tree([(i, j, 1.0) for i, j, _ in tree.edges])).d.a[0]
+        coloring = 1.0 - 2.0 * (hops % 2.0)
+        attained = float(coloring @ half_lap @ coloring)
         print(f"  n = {n:>2}: gamma = {res.gamma:.10f}  closed = {oracle.gamma:.10f}  "
               f"|B - L/2| = {b_gap:.1e}  bipartition attains beta: "
               f"{abs(attained - res.beta) < 1e-9 * res.beta}")

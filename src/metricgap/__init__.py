@@ -8,22 +8,13 @@ The public surface is re-exported here; the modules group as
   negtype       classification, the LDL^T of A (three LAPACK calls) and
                 the corrected matrices B and C
   gap           exact sign-vector maximization, witnesses, branch-and-bound
-  closed_forms  oracles for discrete spaces, cycles, and trees
+  closed_forms  closed-form gamma and beta for discrete spaces, cycles,
+                and trees
   cli           command-line front end
 """
 
 from . import errors
-from .closed_forms import (
-    B_tree,
-    OracleResult,
-    cycle_binary_maximizer,
-    gamma_cycle,
-    gamma_discrete,
-    gamma_tree,
-    inverse_cycle,
-    inverse_tree,
-    tree_two_coloring,
-)
+from .closed_forms import OracleResult, gamma_cycle, gamma_discrete, gamma_tree
 from .gap import (
     MAX_ENUM_N,
     BnbResult,
@@ -66,7 +57,6 @@ from .negtype import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "B_tree",
     "BnbResult",
     "GapInequalityReport",
     "GapResult",
@@ -86,7 +76,6 @@ __all__ = [
     "branch_and_bound",
     "build_B",
     "classify",
-    "cycle_binary_maximizer",
     "errors",
     "gamma_cycle",
     "gamma_discrete",
@@ -96,8 +85,6 @@ __all__ = [
     "gen_path",
     "gen_random_tree",
     "gen_tree",
-    "inverse_cycle",
-    "inverse_tree",
     "is_tree",
     "make_witness",
     "oscillation",
@@ -105,7 +92,6 @@ __all__ = [
     "power_matrix",
     "project_to_F",
     "solve_gap",
-    "tree_two_coloring",
     "validate_metric",
     "verify_gap_inequality",
 ]

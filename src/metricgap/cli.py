@@ -47,7 +47,7 @@ from .errors import (
     TriangleViolation,
     ZeroFunctional,
 )
-from .gap import ENUM_CEILING, MAX_ENUM_N, solve_gap
+from .gap import BNB_BUDGET, ENUM_CEILING, MAX_ENUM_N, solve_gap
 from .metric import (
     MetricSpace,
     WeightedGraph,
@@ -550,7 +550,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gap.add_argument("--bnb", action="store_true",
                      help=f"past min(--max-n, {ENUM_CEILING}), use branch-and-bound "
                           "instead of exiting 5")
-    gap.add_argument("--bnb-budget", type=int, default=2_000_000, help="node budget")
+    gap.add_argument("--bnb-budget", type=int, default=BNB_BUDGET, help="node budget")
     gap.add_argument("--timing", action="store_true", help="include wall time in the report")
 
     oracle = sub.add_parser("oracle", help="check the pipeline against closed forms")

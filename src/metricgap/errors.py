@@ -49,10 +49,6 @@ class NotATree(MetricGapError):
     """The graph is not a tree (cycle present, or not connected)."""
 
 
-class EvenCycle(MetricGapError):
-    """A closed form that exists only for odd cycles was asked for an even one."""
-
-
 class ZeroFunctional(MetricGapError):
     """The functional vector is identically zero."""
 

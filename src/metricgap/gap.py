@@ -135,6 +135,9 @@ MAX_ENUM_N = 24
 # tables.
 ENUM_CEILING = 40
 
+# Default node budget of branch_and_bound, solve_gap and the CLI's --bnb-budget.
+BNB_BUDGET = 2_000_000
+
 # Most sign vectors in one block of the sign-table kernel; a block's table
 # of values takes 512 KiB.
 _BLOCK = 1 << 16
@@ -952,7 +955,7 @@ def _node_buffers(arr: np.ndarray, k: int) -> np.ndarray:
     return q
 
 
-def branch_and_bound(b, *, budget: int = 2_000_000, automorphisms=None) -> BnbResult:
+def branch_and_bound(b, *, budget: int = BNB_BUDGET, automorphisms=None) -> BnbResult:
     """Certified maximum of (B s | s) over sign vectors by best-first search.
 
     A node fixes a sign prefix s_P (the first coordinate is +1 by sign
@@ -1346,8 +1349,11 @@ def make_witness(report: NegTypeReport, s_star) -> np.ndarray:
     y0 = ((x | z) / M) z - A^{-1} x is B x, since B = z z^T / M - A^{-1}.
     Then ||y0||_1 equals the sign-vector maximum beta, (-A y0 | y0) equals
     the same value, and A y0 has oscillation at most 1, which together
-    witness that the gap constant 2 / beta cannot be improved.
+    witness that the gap constant 2 / beta cannot be improved.  Raises
+    NotStrict for any other verdict, which carries no B.
     """
+    if report.verdict != STRICT_NEGATIVE_TYPE:
+        raise NotStrict(f"verdict is {report.verdict}; the witness requires strictness")
     s = np.asarray(s_star, dtype=float)
     u = report.u
     x = s - (float(s @ u) / float(u @ u)) * u
@@ -1459,7 +1465,7 @@ def solve_gap(
     *,
     max_enum_n: int = MAX_ENUM_N,
     use_bnb: bool = False,
-    bnb_budget: int = 2_000_000,
+    bnb_budget: int = BNB_BUDGET,
 ) -> GapResult:
     """Full pipeline from a metric space (or prepared power matrix) to the
     gap constant.  Strict verdict required; classify first if unsure.

@@ -73,13 +73,6 @@ class WeightedGraph:
             canonical.append((key[0], key[1], w))
         object.__setattr__(self, "edges", tuple(canonical))
 
-    def degree_sequence(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=int)
-        for i, j, _ in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
 
 @dataclass(frozen=True, eq=False)
 class NegTypeMatrix:
@@ -189,10 +182,11 @@ def power_matrix(x: MetricSpace, p: float) -> NegTypeMatrix:
     the result is the all-ones matrix minus the identity regardless of the
     input geometry.  A positive distance whose power overflows, or falls
     below the smallest normal float (where it would read as a zero or lose
-    its precision), raises InvalidSize.
+    its precision), raises InvalidSize.  A negative or non-finite exponent
+    raises ValueError.
     """
-    if p < 0:
-        raise ValueError(f"exponent must be nonnegative, got {p}")
+    if not (0 <= p < np.inf):
+        raise ValueError(f"exponent must be a nonnegative finite number, got {p}")
     n = x.n
     if p == 0:
         a = np.ones((n, n)) - np.eye(n)

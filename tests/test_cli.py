@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from metricgap.cli import (
     MAX_POINTS,
     Report,
+    _build_parser,
     emit_report,
     main,
     parse_input,
@@ -547,6 +549,11 @@ class TestMainExitCodes:
         assert code == 2
         assert out == ""
         assert "input error" in err
+
+    def test_default_bnb_budget_is_the_solver_default(self):
+        assert _build_parser().parse_args(["gap", "-"]).bnb_budget == gap.BNB_BUDGET
+        assert inspect.signature(gap.solve_gap).parameters["bnb_budget"].default == gap.BNB_BUDGET
+        assert inspect.signature(gap.branch_and_bound).parameters["budget"].default == gap.BNB_BUDGET
 
     @pytest.mark.parametrize("flags", [[], ["--bnb"]], ids=["enumeration", "bnb"])
     def test_negative_max_n_is_2(self, capsys, monkeypatch, flags):

@@ -3,17 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from metricgap.closed_forms import (
-    B_tree,
-    cycle_binary_maximizer,
-    gamma_cycle,
-    gamma_discrete,
-    gamma_tree,
-    inverse_cycle,
-    inverse_tree,
-    tree_two_coloring,
-)
-from metricgap.errors import EvenCycle, InvalidSize, NotATree
+from metricgap.closed_forms import gamma_cycle, gamma_discrete, gamma_tree
+from metricgap.errors import InvalidSize, NotATree
 from metricgap.gap import solve_gap
 from metricgap.metric import (
     WeightedGraph,
@@ -26,6 +17,8 @@ from metricgap.metric import (
     power_matrix,
 )
 from metricgap.negtype import build_B
+
+from oracles import B_tree, cycle_binary_maximizer, inverse_cycle, inverse_tree, tree_two_coloring
 
 
 def _cycle_B_pipeline(n):
@@ -87,12 +80,8 @@ class TestCycle:
     @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
     def test_inverse_cycle_is_inverse(self, n):
         a = power_matrix(path_metric(gen_cycle(n)), 1.0).A.a
-        prod = inverse_cycle(n).a @ a
+        prod = inverse_cycle(n) @ a
         assert np.max(np.abs(prod - np.eye(n))) <= 1e-10
-
-    def test_inverse_cycle_even_raises(self):
-        with pytest.raises(EvenCycle):
-            inverse_cycle(6)
 
     @pytest.mark.parametrize("n", [5, 7, 9])
     def test_aux_B_matches_pipeline(self, n):
@@ -122,10 +111,6 @@ class TestCycle:
         b = _cycle_B_pipeline(n)
         assert float(x @ b @ x) == pytest.approx(gamma_cycle(n).beta / 4.0, rel=1e-12)
 
-    def test_binary_maximizer_even_raises(self):
-        with pytest.raises(EvenCycle):
-            cycle_binary_maximizer(4)
-
 
 class TestTree:
     @pytest.mark.parametrize("seed", range(8))
@@ -146,7 +131,7 @@ class TestTree:
     def test_inverse_tree_is_inverse(self, seed):
         tree = gen_random_tree(4 + seed, seed=100 + seed)
         a = power_matrix(path_metric(tree), 1.0).A.a
-        prod = inverse_tree(tree).a @ a
+        prod = inverse_tree(tree) @ a
         assert np.max(np.abs(prod - np.eye(tree.n))) <= 1e-10
 
     # n = 65 and 130 run dsytrf's blocked path.
@@ -156,7 +141,7 @@ class TestTree:
     def test_B_tree_matches_pipeline(self, n, seed):
         tree = gen_random_tree(n, seed=seed)
         gm = build_B(power_matrix(path_metric(tree), 1.0))
-        closed = B_tree(tree).a
+        closed = B_tree(tree)
         scale = max(np.max(np.abs(closed)), 1.0)
         assert np.max(np.abs(closed - gm.B.a)) <= 1e-9 * scale
 
@@ -179,15 +164,13 @@ class TestTree:
 
     def test_not_a_tree_rejected(self):
         g = WeightedGraph(3, ((0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)))
-        for fn in (gamma_tree, inverse_tree, B_tree, tree_two_coloring):
-            with pytest.raises(NotATree):
-                fn(g)
+        with pytest.raises(NotATree):
+            gamma_tree(g)
 
     def test_one_vertex_rejected(self):
         g = WeightedGraph(1, ())
-        for fn in (gamma_tree, inverse_tree):
-            with pytest.raises(InvalidSize):
-                fn(g)
+        with pytest.raises(InvalidSize):
+            gamma_tree(g)
 
 
 class TestAgainstPipeline:

@@ -1302,6 +1302,12 @@ class TestWitness:
         paper = (float(x @ gm.z) / gm.M) * gm.z - np.linalg.solve(ntm.A.a, x)
         assert np.max(np.abs(y0 - paper)) <= 1e-13 * np.max(np.abs(paper))
 
+    def test_non_strict_report_refused(self):
+        # The 4-cycle is of negative type but not strict: its report has no B.
+        report = classify(power_matrix(path_metric(gen_cycle(4)), 1.0))
+        with pytest.raises(NotStrict):
+            make_witness(report, np.array([1.0, -1.0, 1.0, -1.0]))
+
     def test_two_point_witness(self):
         ntm = power_matrix(gen_discrete(2), 1.0)
         gm = build_B(ntm)
