@@ -26,7 +26,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -310,36 +310,8 @@ def realize(doc: InputDocument) -> tuple[MetricSpace, tuple | None]:
     return _realize_generator(doc.payload["name"], doc.payload["spec"])
 
 
-@dataclass(eq=False)
-class Report:
-    """Everything one gap run reports; see emit_report for its two forms."""
-
-    verdict: str
-    n: int
-    p: float
-    gamma: float | None = None
-    beta: float | None = None
-    s_star: list | None = None
-    witness: list | None = None
-    cross_checks: dict = field(default_factory=dict)
-    diagnostics: dict = field(default_factory=dict)
-    timing: float | None = None
-
-
-def _plain(obj):
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    return obj
-
-
-def emit_report(report: Report, mode: str = "text") -> str:
-    """Render a report.
+def emit_report(report: dict, mode: str = "text") -> str:
+    """Render a report, the dict run_gap builds.
 
     Machine mode is canonical JSON (sorted keys, compact separators,
     shortest-roundtrip floats) and is byte-deterministic for a given
@@ -347,20 +319,7 @@ def emit_report(report: Report, mode: str = "text") -> str:
     significant digits.
     """
     if mode == "machine":
-        payload = {
-            "verdict": report.verdict,
-            "n": report.n,
-            "p": report.p,
-            "gamma": report.gamma,
-            "beta": report.beta,
-            "s_star": report.s_star,
-            "witness": report.witness,
-            "cross_checks": report.cross_checks,
-            "diagnostics": report.diagnostics,
-        }
-        if report.timing is not None:
-            payload["timing"] = report.timing
-        return json.dumps(_plain(payload), sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
 
     def num(v):
         return "none" if v is None else f"{v:.6g}"
@@ -371,19 +330,19 @@ def emit_report(report: Report, mode: str = "text") -> str:
         return num(v) if isinstance(v, float) else str(v)
 
     lines = [
-        f"verdict:  {report.verdict}",
-        f"n:        {report.n}",
-        f"p:        {num(report.p)}",
-        f"gamma:    {num(report.gamma)}",
-        f"beta:     {num(report.beta)}",
+        f"verdict:  {report['verdict']}",
+        f"n:        {report['n']}",
+        f"p:        {num(report['p'])}",
+        f"gamma:    {num(report['gamma'])}",
+        f"beta:     {num(report['beta'])}",
     ]
-    if report.s_star is not None:
-        lines.append("s_star:   " + " ".join("+" if v > 0 else "-" for v in report.s_star))
-    if report.witness is not None:
-        lines.append("witness:  " + " ".join(f"{v:.6g}" for v in report.witness))
-    for label, value in sorted(report.cross_checks.items()):
+    if report["s_star"] is not None:
+        lines.append("s_star:   " + " ".join("+" if v > 0 else "-" for v in report["s_star"]))
+    if report["witness"] is not None:
+        lines.append("witness:  " + " ".join(f"{v:.6g}" for v in report["witness"]))
+    for label, value in sorted(report["cross_checks"].items()):
         lines.append(f"check {label}: {value if isinstance(value, str) else num(value)}")
-    for label, value in sorted(report.diagnostics.items()):
+    for label, value in sorted(report["diagnostics"].items()):
         if isinstance(value, float):
             value = num(value)
         elif isinstance(value, dict):
@@ -391,8 +350,8 @@ def emit_report(report: Report, mode: str = "text") -> str:
         elif isinstance(value, list):
             value = listed(value)
         lines.append(f"{label}: {value}")
-    if report.timing is not None:
-        lines.append(f"wall_time: {report.timing:.3f} s")
+    if "timing" in report:
+        lines.append(f"wall_time: {report['timing']:.3f} s")
     return "\n".join(lines) + "\n"
 
 
@@ -400,8 +359,13 @@ def _relative_error(value: float, reference: float) -> float:
     return abs(value - reference) / max(abs(reference), 1e-300)
 
 
-def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
-    """Classify, compute, cross-check.  Returns the report and exit code."""
+def run_gap(doc: InputDocument, args) -> tuple[dict, int]:
+    """Classify, compute, cross-check.  Returns the report and exit code.
+
+    The report is a dict of plain JSON values with the keys verdict, n, p,
+    gamma, beta, s_star, witness, cross_checks and diagnostics, and timing
+    under --timing; emit_report renders it.
+    """
     t0 = time.perf_counter()
     if args.bnb_budget < 0:
         raise SchemaError(f"--bnb-budget must be nonnegative, got {args.bnb_budget}")
@@ -419,43 +383,40 @@ def run_gap(doc: InputDocument, args) -> tuple[Report, int]:
             bnb_budget=args.bnb_budget,
         )
 
-    report = Report(
-        verdict=analysis.verdict,
-        n=space.n,
-        p=p,
-        diagnostics={
-            "projected_spectrum": _plain(analysis.projected_spectrum),
-            "margins": analysis.margins,
-        },
-    )
+    diagnostics = {"projected_spectrum": analysis.projected_spectrum.tolist(),
+                   "margins": analysis.margins}
+    cross_checks = {}
+    report = {"verdict": analysis.verdict, "n": space.n, "p": p, "gamma": None, "beta": None,
+              "s_star": None, "witness": None, "cross_checks": cross_checks,
+              "diagnostics": diagnostics}
     if space.merged:
-        report.diagnostics["merged_points"] = _plain(space.merged)
+        diagnostics["merged_points"] = [list(group) for group in space.merged]
     if result is not None:
-        report.gamma = result.gamma
-        report.beta = result.beta
-        report.diagnostics["M"] = analysis.M
-        report.diagnostics["method"] = result.method
+        report["gamma"] = result.gamma
+        report["beta"] = result.beta
+        diagnostics["M"] = analysis.M
+        diagnostics["method"] = result.method
         bnb = result.bnb
         if bnb is not None:
-            report.diagnostics.update(
+            diagnostics.update(
                 bnb_certified=bnb.certified, bnb_nodes=bnb.nodes_expanded,
                 bnb_pruned=bnb.nodes_pruned, bnb_enumerated=bnb.nodes_enumerated,
                 bnb_eigen_solves=bnb.eigen_solves, bnb_tied=bnb.nodes_tied,
                 bnb_group_order=bnb.group_order, bnb_symmetric=bnb.nodes_symmetric,
                 bnb_gap=max(0.0, bnb.best_bound - bnb.beta), bnb_delta=bnb.delta)
-        report.s_star = _plain(result.s_star)
+        report["s_star"] = result.s_star.tolist()
         if args.witness:
-            report.witness = _plain(result.witness_y0)
+            report["witness"] = result.witness_y0.tolist()
         for route, value in (("opnorm", result.beta_by_opnorm), ("binary", result.beta_by_binary)):
             if value is not None:
-                report.cross_checks[f"beta_{route}"] = value
-                report.cross_checks[f"beta_{route}_rel_err"] = _relative_error(value, result.beta)
+                cross_checks[f"beta_{route}"] = value
+                cross_checks[f"beta_{route}_rel_err"] = _relative_error(value, result.beta)
     elif analysis.verdict == NEGATIVE_TYPE_NON_STRICT:
-        report.gamma = 0.0
-    if report.gamma is not None and family is not None and p == 1.0:
-        report.cross_checks.update(_oracle_check(family, report.gamma))
+        report["gamma"] = 0.0
+    if report["gamma"] is not None and family is not None and p == 1.0:
+        cross_checks.update(_oracle_check(family, report["gamma"]))
     if args.timing:
-        report.timing = time.perf_counter() - t0
+        report["timing"] = time.perf_counter() - t0
     return report, 4 if analysis.verdict == NOT_NEGATIVE_TYPE else 0
 
 
@@ -501,20 +462,20 @@ def run_oracle_suite(args) -> tuple[bool, list[dict]]:
     skew = args.inject_fault
     for family, name, spec in cases:
         report, _ = run_gap(InputDocument("generator", {"name": name, "spec": spec}), gap_args)
-        checks = report.cross_checks
-        row = {"family": family, "n": report.n, "gamma": report.gamma,
+        checks = report["cross_checks"]
+        row = {"family": family, "n": report["n"], "gamma": report["gamma"],
                "oracle": checks.get("oracle_gamma"),
                "rel_err": checks.get("oracle_rel_err", checks.get("oracle_abs_err"))}
-        even = family == "cycle" and report.n % 2 == 0
+        even = family == "cycle" and report["n"] % 2 == 0
         if even:
-            row["verdict"] = report.verdict
+            row["verdict"] = report["verdict"]
         if skew and family == "tree" and row["oracle"] is not None:
             skew = False
             row["oracle"] *= 1.0 + 1e-3
-            row["rel_err"] = _relative_error(report.gamma, row["oracle"])
+            row["rel_err"] = _relative_error(report["gamma"], row["oracle"])
         # Either verdict gives a gamma, and so the closed-form keys.
         expected = NEGATIVE_TYPE_NON_STRICT if even else STRICT_NEGATIVE_TYPE
-        row["ok"] = report.verdict == expected and row["rel_err"] <= 1e-9
+        row["ok"] = report["verdict"] == expected and row["rel_err"] <= 1e-9
         ok = ok and row["ok"]
         rows.append(row)
     return ok, rows
@@ -578,10 +539,7 @@ def main(argv=None) -> int:
         if args.command == "oracle":
             ok, rows = run_oracle_suite(args)
             if args.report == "machine":
-                sys.stdout.write(
-                    json.dumps(_plain({"ok": ok, "rows": rows}), sort_keys=True,
-                               separators=(",", ":")) + "\n"
-                )
+                sys.stdout.write(emit_report({"ok": ok, "rows": rows}, "machine"))
             else:
                 def num(v, spec):
                     return "none" if v is None else format(v, spec)

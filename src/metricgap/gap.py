@@ -59,13 +59,13 @@ to the caller's order; odd cycles and discrete spaces, whose B_ii are all
 equal up to rounding, are searched in index order.  The search takes sign
 prefixes best first.  Each queued node carries its prefix, and the
 prefix's coupling to the free coordinates, as its own arrays, made from
-its parent's when the node is queued, so the search reaches any depth.
-A node with at most _ENUM_FREE free coordinates is solved outright: the
-walk the three routes reduce, _valued_blocks, values all its completions,
-as one block of the cached sign tables of its order, into the one pair of
-value tables the search keeps for that order, and the tie-break contract
-picks among them (_best_in_block).  Any other node's bound is
-the shifted-eigenvalue bound of Poljak and Rendl,
+its parent's when the node is queued, so the search reaches any depth,
+and a popped node builds its matrix Q in a new array of its own.  A node
+with at most _ENUM_FREE free coordinates is solved outright: the walk the
+three routes reduce, _valued_blocks, values all its completions, as one
+block of the cached sign tables of its order, into value tables of its
+own, and the tie-break contract picks among them (_best_in_block).  Any
+other node's bound is the shifted-eigenvalue bound of Poljak and Rendl,
 qf + (m+1) lmax(Q + Diag d) - sum d over the m free coordinates, tightened
 by at most _SHIFT_STEPS over-relaxed subgradient steps on the shifts d
 (the comment there says how both constants were chosen).  A step that
@@ -222,7 +222,9 @@ def _sign_blocks(n: int, binary: bool = False):
 
     Up to MAX_ENUM_N the tables come from one read-only cache keyed on
     (n, binary, _BLOCK), filled on an order's first walk, so every later
-    walk of that order, and every branch-and-bound leaf, builds none.  An
+    walk of that order, and every branch-and-bound leaf, builds none; only
+    these read-only tables are shared, as each walk values its blocks into
+    tables of its own (_valued_blocks).  An
     order takes 2^h rows of h + 1 floats and 2^(n-1-h) of n - 1 - h: at the
     default _BLOCK, 592 KiB per value of ``binary`` at n = 24, and 3.4 MiB
     for every order up to 24 with both.  Past MAX_ENUM_N the L tables are
@@ -237,36 +239,28 @@ def _sign_blocks(n: int, binary: bool = False):
             yield high, low
 
 
-def _valued_blocks(arr: np.ndarray, binary: bool = False, tables=None):
+def _valued_blocks(arr: np.ndarray, binary: bool = False):
     """Yield (H, L, values) for the blocks of _sign_blocks(n, binary), with
     values[i, j] the split (B x | x) of x = [H_i, L_j].
 
-    Every block's values are written into one pair of tables of a block's
-    shape (_value_tables), so a table read after the next block is
-    overwritten: the pair ``tables`` where given, else a pair the walk
-    allocates on its first block.  _sign_blocks yields every L table of one
-    H table before the next H table, and the same L tables for every H, so
-    the walk takes the prefix terms once per H table and the suffix row
-    [1; q_L] once per L table.
+    Each walk allocates its own pair of value tables of a block's shape on
+    its first block, and writes every block's values into them, so a table
+    read after the next block is overwritten.  _sign_blocks yields every L
+    table of one H table before the next H table, and the same L tables for
+    every H, so the walk takes the prefix terms once per H table and the
+    suffix row [1; q_L] once per L table.
     """
-    vals, tmp = tables or (None, None)
-    terms = last_high = None
+    terms = last_high = vals = tmp = None
     rights = []
     for high, low in _sign_blocks(arr.shape[0], binary):
         if vals is None:
-            vals, tmp = _value_tables(high, low)
+            vals, tmp = np.empty((len(high), len(low))), np.empty((len(high), len(low)))
         if high is not last_high:
             terms, last_high, j = _prefix_terms(arr, high), high, 0
         if j == len(rights):
             rights.append(_suffix_row(arr, low))
         yield high, low, _split_values(terms, rights[j], low, vals, tmp)
         j += 1
-
-
-def _value_tables(high: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two empty tables of the shape of the block (H, L), which every block
-    of its order has."""
-    return np.empty((len(high), len(low))), np.empty((len(high), len(low)))
 
 
 def _prefix_terms(arr: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -698,16 +692,15 @@ def _shift_step(shifts: np.ndarray, excess: float, v: np.ndarray, last):
     return np.subtract(shifts, step, out=step), (direction, norm2)
 
 
-def _load_node(q: np.ndarray, h: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Write a node's coupling ``h`` into the first row and column of its
-    matrix ``q`` and (0, ``tail``) into its diagonal; returns a view of the
-    diagonal."""
+def _node_matrix(arr: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """A node's Q = [[0, h^T], [h, B_FF]] as a new array, B_FF the trailing
+    block of ``arr`` of the order of ``h``."""
+    k = h.shape[0] + 1
+    q = arr[-k:, -k:].copy()
     q[0, 1:] = h
     q[1:, 0] = h
-    q_diag = q.reshape(-1)[:: q.shape[0] + 1]
-    q_diag[0] = 0.0
-    q_diag[1:] = tail
-    return q_diag
+    q[0, 0] = 0.0
+    return q
 
 
 def _merged(vec: np.ndarray, sign: float, f: float):
@@ -933,26 +926,11 @@ def _root_start(arr: np.ndarray, prefix_abs: np.ndarray):
     diagonal is zero, with d and the rounding error (_bound_error) of a
     root bound taken there."""
     n = arr.shape[0]
-    q = _node_buffers(arr, n)
-    shifts = -_load_node(q, arr[1:, 0], arr.diagonal()[1:])
+    q = _node_matrix(arr, arr[1:, 0])
+    shifts = -q.diagonal()
     np.fill_diagonal(q, 0.0)
     return q, shifts, _bound_error(n, 1, prefix_abs[1], _frobenius(q),
                                    float(np.add.reduce(np.abs(shifts))))
-
-
-def _node_buffers(arr: np.ndarray, k: int) -> np.ndarray:
-    """A buffer for the node matrices Q of order k, its block B_FF filled in.
-
-    Every node of order k has the same free coordinates, so only Q's first
-    row and column and its diagonal change from node to node.  A node
-    solved outright is valued by the walk of the three routes,
-    _valued_blocks(Q), into the one pair of value tables that the search
-    keeps for its order.
-    """
-    depth = arr.shape[0] - k + 1
-    q = np.empty((k, k))
-    q[1:, 1:] = arr[depth:, depth:]
-    return q
 
 
 def branch_and_bound(b, *, budget: int = BNB_BUDGET, automorphisms=None) -> BnbResult:
@@ -1179,8 +1157,6 @@ def branch_and_bound(b, *, budget: int = BNB_BUDGET, automorphisms=None) -> BnbR
     # queue's order, so no entry compares past it.
     heap = [] if at_root else [(-total_abs, 1, 1, (n + 1) * _EPS * total_abs, None, 0.0,
                                 np.ones(1), arr[1:, 0].copy(), None, None)]
-    buffers = {}
-    leaf_tables = {}
     pops = 0
     pruned = 0
     solves = 0
@@ -1212,22 +1188,17 @@ def branch_and_bound(b, *, budget: int = BNB_BUDGET, automorphisms=None) -> BnbR
             break
         pops += 1
         k = n - depth + 1
-        q = buffers.get(k)
-        if q is None:
-            q = buffers[k] = _node_buffers(arr, k)
-        q_diag = _load_node(q, h, diag[depth:])
+        q = _node_matrix(arr, h)
         qf = float(prefix @ arr[:depth, :depth] @ prefix)
         if k <= _ENUM_FREE + 1:
             enumerated += 1
-            if k not in leaf_tables:
-                leaf_tables[k] = _value_tables(*next(_sign_blocks(k)))
-            for high, low, vals in _valued_blocks(q, tables=leaf_tables[k]):
+            for high, low, vals in _valued_blocks(q):
                 vals += qf
                 best_val, best_key, second = _best_in_block(arr, vals, high, low, prefix, g,
                                                             best_val, best_key, second)
             continue
         if parent_shifts is None:
-            shifts = -q_diag
+            shifts = -q.diagonal()
         else:
             shifts = np.concatenate(([first], parent_shifts[2:]))
         if tie is not None and abs(tie[1] - best_val) <= g and tie[0] != best_key:

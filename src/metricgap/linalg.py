@@ -54,8 +54,10 @@ dsyevr, dsytrf, dsytrf_lwork, dsytri, dsytrs = (
 class SymMatrix:
     """A real symmetric matrix, checked and frozen at construction.
 
-    Entry pairs within ``1e-12 * max(1, max|a|)`` of each other are
-    averaged; anything worse raises AsymmetricInput.  An exactly symmetric
+    Entry pairs within ``1e-12 * max|a|`` of each other are averaged;
+    anything worse raises AsymmetricInput.  The slack is relative to the
+    matrix's scale, so a matrix and any power-of-two multiple of it are
+    accepted or refused alike.  An exactly symmetric
     input is kept as it is, and another is averaged as a / 2 + a^T / 2,
     which cannot overflow.  The backing array is marked read-only so
     downstream code can share it without copying.
@@ -76,7 +78,7 @@ class SymMatrix:
             with np.errstate(over="ignore"):
                 diff = np.abs(a - a.T)
             gap = float(np.max(diff))
-            if gap > 1e-12 * max(scale, 1.0):
+            if gap > 1e-12 * scale:
                 i, j = np.unravel_index(int(np.argmax(diff)), a.shape)
                 raise AsymmetricInput(
                     f"entries ({i},{j}) and ({j},{i}) differ by {gap:.3e}"

@@ -180,26 +180,23 @@ def power_matrix(x: MetricSpace, p: float) -> NegTypeMatrix:
 
     By the usual convention p = 0 sends every positive distance to 1, so
     the result is the all-ones matrix minus the identity regardless of the
-    input geometry.  A positive distance whose power overflows, or falls
+    input geometry; IEEE's pow(x, 0) = 1, 0^0 included, gives it, and the
+    diagonal is then zeroed.  A positive distance whose power overflows, or falls
     below the smallest normal float (where it would read as a zero or lose
     its precision), raises InvalidSize.  A negative or non-finite exponent
     raises ValueError.
     """
     if not (0 <= p < np.inf):
         raise ValueError(f"exponent must be a nonnegative finite number, got {p}")
-    n = x.n
-    if p == 0:
-        a = np.ones((n, n)) - np.eye(n)
-    else:
-        with np.errstate(over="ignore"):
-            a = x.d.a ** p
-        if not np.all(np.isfinite(a)):
-            raise InvalidSize(f"distances to the power {p} overflow the float range")
-        np.fill_diagonal(a, 0.0)
-        under = (a < np.finfo(float).tiny) & (x.d.a > 0.0)
-        np.fill_diagonal(under, False)
-        if np.any(under):
-            raise InvalidSize(f"distances to the power {p} underflow the float range")
+    with np.errstate(over="ignore"):
+        a = x.d.a ** p
+    if not np.all(np.isfinite(a)):
+        raise InvalidSize(f"distances to the power {p} overflow the float range")
+    np.fill_diagonal(a, 0.0)
+    under = (a < np.finfo(float).tiny) & (x.d.a > 0.0)
+    np.fill_diagonal(under, False)
+    if np.any(under):
+        raise InvalidSize(f"distances to the power {p} underflow the float range")
     return NegTypeMatrix(SymMatrix(a), float(p))
 
 

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from metricgap.cli import (
     MAX_POINTS,
-    Report,
     _build_parser,
     emit_report,
     main,
@@ -152,25 +151,30 @@ class TestRealize:
         assert space.d[0, 2] == 5.0
 
 
+def gap_report(**fields):
+    """A report dict with run_gap's keys, ``fields`` overriding the defaults."""
+    report = {"gamma": None, "beta": None, "s_star": None, "witness": None,
+              "cross_checks": {}, "diagnostics": {}}
+    report.update(fields)
+    return report
+
+
 class TestReports:
     def test_machine_roundtrip(self):
-        rep = Report(
+        rep = gap_report(
             verdict="StrictNegativeType", n=3, p=1.0, gamma=0.75, beta=8.0 / 3.0,
             s_star=[1.0, -1.0, 1.0], cross_checks={"beta_opnorm": 8.0 / 3.0},
             diagnostics={"M": 2.0 / 3.0},
         )
         back = json.loads(emit_report(rep, "machine"))
-        assert back["verdict"] == rep.verdict
-        assert back["gamma"] == rep.gamma
-        assert back["s_star"] == rep.s_star
-        assert back["cross_checks"] == rep.cross_checks
+        assert back == rep
 
     def test_machine_is_byte_deterministic(self):
-        rep = Report(verdict="NegativeTypeNonStrict", n=4, p=1.0, gamma=0.0)
+        rep = gap_report(verdict="NegativeTypeNonStrict", n=4, p=1.0, gamma=0.0)
         assert emit_report(rep, "machine") == emit_report(rep, "machine")
 
     def test_text_mode_mentions_verdict(self):
-        rep = Report(verdict="StrictNegativeType", n=2, p=1.0, gamma=1.0, beta=2.0)
+        rep = gap_report(verdict="StrictNegativeType", n=2, p=1.0, gamma=1.0, beta=2.0)
         out = emit_report(rep, "text")
         assert "StrictNegativeType" in out
         assert "gamma" in out
@@ -448,6 +452,13 @@ class TestMainExitCodes:
 
     def test_asymmetric_is_3(self, capsys, monkeypatch):
         code, _, _ = run_main(capsys, ["gap", "-"], "0 1\n2 0", monkeypatch)
+        assert code == 3
+
+    def test_tiny_asymmetric_is_3(self, capsys, monkeypatch):
+        # The symmetry slack scales with the distances, so an asymmetry of
+        # a factor 3 exits 3 at 1e-20 as it does at 1.
+        text = '{"distances": [[0, 1e-20], [3e-20, 0]]}'
+        code, _, _ = run_main(capsys, ["gap", "-"], text, monkeypatch)
         assert code == 3
 
     def test_disconnected_is_3(self, capsys, monkeypatch):

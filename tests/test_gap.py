@@ -361,25 +361,30 @@ class TestSignTableCache:
                 assert len(calls) == len(lows)
                 assert all(c is t for c, t in zip(calls, lows, strict=True))
 
-    def test_leaves_of_one_order_share_value_tables(self, monkeypatch):
-        # branch_and_bound keeps one pair of value tables per leaf order,
-        # and a walk with no pair given allocates its own.
-        tables = {}
+    def test_leaves_own_value_tables_and_share_sign_tables(self, monkeypatch):
+        # Every branch-and-bound leaf and every walk values its blocks into
+        # tables of its own, while the sign tables a leaf reads are the
+        # cached, read-only ones of its order.
+        seen = []
         best_in_block = gap._best_in_block
 
         def capture(arr, vals, high, low, *rest):
-            seen = tables.setdefault(vals.shape, [])
-            if not any(v is vals for v in seen):
-                seen.append(vals)
+            seen.append((vals, high, low))
             return best_in_block(arr, vals, high, low, *rest)
 
         monkeypatch.setattr(gap, "_best_in_block", capture)
         result = branch_and_bound(cloud_B(20, 5), budget=200)
-        assert result.nodes_enumerated > len(tables) > 0
-        assert all(len(seen) == 1 for seen in tables.values())
+        assert len(seen) == result.nodes_enumerated > 1
+        tables = [vals for vals, _, _ in seen]
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(tables) for b in tables[:i])
+        for _, high, low in seen:
+            highs, lows = gap._cached_tables(len(high[0]) + len(low[0]), False, gap._BLOCK)
+            assert high is highs[0] and low is lows[0]
+            assert not (high.flags.writeable or low.flags.writeable)
         arr = tree_B(9, 9).a
         walks = [next(gap._valued_blocks(arr))[2] for _ in range(2)]
-        assert walks[0] is not walks[1]
+        assert not np.shares_memory(walks[0], walks[1])
 
 
 class TestBetaOpnormBinary:

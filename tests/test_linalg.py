@@ -122,6 +122,16 @@ class TestSymMatrix:
         with pytest.raises(AsymmetricInput):
             SymMatrix([[0.0, 1.0], [2.0, 0.0]])
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** 70, 2.0 ** -70])
+    def test_slack_is_relative_to_scale(self, scale):
+        # The same relative asymmetry raises at every scale, and a 1-ulp
+        # one averages at every scale.
+        with pytest.raises(AsymmetricInput):
+            SymMatrix([[0.0, scale], [3.0 * scale, 0.0]])
+        m = SymMatrix([[0.0, scale], [np.nextafter(scale, np.inf), 0.0]])
+        assert m[0, 1] == m[1, 0]
+        assert scale <= m[0, 1] <= np.nextafter(scale, np.inf)
+
     @pytest.mark.filterwarnings("error")
     def test_huge_entries_average_without_overflow(self):
         big = 1.5e308
