@@ -30,7 +30,7 @@ def main() -> int:
     print()
     l1 = float(np.sum(np.abs(y0)))
     quad = float(-y0 @ a @ y0)
-    osc = mg.oscillation(a @ y0, np.ones(7))
+    osc = mg.oscillation(a @ y0)
     print(f"  ||y0||_1    = {l1:.12f} (beta: {res.beta:.12f})")
     print(f"  (-A y0|y0)  = {quad:.12f}")
     print(f"  osc(A y0)   = {osc:.12f} (must not exceed 1)")

@@ -45,7 +45,6 @@ from .errors import (
     SchemaError,
     TooLarge,
     TriangleViolation,
-    ZeroFunctional,
 )
 from .gap import BNB_BUDGET, ENUM_CEILING, MAX_ENUM_N, solve_gap
 from .metric import (
@@ -77,7 +76,6 @@ _METRIC_ERRORS = (
     DisconnectedGraph,
     NotATree,
     InvalidSize,
-    ZeroFunctional,
 )
 
 _GENERATOR_KEYS = ("discrete", "cycle", "path", "tree", "random_tree")

@@ -49,10 +49,6 @@ class NotATree(MetricGapError):
     """The graph is not a tree (cycle present, or not connected)."""
 
 
-class ZeroFunctional(MetricGapError):
-    """The functional vector is identically zero."""
-
-
 class PositiveDirectionMissing(MetricGapError):
     """The matrix admits no direction of positive quadratic form, so the
     classification machinery for the constrained maximum does not apply."""

@@ -462,9 +462,9 @@ def beta_binary(b) -> float:
 
     Requires B u = 0 for the all-ones u; complementing x then leaves the
     value unchanged, which justifies fixing the first coordinate to 0.
-    It equals the sign-vector maximum only then, so it is no cross-check
-    for a B built from a non-constant functional.  The walk values the
-    0/1 tables x = (s + 1) / 2 of the sign tables.
+    It equals the sign-vector maximum only then, as it does for every B
+    that classify builds.  The walk values the 0/1 tables x = (s + 1) / 2
+    of the sign tables.
     """
     arr = _enumerable(b)
     best = 0.0
@@ -1316,17 +1316,17 @@ def make_witness(report: NegTypeReport, s_star) -> np.ndarray:
     """Unnormalized extremal direction built from a maximizing sign vector.
 
     ``report`` is a strict classification.  With x the projection of s_star
-    onto the hyperplane orthogonal to u, the paper's witness
-    y0 = ((x | z) / M) z - A^{-1} x is B x, since B = z z^T / M - A^{-1}.
-    Then ||y0||_1 equals the sign-vector maximum beta, (-A y0 | y0) equals
-    the same value, and A y0 has oscillation at most 1, which together
-    witness that the gap constant 2 / beta cannot be improved.  Raises
-    NotStrict for any other verdict, which carries no B.
+    onto the zero-sum hyperplane, orthogonal to the all-ones u, the paper's
+    witness y0 = ((x | z) / M) z - A^{-1} x is B x, since
+    B = z z^T / M - A^{-1}.  Then ||y0||_1 equals the sign-vector maximum
+    beta, (-A y0 | y0) equals the same value, and A y0 has oscillation at
+    most 1, which together witness that the gap constant 2 / beta cannot be
+    improved.  Raises NotStrict for any other verdict, which carries no B.
     """
     if report.verdict != STRICT_NEGATIVE_TYPE:
         raise NotStrict(f"verdict is {report.verdict}; the witness requires strictness")
     s = np.asarray(s_star, dtype=float)
-    u = report.u
+    u = np.ones(report.B.n)
     x = s - (float(s @ u) / float(u @ u)) * u
     return report.B.a @ x
 
@@ -1359,10 +1359,22 @@ def verify_gap_inequality(
     max|A| (sum |a_i|)^2; at most ``tol`` means every trial passed.  When a
     witness direction is supplied, the same inequality is retested at
     ``gamma * 1.0001`` with that vector, and a genuine extremal witness
-    must violate it.
+    must violate it.  Raises ValueError for a gamma that is negative or
+    not finite, for negative ``trials``, and for a witness that is not n
+    entries long or whose 1-norm is zero.
     """
+    if not 0.0 <= gamma < np.inf:
+        raise ValueError(f"gamma must be finite and nonnegative, not {gamma}")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, not {trials}")
     ntm = x if isinstance(x, NegTypeMatrix) else power_matrix(x, p)
     arr = ntm.A.a
+    if witness is not None:
+        w = np.asarray(witness, dtype=float)
+        if w.shape != (ntm.n,):
+            raise ValueError(f"witness of shape {w.shape} against {ntm.n} points")
+        if float(np.sum(np.abs(w))) == 0.0:
+            raise ValueError("witness has 1-norm zero")
     scale = max(ntm.A.max_abs, 1e-300)
     rng = np.random.default_rng(seed)
     tol = 1e-9
@@ -1385,7 +1397,6 @@ def verify_gap_inequality(
     maximality_violated = None
     inflated = None
     if witness is not None:
-        w = np.asarray(witness, dtype=float)
         inflated = gamma * 1.0001
         l1 = float(np.sum(np.abs(w)))
         slack = 0.5 * inflated * l1 * l1 + float(w @ arr @ w)
@@ -1409,8 +1420,7 @@ class GapResult:
     ``gamma`` is always derived from ``beta`` as 2.0 / beta, so the two are
     consistent to the last bit.  ``witness_y0`` is make_witness's B x for
     ``s_star``.  ``beta_by_opnorm`` and ``beta_by_binary`` are None after
-    branch_and_bound, and ``beta_by_binary`` also when the functional u is
-    not constant.  ``method`` names the exact route, "gray_scan" or
+    branch_and_bound.  ``method`` names the exact route, "gray_scan" or
     "branch_and_bound"; ``bnb`` is the latter's BnbResult, as
     branch_and_bound returned it, and None for the former.
     """
@@ -1450,10 +1460,9 @@ def solve_gap(
     ``use_bnb`` is set (its result may be uncertified if the node budget
     is hit) and TooLarge otherwise.  Within the cutoff ``use_bnb`` changes
     nothing.  Enumeration adds the value-only cross-checks beta_opnorm
-    and, when the report's functional u is constant, so that B annihilates
-    the all-ones vector, beta_binary.  branch_and_bound is handed the
-    automorphism group of the report's A and u.  The witness is always
-    built: one matrix-vector product, small beside the classification.
+    and beta_binary.  branch_and_bound is handed the automorphism group of
+    the report's A.  The witness is always built: one matrix-vector
+    product, small beside the classification.
     """
     if isinstance(x, NegTypeReport):
         report = x
@@ -1476,15 +1485,14 @@ def solve_gap(
             raise TooLarge(f"n = {n} exceeds the hard enumeration ceiling {ENUM_CEILING}, "
                            "whatever the cutoff; enable branch-and-bound")
         bnb = branch_and_bound(b, budget=bnb_budget,
-                               automorphisms=automorphisms(report.A, report.u))
+                               automorphisms=automorphisms(report.A))
         beta, s_star = bnb.beta, bnb.s_star
         method = "branch_and_bound"
     else:
         beta, s_star = beta_hypercube(b)
         method = "gray_scan"
         beta_op = beta_opnorm(b)
-        if np.all(report.u == report.u[0]):
-            beta_bin = beta_binary(b)
+        beta_bin = beta_binary(b)
 
     return GapResult(
         gamma=2.0 / beta,

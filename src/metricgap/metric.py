@@ -10,7 +10,7 @@ metric space.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,9 +76,7 @@ class WeightedGraph:
 
 @dataclass(frozen=True, eq=False)
 class NegTypeMatrix:
-    """Entrywise p-th power of a validated metric's distance matrix, paired
-    with the all-ones functional ``u`` against which the quadratic form is
-    constrained.
+    """Entrywise p-th power of a validated metric's distance matrix.
 
     Coming from a metric, it has a direction of positive quadratic form
     whenever n >= 2.
@@ -86,12 +84,6 @@ class NegTypeMatrix:
 
     A: SymMatrix
     p: float
-    u: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        u = np.ones(self.A.n)
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
 
     @property
     def n(self) -> int:

@@ -1,9 +1,9 @@
 """Sign classification of the constrained quadratic form, and the matrices
 that carry the gap computation.
 
-Everything here works with a symmetric matrix A and a nonzero functional u.
-The form (A x | x) is examined on the hyperplane F of vectors orthogonal to
-u.  Three verdicts are possible:
+Everything here works with a symmetric matrix A and the all-ones vector u.
+The form (A x | x) is examined on the hyperplane F of zero-sum vectors, those
+orthogonal to u.  Three verdicts are possible:
 
   * NotNegativeType        the form is positive somewhere on F
   * NegativeTypeNonStrict  nonpositive on F, but vanishing on some x != 0
@@ -18,7 +18,7 @@ constrained maximum M = sup {(A x | x) : x in F_1} is finite and equals
 1 / (A^{-1} u | u), attained up to sign at z = M A^{-1} u, where F_1 is the
 set of x in F with unit-oscillation image A x.  The rank-one corrections
 
-    C = M u u^T - A          (positive semidefinite, kernel spanned by z)
+    C = M - A                (positive semidefinite, kernel spanned by z)
     B = (1/M) z z^T - A^{-1} (positive semidefinite, kernel spanned by u)
 
 convert the constrained problem into an unconstrained maximum of (B x | x)
@@ -37,12 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidSize,
-    NotStrict,
-    PositiveDirectionMissing,
-    ZeroFunctional,
-)
+from .errors import InvalidSize, NotStrict, PositiveDirectionMissing
 from .linalg import SymMatrix, dsytrf, dsytrf_lwork, dsytri, dsytrs
 from .metric import NegTypeMatrix
 
@@ -70,9 +65,9 @@ class NegTypeReport:
     """Outcome of classification, with the quantities that downstream steps
     reuse, so each input is analyzed once.
 
-    ``A`` and ``u`` are the analyzed matrix and functional.  The later
-    fields are set only in the strict case: M, z and B.  B is built eagerly
-    with its B u residual checked; C is built on first read, when its C z
+    ``A`` is the analyzed matrix.  The later fields are set only in the
+    strict case: M, z and B.  B is built eagerly with its B u residual
+    checked, u the all-ones vector; C is built on first read, when its C z
     residual is checked.  The LDL^T factorization of A that gives A^{-1}
     and A^{-1} u is not kept: every later step, the witness included, needs
     only B.
@@ -92,48 +87,40 @@ class NegTypeReport:
     projected_spectrum: np.ndarray
     margins: dict[str, float]
     A: SymMatrix
-    u: np.ndarray
     M: float | None = None
     z: np.ndarray | None = None
     B: SymMatrix | None = None
 
     @functools.cached_property
     def C(self) -> SymMatrix:
-        """C = M u u^T - A, positive semidefinite with kernel spanned by z."""
+        """C = M - A, positive semidefinite with kernel spanned by z."""
         if self.verdict != STRICT_NEGATIVE_TYPE:
             raise NotStrict(f"verdict is {self.verdict}; C is defined only in the strict case")
-        c = SymMatrix(self.M * np.outer(self.u, self.u) - self.A.a)
+        c = SymMatrix(self.M - self.A.a)
         _check_kernel("C z", c, self.z)
         return c
 
 
-def project_to_F(a: SymMatrix, u) -> SymMatrix:
-    """Compress A to an orthonormal basis of the hyperplane orthogonal to u.
+def project_to_F(a: SymMatrix) -> SymMatrix:
+    """Compress A to an orthonormal basis of the zero-sum hyperplane F.
 
     The basis is the trailing n-1 columns of the Householder reflection
-    H = I - 2 v v^T sending u to a multiple of the first coordinate axis,
-    so the output is (n-1) x (n-1) and its spectrum is the spectrum of A
-    restricted to F.  The trailing block of H A H is formed in O(n^2) as
-    the rank-two update A - (S + S^T), S = v y^T, with w = A v and
-    y = 2 w - 2 (v | w) v; S + S^T, and so the result, is exactly
+    H = I - 2 v v^T sending the all-ones vector to a multiple of the first
+    coordinate axis, so the output is (n-1) x (n-1) and its spectrum is the
+    spectrum of A restricted to F.  The trailing block of H A H is formed
+    in O(n^2) as the rank-two update A - (S + S^T), S = v y^T, with w = A v
+    and y = 2 w - 2 (v | w) v; S + S^T, and so the result, is exactly
     symmetric.  The exact factor 2 is applied to S + S^T rather than to y,
     and H A H's leading entry is not formed, so that neither overflows
     where the result does not (distances near 1e308).  Where the result
     does overflow (six points at distance 1e308), raises InvalidSize.
     """
-    u = np.asarray(u, dtype=float)
     n = a.n
-    if u.shape != (n,):
-        raise ZeroFunctional(f"functional of shape {u.shape} against matrix of size {n}")
-    norm = float(np.linalg.norm(u))
-    if norm == 0.0:
-        raise ZeroFunctional("functional is identically zero")
     if n < 2:
         raise ValueError("projection needs n >= 2")
-    unit = u / norm
-    v = unit.copy()
-    sign = 1.0 if unit[0] >= 0.0 else -1.0
-    v[0] += sign
+    u = np.ones(n)
+    v = u / np.linalg.norm(u)
+    v[0] += 1.0
     v /= np.linalg.norm(v)
     with np.errstate(over="ignore", invalid="ignore"):
         w = a.a @ v
@@ -147,27 +134,10 @@ def project_to_F(a: SymMatrix, u) -> SymMatrix:
     return SymMatrix(s)
 
 
-def oscillation(x, u) -> float:
-    """Oscillation of x relative to u.
-
-    On the support of u this is the largest normalized cross difference
-    |u_i x_j - u_j x_i| / (|u_i| + |u_j|); off the support it is |x_i|.
-    For the all-ones functional it reduces to half the spread of x.
-    """
+def oscillation(x) -> float:
+    """Oscillation of x, half its spread: (max x - min x) / 2."""
     x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != u.shape:
-        raise ZeroFunctional(f"shapes {x.shape} and {u.shape} differ")
-    supp = u != 0.0
-    if not np.any(supp):
-        raise ZeroFunctional("functional is identically zero")
-    us, xs = u[supp], x[supp]
-    num = np.abs(np.outer(us, xs) - np.outer(xs, us))
-    den = np.abs(us)[:, None] + np.abs(us)[None, :]
-    best = float(np.max(num / den))
-    if np.any(~supp):
-        best = max(best, float(np.max(np.abs(x[~supp]))))
-    return best
+    return float(x.max() - x.min()) / 2.0
 
 
 def _check_kernel(label: str, m: SymMatrix, v: np.ndarray) -> float:
@@ -204,27 +174,27 @@ def _rounding_guard(arr: np.ndarray) -> float:
     return 4.0 * (arr.shape[0] + 3) * _EPS * float(np.abs(arr).sum())
 
 
-def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool) -> NegTypeReport:
+def _analyze(a: SymMatrix, from_metric: bool) -> NegTypeReport:
     n = a.n
     if n < 2:
         raise PositiveDirectionMissing(
             "a single point admits no direction of positive quadratic form"
         )
     eig_tol = EIG_TOL * max(a.max_abs, 1e-300)
-    spectrum = np.linalg.eigvalsh(project_to_F(a, u).a)
+    spectrum = np.linalg.eigvalsh(project_to_F(a).a)
     margins = {"eig": _margin(float(spectrum[-1]), eig_tol)}
     if not from_metric:
         margins["eig_full"] = _margin(float(np.linalg.eigvalsh(a.a)[-1]), eig_tol)
 
     if margins["eig"] > 1.0:
-        return NegTypeReport(NOT_NEGATIVE_TYPE, spectrum, margins, a, u)
+        return NegTypeReport(NOT_NEGATIVE_TYPE, spectrum, margins, a)
     if not from_metric and margins["eig_full"] <= 1.0:
         raise PositiveDirectionMissing(
             "quadratic form is nonpositive in every direction; "
             "the constrained maximum is not defined"
         )
     if margins["eig"] >= -1.0:
-        return NegTypeReport(NEGATIVE_TYPE_NON_STRICT, spectrum, margins, a, u)
+        return NegTypeReport(NEGATIVE_TYPE_NON_STRICT, spectrum, margins, a)
 
     # The top projected eigenvalue alone decides strictness.  The form is
     # negative definite on F and positive in some direction: every metric
@@ -242,6 +212,7 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool) -> NegTypeReport:
     # A^-1 exactly symmetric.
     a_inv = np.tril(a_inv)
     a_inv += np.tril(a_inv, -1).T
+    u = np.ones(n)
     ainv_u = dsytrs(packed, pivots, u, lower=1)[0]
     m_val = 1.0 / float(ainv_u @ u)
     z = m_val * ainv_u
@@ -269,28 +240,19 @@ def _analyze(a: SymMatrix, u: np.ndarray, from_metric: bool) -> NegTypeReport:
         raise InvalidSize(f"B reaches {b.max_abs:.3e}: the gap routes' sums over it "
                           "overflow the largest float")
     margins["B_u"] = _check_kernel("B u", b, u)
-    return NegTypeReport(STRICT_NEGATIVE_TYPE, spectrum, margins, a, u, M=m_val, z=z, B=b)
+    return NegTypeReport(STRICT_NEGATIVE_TYPE, spectrum, margins, a, M=m_val, z=z, B=b)
 
 
-def _dispatch(x, u) -> tuple[SymMatrix, np.ndarray, bool]:
-    if isinstance(x, NegTypeMatrix):
-        if u is not None:
-            raise ValueError("functional is fixed by the NegTypeMatrix; do not pass u")
-        return x.A, x.u, True
-    a = x if isinstance(x, SymMatrix) else SymMatrix(x)
-    u = np.ones(a.n) if u is None else np.asarray(u, dtype=float)
-    return a, u, False
+def classify(x) -> NegTypeReport:
+    """Classify the quadratic form of x on the zero-sum hyperplane F.
 
-
-def classify(x, u=None) -> NegTypeReport:
-    """Classify the quadratic form of x on the hyperplane orthogonal to u.
-
-    x may be a NegTypeMatrix (which carries its own functional) or a bare
-    symmetric matrix, in which case u defaults to all ones and the
-    existence of a positive direction is verified rather than assumed.
+    x may be a NegTypeMatrix, which comes from a metric, or a bare
+    symmetric matrix, for which the existence of a positive direction is
+    verified rather than assumed.
     """
-    a, u, from_metric = _dispatch(x, u)
-    return _analyze(a, u, from_metric)
+    if isinstance(x, NegTypeMatrix):
+        return _analyze(x.A, True)
+    return _analyze(x if isinstance(x, SymMatrix) else SymMatrix(x), False)
 
 
 # Most elements automorphisms lists; a larger group, such as the n! of the
@@ -324,9 +286,9 @@ def _permuted(arr: np.ndarray, sigmas: np.ndarray):
         yield arr[block[:, :, None], block[:, None, :]]
 
 
-def automorphisms(a, u) -> np.ndarray:
+def automorphisms(a) -> np.ndarray:
     """Every permutation sigma of the points with A[sigma][:, sigma] == A
-    and u[sigma] == u exactly, one per row of an int array.
+    exactly, one per row of an int array.
 
     The rows are in lexicographic order, so the identity comes first, and
     form a group.  A trivial group, and one with more than _GROUP_CAP
@@ -335,13 +297,12 @@ def automorphisms(a, u) -> np.ndarray:
     orbit, so a group of B is not looked for.
     """
     arr = a.a if isinstance(a, SymMatrix) else np.asarray(a, dtype=float)
-    u = np.asarray(u, dtype=float)
     n = arr.shape[0]
     trivial = np.empty((0, n), dtype=np.intp)
     # Colour refinement.  Every sigma maps a point to one of its colour,
-    # first its u and the sorted entries of its row; a generic input ends
-    # after this one sort with every colour distinct.
-    colour = _labels(np.column_stack((u, np.sort(arr, axis=1))))
+    # first the sorted entries of its row; a generic input ends after this
+    # one sort with every colour distinct.
+    colour = _labels(np.sort(arr, axis=1))
     if colour.max() == n - 1:
         return trivial
     # Then, until the classes stop splitting, a point's colour and the
@@ -396,17 +357,17 @@ def automorphisms(a, u) -> np.ndarray:
     # Row r of sigmas maps point i to the point whose key is key[i].
     sigmas = np.argsort(maps, axis=1)[:, key]
     fixed = np.concatenate([(images == arr).all(axis=(1, 2))
-                            for images in _permuted(arr, sigmas)]) & (u[sigmas] == u).all(axis=1)
+                            for images in _permuted(arr, sigmas)])
     sigmas = sigmas[fixed]
     if len(sigmas) < 2:
         return trivial
     return sigmas[np.lexsort(sigmas.T[::-1])]
 
 
-def build_B(x, u=None) -> NegTypeReport:
+def build_B(x) -> NegTypeReport:
     """Classify x and insist on the strict verdict, under which the report
-    carries B, C, M, z and u; raises NotStrict otherwise."""
-    report = classify(x, u)
+    carries B, C, M and z; raises NotStrict otherwise."""
+    report = classify(x)
     if report.verdict != STRICT_NEGATIVE_TYPE:
         raise NotStrict(f"verdict is {report.verdict}; B is defined only in the strict case")
     return report

@@ -158,7 +158,7 @@ def test_criterion_07_witness_identities():
             l1 = float(np.sum(np.abs(y0)))
             assert rel(l1, res.beta) <= 1e-9
             assert rel(float(-y0 @ a @ y0), res.beta) <= 1e-9
-            assert mg.oscillation(a @ y0, np.ones(space.n)) <= 1.0 + 1e-7
+            assert mg.oscillation(a @ y0) <= 1.0 + 1e-7
             residual = 0.5 * res.gamma * l1 * l1 + float(y0 @ a @ y0)
             assert abs(residual) <= 1e-6 * res.beta
 

@@ -769,11 +769,11 @@ class TestMainOracleBench:
         # closed form to compare.
         analyze = negtype._analyze
 
-        def misread(a, u, from_metric):
-            report = analyze(a, u, from_metric)
+        def misread(a, from_metric):
+            report = analyze(a, from_metric)
             if a.n == 5 and a.max_abs == 2.0:
                 return negtype.NegTypeReport(verdict, report.projected_spectrum,
-                                             report.margins, a, u)
+                                             report.margins, a)
             return report
 
         monkeypatch.setattr(negtype, "_analyze", misread)

@@ -1061,7 +1061,7 @@ def report_of(space):
 
 def cycle_group(n):
     report = report_of(path_metric(gen_cycle(n)))
-    return report, automorphisms(report.A, report.u)
+    return report, automorphisms(report.A)
 
 
 class TestSymmetricBranchAndBound:
@@ -1155,7 +1155,7 @@ class TestSymmetricBranchAndBound:
     def test_trivial_group_runs_the_same_search(self, space):
         report = report_of(space())
         n = report.B.n
-        group = automorphisms(report.A, report.u)
+        group = automorphisms(report.A)
         assert group.shape == (0, n)
         plain = branch_and_bound(report.B)
         fields = list(gap.BnbResult.__dataclass_fields__)
@@ -1174,7 +1174,7 @@ class TestSymmetricBranchAndBound:
         # are no symmetric copies, and its asymmetry would swell delta.
         monkeypatch.setattr(gap, "_ENUM_FREE", 6)
         report = build_B(power_matrix(path_metric(gen_path(n)), 0.5))
-        group = automorphisms(report.A, report.u)
+        group = automorphisms(report.A)
         assert len(group) == 2
         assert gap._heavy_first(report.B.a.diagonal()) is not None
         r = branch_and_bound(report.B, automorphisms=group)
@@ -1233,7 +1233,7 @@ class TestSymmetricBranchAndBound:
 
         report = report_of(make())
         n = report.B.n
-        group = gap._check_group(automorphisms(report.A, report.u), n)
+        group = gap._check_group(automorphisms(report.A), n)
         rng = np.random.default_rng(n)
         for length in range(2, n + 1):
             tables = gap._symmetry_tables(group, length)
@@ -1291,7 +1291,7 @@ class TestWitness:
         l1 = float(np.sum(np.abs(y0)))
         assert l1 == pytest.approx(beta, rel=1e-9)
         assert float(-y0 @ ntm.A.a @ y0) == pytest.approx(beta, rel=1e-9)
-        assert oscillation(ntm.A.a @ y0, ntm.u) <= 1.0 + 1e-7
+        assert oscillation(ntm.A.a @ y0) <= 1.0 + 1e-7
         # Equality case of the gap inequality at gamma = 2 / beta.
         gamma = 2.0 / beta
         residual = 0.5 * gamma * l1 * l1 + float(y0 @ ntm.A.a @ y0)
@@ -1303,7 +1303,8 @@ class TestWitness:
         gm = build_B(ntm)
         _, s_star = beta_hypercube(gm.B)
         y0 = make_witness(gm, s_star)
-        x = s_star - (float(s_star @ gm.u) / float(gm.u @ gm.u)) * gm.u
+        u = np.ones(ntm.n)
+        x = s_star - (float(s_star @ u) / float(u @ u)) * u
         paper = (float(x @ gm.z) / gm.M) * gm.z - np.linalg.solve(ntm.A.a, x)
         assert np.max(np.abs(y0 - paper)) <= 1e-13 * np.max(np.abs(paper))
 
@@ -1351,6 +1352,29 @@ class TestVerifyGapInequality:
         b = verify_gap_inequality(space, 1.0, 0.5, trials=50, seed=9)
         assert a.max_violation == b.max_violation
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, -0.5])
+    def test_gamma_not_finite_or_negative_refused(self, gamma):
+        # A NaN gamma compared below the tolerance on every trial and read
+        # as a pass with max_violation -inf.
+        with pytest.raises(ValueError, match="gamma"):
+            verify_gap_inequality(gen_discrete(5), 1.0, gamma, trials=10)
+
+    def test_gamma_zero_accepted(self):
+        # Criterion 8 checks even cycles at gamma = 0.
+        rep = verify_gap_inequality(path_metric(gen_cycle(6)), 1.0, 0.0, trials=10)
+        assert rep.failures == 0
+
+    def test_negative_trials_refused(self):
+        with pytest.raises(ValueError, match="trials"):
+            verify_gap_inequality(gen_discrete(5), 1.0, 0.5, trials=-3)
+
+    @pytest.mark.parametrize("witness", [np.zeros(5), np.ones(4), np.ones((5, 1))])
+    def test_bad_witness_refused(self, witness):
+        # A zero witness divided by its 1-norm, zero, and raised
+        # ZeroDivisionError.
+        with pytest.raises(ValueError, match="witness"):
+            verify_gap_inequality(gen_discrete(5), 1.0, 0.5, trials=10, witness=witness)
+
 
 class TestSolveGap:
     def test_gamma_is_derived_from_beta(self):
@@ -1362,20 +1386,6 @@ class TestSolveGap:
         assert res.beta_by_opnorm == pytest.approx(res.beta, rel=1e-12)
         assert res.beta_by_binary == pytest.approx(res.beta, rel=1e-12)
         assert res.method == "gray_scan"
-
-    def test_binary_cross_check_needs_constant_functional(self):
-        # B w = 0 for this w, not B 1 = 0, so the 0/1 maximum is no
-        # cross-check; the operator norm still is.
-        n = 6
-        w = np.random.default_rng(0).uniform(0.5, 2.0, n)
-        a = -np.eye(n) + 3.0 * np.outer(w, w) / float(w @ w)
-        report = classify(a, u=w)
-        assert report.verdict == "StrictNegativeType"
-        res = solve_gap(report)
-        assert res.beta_by_binary is None
-        assert res.beta_by_opnorm == pytest.approx(res.beta, rel=1e-12)
-        s = res.s_star
-        assert res.beta == float(s @ report.B.a @ s)
 
     def test_non_strict_refused(self):
         with pytest.raises(NotStrict):
@@ -1432,7 +1442,7 @@ class TestSolveGap:
         assert r.eigen_solves > 21
         assert r.group_order == len(group) == 42
         report = build_B(power_matrix(space, 1.0))
-        np.testing.assert_array_equal(group, automorphisms(report.A, report.u))
+        np.testing.assert_array_equal(group, automorphisms(report.A))
         assert branch_and_bound(report.B).group_order == 1
         assert branch_and_bound(report.B, automorphisms=group[:1]).group_order == 1
         plain = solve_gap(space)

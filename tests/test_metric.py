@@ -88,7 +88,6 @@ class TestPowerMatrix:
         ntm = power_matrix(space, 1.0)
         assert ntm.A[0, 1] == 2.0
         assert ntm.p == 1.0
-        assert np.array_equal(ntm.u, np.ones(2))
 
     def test_p_two_squares(self):
         space = validate_metric([[0, 3], [3, 0]])

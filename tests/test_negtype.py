@@ -5,12 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from metricgap.errors import (
-    InvalidSize,
-    NotStrict,
-    PositiveDirectionMissing,
-    ZeroFunctional,
-)
+from metricgap.errors import InvalidSize, NotStrict, PositiveDirectionMissing
 from metricgap.linalg import SymMatrix
 from metricgap.metric import (
     WeightedGraph,
@@ -56,23 +51,13 @@ def claw_ntm_p2():
 class TestProjectToF:
     def test_shape(self):
         a = SymMatrix(np.ones((4, 4)) - np.eye(4))
-        assert project_to_F(a, np.ones(4)).n == 3
+        assert project_to_F(a).n == 3
 
     def test_uniform_space_projected_spectrum(self):
         # On the zero-sum hyperplane the all-ones part dies, leaving -I.
         a = SymMatrix(np.ones((4, 4)) - np.eye(4))
-        vals = np.linalg.eigvalsh(project_to_F(a, np.ones(4)).a)
+        vals = np.linalg.eigvalsh(project_to_F(a).a)
         assert np.allclose(vals, [-1.0, -1.0, -1.0], atol=1e-12)
-
-    def test_respects_functional(self):
-        # With u = e1 the projection picks out the lower-right block.
-        a = SymMatrix(np.diag([5.0, -1.0, -2.0]))
-        vals = np.linalg.eigvalsh(project_to_F(a, np.array([1.0, 0.0, 0.0])).a)
-        assert np.allclose(vals, [-2.0, -1.0], atol=1e-12)
-
-    def test_zero_functional(self):
-        with pytest.raises(ZeroFunctional):
-            project_to_F(SymMatrix(np.eye(2)), np.zeros(2))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("side, n", [(1e308, 6), (1.5e308, 3), (1.79e308, 3)])
@@ -80,25 +65,24 @@ class TestProjectToF:
         # The rank-two update passes the largest float.  SymMatrix refused
         # the result with a ValueError, after numpy warned of the overflow.
         with pytest.raises(InvalidSize, match="compression to F"):
-            project_to_F(SymMatrix(side * (1.0 - np.eye(n))), np.ones(n))
+            project_to_F(SymMatrix(side * (1.0 - np.eye(n))))
 
     @pytest.mark.parametrize("first", [-1.3, 0.0, 0.7])
     def test_rank_two_update_matches_dense_reflector(self, first):
         # The reference forms q^T A q with the dense reflector, as the
-        # projection once did.  Its first entry's sign picks the reflector,
-        # and a zero first entry takes the + branch.
+        # projection once did, on three matrices that differ in their
+        # leading entry.
         rng = np.random.default_rng(5)
         n = 9
         x = rng.standard_normal((n, n))
+        x[0, 0] = first
         a = SymMatrix(x + x.T)
-        u = rng.uniform(0.5, 2.0, n)
-        u[0] = first
-        got = project_to_F(a, u).a
+        got = project_to_F(a).a
         assert np.array_equal(got, got.T)
 
-        unit = u / np.linalg.norm(u)
-        v = unit.copy()
-        v[0] += 1.0 if unit[0] >= 0.0 else -1.0
+        u = np.ones(n)
+        v = u / np.linalg.norm(u)
+        v[0] += 1.0
         v /= np.linalg.norm(v)
         q = (np.eye(n) - 2.0 * np.outer(v, v))[:, 1:]
         assert np.max(np.abs(q.T @ u)) <= 1e-14 * np.linalg.norm(u)
@@ -111,24 +95,12 @@ class TestProjectToF:
 
 class TestOscillation:
     def test_all_ones_functional_is_half_spread(self):
-        assert oscillation([1.0, 0.0, -1.0], np.ones(3)) == 1.0
-        assert oscillation([3.0, 3.0], np.ones(2)) == 0.0
-
-    def test_off_support_uses_absolute_value(self):
-        assert oscillation([0.0, 0.0, 5.0], [1.0, 1.0, 0.0]) == 5.0
-
-    def test_weighted_functional(self):
-        # |u0 x1 - u1 x0| / (|u0| + |u1|) = |2*1 - 1*0| / 3
-        assert oscillation([0.0, 1.0], [2.0, 1.0]) == pytest.approx(2.0 / 3.0)
+        assert oscillation([1.0, 0.0, -1.0]) == 1.0
+        assert oscillation([3.0, 3.0]) == 0.0
 
     def test_homogeneous_in_x(self):
-        rng = np.random.default_rng(3)
-        x, u = rng.standard_normal(6), rng.standard_normal(6)
-        assert oscillation(3.0 * x, u) == pytest.approx(3.0 * oscillation(x, u), rel=1e-12)
-
-    def test_zero_functional(self):
-        with pytest.raises(ZeroFunctional):
-            oscillation([1.0], [0.0])
+        x = np.random.default_rng(3).standard_normal(6)
+        assert oscillation(3.0 * x) == pytest.approx(3.0 * oscillation(x), rel=1e-12)
 
 
 class TestMargin:
@@ -217,10 +189,6 @@ class TestClassify:
     def test_single_point_refused(self):
         with pytest.raises(PositiveDirectionMissing):
             classify(power_matrix(validate_metric([[0.0]]), 1.0))
-
-    def test_functional_alongside_prepared_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            classify(power_matrix(gen_discrete(3), 1.0), u=np.ones(3))
 
     def test_eig_margin_near_singularity(self):
         # A hair away from the singular even cycle: still non-strict, and
@@ -313,7 +281,7 @@ class TestComputeMZ:
             ntm = power_matrix(path_metric(gen_random_tree(7, seed=seed)), 1.0)
             rep = build_B(ntm)
             m_val, z = rep.M, rep.z
-            assert float(z @ ntm.u) == pytest.approx(1.0, rel=1e-9)
+            assert float(z @ np.ones(ntm.n)) == pytest.approx(1.0, rel=1e-9)
             assert m_val > 0
 
 
@@ -332,7 +300,7 @@ class TestBuildB:
         for seed in range(4):
             ntm = power_matrix(path_metric(gen_random_tree(8, seed=seed)), 1.0)
             gm = build_B(ntm)
-            assert np.max(np.abs(gm.B.a @ gm.u)) <= 1e-10 * gm.B.max_abs * ntm.n
+            assert np.max(np.abs(gm.B.a @ np.ones(ntm.n))) <= 1e-10 * gm.B.max_abs * ntm.n
             assert np.max(np.abs(gm.C.a @ gm.z)) <= 1e-10 * gm.C.max_abs * ntm.n
 
     def test_both_positive_semidefinite(self):
@@ -361,15 +329,14 @@ class TestBuildB:
             assert abs(lhs - rhs) <= 1e-9 * scale * float(x @ x)
 
 
-def fixes_exactly(group, a, u):
-    """Every row is a permutation fixing A and u exactly; the rows are
-    distinct and sorted, with the identity first."""
+def fixes_exactly(group, a):
+    """Every row is a permutation fixing A exactly; the rows are distinct
+    and sorted, with the identity first."""
     n = a.shape[0]
     assert group.shape[1] == n
     for sigma in group:
         assert sorted(sigma) == list(range(n))
         assert np.array_equal(a[np.ix_(sigma, sigma)], a)
-        assert np.array_equal(u[sigma], u)
     rows = [tuple(sigma) for sigma in group]
     assert rows == sorted(set(rows))
     return set(rows)
@@ -379,40 +346,40 @@ class TestAutomorphisms:
     @pytest.mark.parametrize("n", range(5, 32, 2))
     def test_odd_cycle_dihedral(self, n):
         ntm = cycle_ntm(n)
-        group = automorphisms(ntm.A, ntm.u)
+        group = automorphisms(ntm.A)
         dihedral = {tuple((sign * i + r) % n for i in range(n)) for r in range(n)
                     for sign in (1, -1)}
-        assert fixes_exactly(group, ntm.A.a, ntm.u) == dihedral
+        assert fixes_exactly(group, ntm.A.a) == dihedral
         assert len(group) == 2 * n
         assert np.array_equal(group[0], np.arange(n))
 
     @pytest.mark.parametrize("n", [2, 3, 8, 30])
     def test_path_reversal(self, n):
         ntm = power_matrix(path_metric(gen_path(n)), 1.0)
-        group = automorphisms(ntm.A, ntm.u)
-        assert fixes_exactly(group, ntm.A.a, ntm.u) == {tuple(range(n)),
-                                                          tuple(range(n - 1, -1, -1))}
+        group = automorphisms(ntm.A)
+        assert fixes_exactly(group, ntm.A.a) == {tuple(range(n)),
+                                                 tuple(range(n - 1, -1, -1))}
 
     @pytest.mark.parametrize("n, seed", [(4, 0), (10, 1), (30, 0), (30, 3), (60, 2)])
     def test_generic_clouds_trivial(self, n, seed):
         ntm = power_matrix(validate_metric(cloud(n, seed)), 1.0)
-        assert automorphisms(ntm.A, ntm.u).shape == (0, n)
+        assert automorphisms(ntm.A).shape == (0, n)
 
     @pytest.mark.parametrize("n", [40, 100])
     def test_random_trees_trivial(self, n):
         ntm = power_matrix(path_metric(gen_random_tree(n, seed=0)), 1.0)
-        assert automorphisms(ntm.A, ntm.u).shape == (0, n)
+        assert automorphisms(ntm.A).shape == (0, n)
 
     @pytest.mark.parametrize("n", [3, 5, 6])
     def test_discrete_within_cap(self, n):
         ntm = power_matrix(gen_discrete(n), 1.0)
-        group = automorphisms(ntm.A, ntm.u)
-        assert len(fixes_exactly(group, ntm.A.a, ntm.u)) == math.factorial(n)
+        group = automorphisms(ntm.A)
+        assert len(fixes_exactly(group, ntm.A.a)) == math.factorial(n)
 
     @pytest.mark.parametrize("n", [7, 25, 41])
     def test_discrete_above_cap_trivial(self, n):
         ntm = power_matrix(gen_discrete(n), 1.0)
-        assert automorphisms(ntm.A, ntm.u).shape == (0, n)
+        assert automorphisms(ntm.A).shape == (0, n)
 
     def test_graph_groups(self):
         # The Petersen graph's group is S_5, of order 120; the Frucht graph
@@ -422,32 +389,19 @@ class TestAutomorphisms:
         inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
         petersen = WeightedGraph(10, tuple((i, j, 1.0) for i, j in outer + spokes + inner))
         ntm = power_matrix(path_metric(petersen), 1.0)
-        assert len(fixes_exactly(automorphisms(ntm.A, ntm.u), ntm.A.a, ntm.u)) == 120
+        assert len(fixes_exactly(automorphisms(ntm.A), ntm.A.a)) == 120
         edges = {tuple(sorted((i, (i + 1) % 12))) for i in range(12)}
         for i, step in enumerate([-5, -2, -4, 2, 5, -2, 2, 5, -2, -5, 4, 2]):
             edges.add(tuple(sorted((i, (i + step) % 12))))
         frucht = WeightedGraph(12, tuple((i, j, 1.0) for i, j in sorted(edges)))
         ntm = power_matrix(path_metric(frucht), 1.0)
-        assert automorphisms(ntm.A, ntm.u).shape == (0, 12)
-
-    def test_functional_breaks_symmetry(self):
-        # u marks point 0 and its two neighbours alike, so only the
-        # reflection through 0 survives of the 9-cycle's 18 symmetries.
-        a = cycle_ntm(9).A.a
-        u = np.ones(9)
-        u[0] = 2.0
-        u[[1, 8]] = 3.0
-        group = automorphisms(SymMatrix(a), u)
-        assert fixes_exactly(group, a, u) == {tuple(range(9)),
-                                              tuple((-i) % 9 for i in range(9))}
-        u[1] = 4.0
-        assert automorphisms(SymMatrix(a), u).shape == (0, 9)
+        assert automorphisms(ntm.A).shape == (0, 12)
 
     def test_exact_entries_only(self):
         # One distance off by an ulp leaves only the symmetries that fix
         # that pair: the identity and the reflection swapping its ends.
         a = cycle_ntm(7).A.a.copy()
         a[0, 3] = a[3, 0] = np.nextafter(a[0, 3], 10.0)
-        group = automorphisms(a, np.ones(7))
-        assert fixes_exactly(group, a, np.ones(7)) == {
+        group = automorphisms(a)
+        assert fixes_exactly(group, a) == {
             tuple(range(7)), tuple((3 - i) % 7 for i in range(7))}

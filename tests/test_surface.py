@@ -1,12 +1,13 @@
 """The package's public names, and test oracles that load without the test suite."""
 
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import metricgap
-from metricgap import closed_forms
+from metricgap import closed_forms, errors, negtype
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,6 +30,15 @@ def test_closed_forms_return_gamma_and_beta_only():
     defined = {name for name, obj in vars(closed_forms).items()
                if not name.startswith("_") and getattr(obj, "__module__", "") == closed_forms.__name__}
     assert defined == {"OracleResult", "gamma_cycle", "gamma_discrete", "gamma_tree"}
+
+
+def test_the_functional_is_all_ones_and_no_parameter():
+    # The form is constrained to zero-sum vectors only: no function takes a
+    # functional u, so none can be handed a zero one.
+    for f in (negtype.classify, negtype.build_B, negtype.project_to_F, negtype.oscillation,
+              negtype.automorphisms):
+        assert "u" not in inspect.signature(f).parameters, f.__name__
+    assert not hasattr(errors, "ZeroFunctional")
 
 
 LOAD_ORACLES = """
