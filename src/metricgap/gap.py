@@ -40,13 +40,14 @@ a sign vector whose canonical value is an ulp or two higher: its maximizer
 is a maximum up to its delta and need not be the enumeration's.  On the
 22-point discrete space it returns 22.0 where beta_hypercube returns
 22.000000000000007, and on the 18-point one the same 18.0 with another
-maximizer.  Handed the input's automorphism group, as solve_gap does,
-branch_and_bound also drops every node whose completions a symmetry maps
-onto larger sign vectors, so its maximizer may be another member of the
-orbit of the enumeration's, again a maximum up to its delta.  Of the
-members of that orbit whose canonical values are within the rounding
-guard of the one it met, it returns the best under the tie-break, so
-which member the search met does not show in its result.
+maximizer.  Handed the strict classification B came from, as solve_gap
+hands it, branch_and_bound finds the automorphism group of its A and also
+drops every node whose completions a symmetry maps onto larger sign
+vectors, so its maximizer may be another member of the orbit of the
+enumeration's, again a maximum up to its delta.  Of the members of that
+orbit whose canonical values are within the rounding guard of the one it
+met, it returns the best under the tie-break, so which member the search
+met does not show in its result.
 
 Past the cutoff, branch_and_bound first tries the root test: an incumbent
 from a greedy descent and a 1-flip local search, in index order, that
@@ -81,7 +82,7 @@ bound and is branched on as before, and the nodes below it on the path
 to that vector are branched on without a solve.  The incumbent's own
 path keeps stepping: the shifts its nodes refine, inherited by their
 children, are what prune its siblings.
-Given the input's automorphism group, it drops each child whose
+With the input's automorphism group, it drops each child whose
 completions are none of them the lexicographic leader of their orbit; on
 an odd n-cycle, whose n tied maximizers form one orbit of its dihedral
 group of order 2n, that walks one path where the plain search walks n.
@@ -485,8 +486,9 @@ class BnbResult:
     contract of the enumeration (module docstring), since a node is pruned
     on its raw bound and the coordinates may be searched in another order.
     A result the root test certifies (branch_and_bound) has no node
-    expanded, no eigen-solve and best_bound = beta.  With an automorphism
-    group, ``s_star`` may also be another member of the maximizer's orbit,
+    expanded, no eigen-solve and best_bound = beta.  Searched with the
+    input's automorphism group, ``s_star`` may also be another member of
+    the maximizer's orbit,
     and ``delta`` then adds the asymmetry of the computed B under the
     group, max over sigma of sum |B_ij - B_sigma(i)sigma(j)| with its
     rounding, which covers the sign vectors of the nodes the group dropped.
@@ -503,7 +505,7 @@ class BnbResult:
     and ``nodes_symmetric`` the
     nodes dropped because a sigma of the group maps each of their
     completions onto a larger one (branch_and_bound), and ``group_order``
-    the order of the group the search was handed, 1 when there was none.
+    the order of the group the search used, 1 when it was handed B alone.
     """
 
     beta: float
@@ -750,54 +752,6 @@ def _holds_tie(rounded, g: float, incumbent: float, incumbent_key: tuple,
     return abs(v - incumbent) <= g and tuple(s) != incumbent_key
 
 
-def _check_group(group, n: int) -> np.ndarray | None:
-    """The rows of ``group`` other than the identity, or None if there are
-    none.  Raises ValueError unless every row is a permutation of range(n)
-    and the rows are closed under composition."""
-    group = np.asarray(group, dtype=np.intp).reshape(-1, n)
-    if not np.array_equal(np.sort(group, axis=1), np.broadcast_to(np.arange(n), group.shape)):
-        raise ValueError("every automorphism must be a permutation of range(n)")
-    if len(group) == 0:
-        return None
-    rows = group[np.lexsort(group.T[::-1])]
-    rows = rows[np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))]
-    count = len(rows)
-    not_closed = ValueError("the automorphisms are not closed under composition")
-    index = {row.tobytes(): k for k, row in enumerate(rows)}
-
-    def index_of(perms):
-        try:
-            return np.array([index[perm.tobytes()] for perm in perms])
-        except KeyError:
-            raise not_closed from None
-
-    # The rows are closed if they hold the identity, each row s o t is a row
-    # for every t of a set T of rows, and the products of T reach every row
-    # from the identity: then T generates no more than the rows, and the
-    # rows no more than T.  T takes each row the products do not yet reach,
-    # which at least doubles the group they generate, so it has at most
-    # log2(count) + 1 rows, and a group costs O(count n log count).
-    if not np.array_equal(rows[0], np.arange(n)):
-        raise not_closed
-    products = []
-    reached = np.zeros(count, dtype=bool)
-    reached[0] = True
-    frontier = np.empty(0, dtype=np.intp)
-    while True:
-        while len(frontier):
-            fresh = np.zeros(count, dtype=bool)
-            for images in products:
-                fresh[images[frontier]] = True
-            fresh &= ~reached
-            reached |= fresh
-            frontier = np.flatnonzero(fresh)
-        if reached.all():
-            break
-        products.append(index_of(rows[:, rows[reached.argmin()]]))
-        frontier = np.flatnonzero(reached)
-    return rows[1:] if count > 1 else None
-
-
 def _asymmetry(arr: np.ndarray, group: np.ndarray) -> float:
     """The most by which (B s | s) and (B t | t) differ, t the image of a
     sign vector s under a sigma of ``group``: max over sigma of
@@ -933,8 +887,13 @@ def _root_start(arr: np.ndarray, prefix_abs: np.ndarray):
                                    float(np.add.reduce(np.abs(shifts))))
 
 
-def branch_and_bound(b, *, budget: int = BNB_BUDGET, automorphisms=None) -> BnbResult:
+def branch_and_bound(b, *, budget: int = BNB_BUDGET) -> BnbResult:
     """Certified maximum of (B s | s) over sign vectors by best-first search.
+
+    ``b`` is B, an array or a SymMatrix, or the strict NegTypeReport that
+    carries it (NotStrict for any other verdict).  A report lends the
+    search the automorphism group of its A (below); B alone is searched
+    without symmetry.
 
     A node fixes a sign prefix s_P (the first coordinate is +1 by sign
     symmetry) and leaves the other m coordinates s_F free.  With
@@ -966,21 +925,19 @@ def branch_and_bound(b, *, budget: int = BNB_BUDGET, automorphisms=None) -> BnbR
     some sign vector e, such as a tree's: there beta is sum |B_ij|.
     Otherwise B is searched with its coordinates in descending order of
     B_ii, a run of values each within n^2 eps max|B_ii| of the next in
-    index order, and the automorphisms conjugated to match.  The maximizer
+    index order, and the group conjugated to match.  The maximizer
     is mapped back, and beta re-evaluated canonically on the caller's B,
     delta adding the difference; where the order is index order, as on odd
     cycles and discrete spaces, nothing is permuted.
 
-    ``automorphisms``, when given, lists permutations sigma of the points,
-    one per row, closed under composition (ValueError otherwise), such as
-    negtype.automorphisms finds for the input B came from.  A child is then
+    From a report, the group is every permutation sigma of the points that
+    fixes A exactly, as negtype.automorphisms finds it.  A child is then
     dropped before it is queued when some sigma makes every completion x
     of its prefix lexicographically smaller, +1 above -1, than the image
-    x_sigma(0) x o sigma, which also has first coordinate +1.  Without
-    it, or with no sigma but the identity, the search is the same float
-    for float.  With it, the result is the best, under the tie-break, of
-    the members of the maximizer's orbit whose values are within rounding
-    of the one found.
+    x_sigma(0) x o sigma, which also has first coordinate +1.  Where the
+    group is trivial, the search is B's float for float.  Otherwise the
+    result is the best, under the tie-break, of the members of the
+    maximizer's orbit whose values are within rounding of the one found.
     The incumbent starts from a greedy descent and a 1-flip local search,
     so even a zero budget returns a valid candidate: certified if the root
     test passes, and otherwise uncertified, with the root's bound at its
@@ -996,11 +953,10 @@ def branch_and_bound(b, *, budget: int = BNB_BUDGET, automorphisms=None) -> BnbR
     and of the canonical incumbent (see BnbResult).  A B whose
     4 n sum |B_ij| overflows raises InvalidSize.
     """
-    # Dropping by symmetry.  Under the group G the list generates, call the
-    # largest image of a sign vector x with x_0 = +1 its leader.  The
-    # leader's images are none of them larger, so no node on its path is
-    # dropped: it is valued, or its node is pruned on a bound.  The list is
-    # closed, so it is all of G, and a dropped x has a listed sigma with
+    # Dropping by symmetry.  Under the group G of A, call the largest image
+    # of a sign vector x with x_0 = +1 its leader.  The leader's images are
+    # none of them larger, so no node on its path is dropped: it is valued,
+    # or its node is pruned on a bound.  A dropped x has a sigma in G with
     # leader x* = x_sigma(0) x o sigma.  (B x* | x*) = (B (x o sigma) | x o
     # sigma) = sum_kl B_sigma^-1(k)sigma^-1(l) x_k x_l, which differs from
     # (B x | x) by at most sum_ij |B_ij - B_sigma(i)sigma(j)|: nothing for a
@@ -1011,9 +967,16 @@ def branch_and_bound(b, *, budget: int = BNB_BUDGET, automorphisms=None) -> BnbR
     # ..., image and prefix agree up to a position where the image is
     # larger, and so is every completion's image, or the scan stops
     # without dropping, at a smaller image or one that is not fixed.
+    group = None
+    if isinstance(b, NegTypeReport):
+        if b.verdict != STRICT_NEGATIVE_TYPE:
+            raise NotStrict(f"verdict is {b.verdict}; branch-and-bound requires strictness")
+        # Every sigma but the identity, which automorphisms lists first.
+        rows = automorphisms(b.A)
+        group = rows[1:] if len(rows) else None
+        b = b.B
     arr = _as_array(b)
     n = arr.shape[0]
-    group = None if automorphisms is None else _check_group(automorphisms, n)
     order = 1 if group is None else len(group) + 1
     if n == 1:
         s = np.ones(1)
@@ -1460,9 +1423,9 @@ def solve_gap(
     ``use_bnb`` is set (its result may be uncertified if the node budget
     is hit) and TooLarge otherwise.  Within the cutoff ``use_bnb`` changes
     nothing.  Enumeration adds the value-only cross-checks beta_opnorm
-    and beta_binary.  branch_and_bound is handed the automorphism group of
-    the report's A.  The witness is always built: one matrix-vector
-    product, small beside the classification.
+    and beta_binary.  branch_and_bound is handed the report, whose A lends
+    it its automorphism group.  The witness is always built: one
+    matrix-vector product, small beside the classification.
     """
     if isinstance(x, NegTypeReport):
         report = x
@@ -1484,8 +1447,7 @@ def solve_gap(
                                "enable branch-and-bound or raise the cutoff")
             raise TooLarge(f"n = {n} exceeds the hard enumeration ceiling {ENUM_CEILING}, "
                            "whatever the cutoff; enable branch-and-bound")
-        bnb = branch_and_bound(b, budget=bnb_budget,
-                               automorphisms=automorphisms(report.A))
+        bnb = branch_and_bound(report, budget=bnb_budget)
         beta, s_star = bnb.beta, bnb.s_star
         method = "branch_and_bound"
     else:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -26,7 +27,13 @@ from metricgap.metric import (
     path_metric,
     power_matrix,
 )
-from metricgap.negtype import automorphisms, build_B, classify
+from metricgap.negtype import (
+    STRICT_NEGATIVE_TYPE,
+    NegTypeReport,
+    automorphisms,
+    build_B,
+    classify,
+)
 
 from oracles import beta_brute, binary_brute, opnorm_brute, random_point_metric
 
@@ -1059,9 +1066,8 @@ def report_of(space):
     return build_B(power_matrix(space, 1.0))
 
 
-def cycle_group(n):
-    report = report_of(path_metric(gen_cycle(n)))
-    return report, automorphisms(report.A)
+def cycle_report(n):
+    return report_of(path_metric(gen_cycle(n)))
 
 
 class TestSymmetricBranchAndBound:
@@ -1070,8 +1076,8 @@ class TestSymmetricBranchAndBound:
     def test_odd_cycle_matches_enumeration(self, monkeypatch, n, free):
         # A small _ENUM_FREE makes the search branch on small cycles.
         monkeypatch.setattr(gap, "_ENUM_FREE", free)
-        report, group = cycle_group(n)
-        r = branch_and_bound(report.B, automorphisms=group)
+        report = cycle_report(n)
+        r = branch_and_bound(report)
         v, _ = beta_hypercube(report.B)
         assert r.certified
         assert abs(r.beta - v) <= r.delta
@@ -1090,8 +1096,7 @@ class TestSymmetricBranchAndBound:
         # 51-cycle.
         from metricgap.closed_forms import gamma_cycle
 
-        report, group = cycle_group(n)
-        r = branch_and_bound(report.B, automorphisms=group)
+        r = branch_and_bound(cycle_report(n))
         assert r.certified
         assert abs(r.beta - gamma_cycle(n).beta) <= r.delta
         assert r.delta <= 1e-9 * r.beta
@@ -1104,9 +1109,10 @@ class TestSymmetricBranchAndBound:
         # The members of the maximizer's orbit have canonical values that
         # differ by rounding; whichever the search meets, the result is the
         # largest, lexicographically smallest among equals.
-        report, group = cycle_group(n)
+        report = cycle_report(n)
+        group = automorphisms(report.A)
         b = report.B.a
-        r = branch_and_bound(report.B, automorphisms=group)
+        r = branch_and_bound(report)
         images = {tuple(r.s_star[sigma] * r.s_star[sigma[0]]) for sigma in group}
         values = {t: float(np.array(t) @ b @ np.array(t)) for t in images}
         best = max(images, key=lambda t: (values[t], tuple(-x for x in t)))
@@ -1136,8 +1142,8 @@ class TestSymmetricBranchAndBound:
         monkeypatch.setattr(gap, "heapq", types.SimpleNamespace(
             heappop=popped, heappush=heapq.heappush))
         monkeypatch.setattr(gap, "_top_eig", counted)
-        report, group = cycle_group(29)
-        r = branch_and_bound(report.B, automorphisms=group)
+        report = cycle_report(29)
+        r = branch_and_bound(report)
         assert r.certified
         # The pop that finds the queue's best bound at the incumbent is not
         # expanded.
@@ -1153,18 +1159,16 @@ class TestSymmetricBranchAndBound:
         lambda: path_metric(gen_random_tree(60, seed=1)),
     ], ids=["cloud30", "cloud40", "tree40", "tree60"])
     def test_trivial_group_runs_the_same_search(self, space):
+        # A report whose A has no symmetry searches as its B alone does.
         report = report_of(space())
-        n = report.B.n
-        group = automorphisms(report.A)
-        assert group.shape == (0, n)
+        assert automorphisms(report.A).shape == (0, report.B.n)
         plain = branch_and_bound(report.B)
+        r = branch_and_bound(report)
         fields = list(gap.BnbResult.__dataclass_fields__)
-        for trivial in (group, np.arange(n)[None, :]):
-            r = branch_and_bound(report.B, automorphisms=trivial)
-            assert np.array_equal(r.s_star, plain.s_star)
-            assert ([getattr(r, f) for f in fields if f != "s_star"]
-                    == [getattr(plain, f) for f in fields if f != "s_star"])
-            assert r.nodes_symmetric == 0
+        assert np.array_equal(r.s_star, plain.s_star)
+        assert ([getattr(r, f) for f in fields if f != "s_star"]
+                == [getattr(plain, f) for f in fields if f != "s_star"])
+        assert r.nodes_symmetric == 0 and r.group_order == 1
 
     @pytest.mark.parametrize("n", [17, 19, 21])
     def test_group_follows_the_heavy_first_order(self, monkeypatch, n):
@@ -1177,7 +1181,7 @@ class TestSymmetricBranchAndBound:
         group = automorphisms(report.A)
         assert len(group) == 2
         assert gap._heavy_first(report.B.a.diagonal()) is not None
-        r = branch_and_bound(report.B, automorphisms=group)
+        r = branch_and_bound(report)
         v, _ = beta_hypercube(report.B)
         assert r.certified
         assert r.nodes_symmetric > 0
@@ -1185,29 +1189,17 @@ class TestSymmetricBranchAndBound:
         assert r.beta == float(r.s_star @ report.B.a @ r.s_star)
         assert r.s_star[0] == 1.0
 
-    def test_group_not_closed_raises(self):
-        report, group = cycle_group(9)
-        b = report.B
-        rotations = group[(group[:, 1] - group[:, 0]) % 9 == 1]
-        bad_lists = [
-            group[:-1],                       # one reflection missing
-            group[1:],                        # no identity
-            rotations[[0, 1]],                # the identity and one rotation
-            np.concatenate((rotations, group[-1:], group[-1:])),
-        ]
-        for bad in bad_lists:
-            with pytest.raises(ValueError, match="closed"):
-                branch_and_bound(b, automorphisms=bad)
-        not_permutation = group.copy()
-        not_permutation[3, 0] = not_permutation[3, 1]
-        with pytest.raises(ValueError, match="permutation"):
-            branch_and_bound(b, automorphisms=not_permutation)
-        # Closed lists, duplicates and any order of the rows are accepted.
-        v, _ = beta_hypercube(b)
-        for good in (rotations, group[::-1], np.concatenate((group, group[:5]))):
-            r = branch_and_bound(b, automorphisms=good)
-            assert r.certified
-            assert abs(r.beta - v) <= r.delta
+    @pytest.mark.parametrize("space, p", [
+        (lambda: path_metric(gen_cycle(20)), 1.0),
+        (lambda: random_point_metric(8, 0), 2.0),
+        (lambda: random_point_metric(8, 0), 3.0),
+    ], ids=["cycle20", "cloud8-p2", "cloud8-p3"])
+    def test_non_strict_report_refused(self, space, p):
+        # A report of any other verdict carries no B, so nothing to search.
+        report = classify(power_matrix(space(), p))
+        assert report.verdict != STRICT_NEGATIVE_TYPE
+        with pytest.raises(NotStrict, match="strictness"):
+            branch_and_bound(report)
 
     @pytest.mark.parametrize("make", [
         lambda: path_metric(gen_cycle(9)),
@@ -1233,7 +1225,7 @@ class TestSymmetricBranchAndBound:
 
         report = report_of(make())
         n = report.B.n
-        group = gap._check_group(automorphisms(report.A), n)
+        group = automorphisms(report.A)[1:]
         rng = np.random.default_rng(n)
         for length in range(2, n + 1):
             tables = gap._symmetry_tables(group, length)
@@ -1250,12 +1242,13 @@ class TestSymmetricBranchAndBound:
                     assert reference(group, x)
 
     def test_delta_covers_asymmetry(self, monkeypatch):
-        # The 17-cycle's group, handed with a B that a symmetric
-        # perturbation of 1e-6 moves off it.  For this draw the perturbed
+        # The 17-cycle's report, with a B that a symmetric perturbation of
+        # 1e-6 moves off its group.  For this draw the perturbed
         # maximum lies in a node the group drops, so beta falls short of it
         # by more than the rounding of any bound; delta must cover it.
         monkeypatch.setattr(gap, "_ENUM_FREE", 6)
-        report, group = cycle_group(17)
+        report = cycle_report(17)
+        group = automorphisms(report.A)
         # The perturbation leaves the diagonal alone, which keeps the
         # diagonal's entries within rounding of each other: the search takes
         # the coordinates in index order, the order this draw is chosen for.
@@ -1263,7 +1256,7 @@ class TestSymmetricBranchAndBound:
         e += e.T
         np.fill_diagonal(e, 0.0)
         b = report.B.a + e
-        r = branch_and_bound(b, automorphisms=group)
+        r = branch_and_bound(dataclasses.replace(report, B=SymMatrix(b)))
         v, _ = beta_hypercube(b)
         assert r.certified
         assert r.nodes_symmetric > 0
@@ -1422,29 +1415,27 @@ class TestSolveGap:
 
     def test_bnb_certificate_fields(self, monkeypatch):
         # Past _ENUM_FREE + 1 points, so some nodes are pruned.  solve_gap
-        # hands the search the 21-cycle's dihedral group, and keeps the
-        # very BnbResult the search returns.
+        # hands the search its report, whose A lends it the 21-cycle's
+        # dihedral group, and keeps the very BnbResult the search returns.
         calls = []
 
         def capture(*args, **kwargs):
-            calls.append((kwargs["automorphisms"], branch_and_bound(*args, **kwargs)))
+            calls.append((args[0], branch_and_bound(*args, **kwargs)))
             return calls[-1][1]
 
         monkeypatch.setattr(gap, "branch_and_bound", capture)
         space = path_metric(gen_cycle(21))
         res = solve_gap(space, max_enum_n=20, use_bnb=True)
-        [(group, r)] = calls
+        [(handed, r)] = calls
         assert res.bnb is r
         assert res.beta == r.beta and res.s_star is r.s_star
         assert res.bnb_certified is r.certified is True
         assert r.best_bound <= r.beta and r.delta > 0.0
         assert r.nodes_pruned > 0 and r.nodes_enumerated > 0 and r.nodes_symmetric > 0
         assert r.eigen_solves > 21
-        assert r.group_order == len(group) == 42
-        report = build_B(power_matrix(space, 1.0))
-        np.testing.assert_array_equal(group, automorphisms(report.A))
-        assert branch_and_bound(report.B).group_order == 1
-        assert branch_and_bound(report.B, automorphisms=group[:1]).group_order == 1
+        assert isinstance(handed, NegTypeReport)
+        assert r.group_order == len(automorphisms(handed.A)) == 42
+        assert branch_and_bound(handed.B).group_order == 1
         plain = solve_gap(space)
         assert plain.bnb is None and plain.bnb_certified is None
 
