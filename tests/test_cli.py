@@ -201,6 +201,14 @@ def run_main(capsys, argv, stdin_text=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
+def renamed_tree_100():
+    """gen_random_tree(100, seed=0)'s edges, 1-based, with its vertices
+    renamed by default_rng(1).permutation(100)."""
+    tree = gen_random_tree(100, seed=0)
+    label = np.random.default_rng(1).permutation(100).tolist()
+    return [[label[i] + 1, label[j] + 1, w] for i, j, w in tree.edges]
+
+
 class TestMainGap:
     def test_cycle_seven_machine(self, capsys, monkeypatch):
         code, out, _ = run_main(
@@ -321,20 +329,33 @@ class TestMainGap:
         assert f"bnb_symmetric: {diagnostics['bnb_symmetric']}\n" in text
 
     def test_bnb_past_depth_64(self, capsys, monkeypatch):
-        # gen_random_tree(100, seed=0) with its vertices renamed: its search
-        # reaches depth 76 (under its own labels it certifies at the root).
-        tree = gen_random_tree(100, seed=0)
-        label = np.random.default_rng(1).permutation(100).tolist()
-        edges = [[label[i] + 1, label[j] + 1, w] for i, j, w in tree.edges]
+        # gen_random_tree(100, seed=0) with its vertices renamed, and the
+        # root's colouring switched off: its search reaches depth 76 (with
+        # the colouring, or under its own labels, it certifies at the root).
+        monkeypatch.setattr(gap, "_sign_colouring", lambda arr, g: None)
         code, out, err = run_main(
             capsys, ["gap", "-", "--bnb", "--report", "machine"],
-            json.dumps({"tree": {"edges": edges}}), monkeypatch,
+            json.dumps({"tree": {"edges": renamed_tree_100()}}), monkeypatch,
         )
         assert code == 0
         assert err == ""
         payload = json.loads(out)
         assert payload["diagnostics"]["bnb_certified"] is True
         assert payload["diagnostics"]["bnb_nodes"] > 0
+        assert payload["cross_checks"]["oracle_rel_err"] <= 1e-9
+
+    def test_renamed_tree_certifies_at_the_root(self, capsys, monkeypatch):
+        # The same renamed tree under a zero budget: the colouring of B's
+        # signs certifies it with no node expanded.
+        code, out, err = run_main(
+            capsys, ["gap", "-", "--bnb", "--bnb-budget", "0", "--report", "machine"],
+            json.dumps({"edges": renamed_tree_100()}), monkeypatch,
+        )
+        assert code == 0
+        assert err == ""
+        payload = json.loads(out)
+        assert payload["diagnostics"]["bnb_certified"] is True
+        assert payload["diagnostics"]["bnb_nodes"] == 0
         assert payload["cross_checks"]["oracle_rel_err"] <= 1e-9
 
     def test_bnb_on_discrete_space_exits_0(self, capsys, monkeypatch):

@@ -862,20 +862,21 @@ class TestBranchAndBound:
         assert r.eigen_solves <= {29: 650, 31: 800}[n]
 
     @pytest.mark.parametrize("make, ties", [
-        # Renamed trees: under gen_random_tree's labels they certify at the
-        # root, with no node to check.
+        # Renamed trees, with the root's colouring switched off: they would
+        # certify at the root, with no node to check.
         (lambda: build_B(power_matrix(path_metric(relabelled_tree(60, 0, 1)), 1.0)).B, False),
         (lambda: build_B(power_matrix(path_metric(relabelled_tree(66, 0, 1)), 1.0)).B, False),
         (lambda: cloud_B(30, 0), False),
         (lambda: cycle_B(29), True),
         (lambda: cycle_B(31), True),
     ], ids=["tree60", "tree66", "cloud30", "cycle29", "cycle31"])
-    def test_tie_exit_only_on_tied_maximizers(self, make, ties):
+    def test_tie_exit_only_on_tied_maximizers(self, monkeypatch, make, ties):
         # An odd n-cycle has n maximizers with s_0 = +1, so nodes on their
         # paths stop stepping; an input with one maximizer never meets a
         # second, and runs no tie check at all.
         from metricgap.closed_forms import gamma_cycle
 
+        monkeypatch.setattr(gap, "_sign_colouring", lambda arr, g: None)
         b = make()
         r = branch_and_bound(b, budget=5000)
         assert r.certified
@@ -884,10 +885,11 @@ class TestBranchAndBound:
         if ties:
             assert abs(r.beta - gamma_cycle(b.n).beta) <= r.delta
 
-    def test_random_tree_60_certifies_within_node_budget(self):
-        # Renamed, as under gen_random_tree's labels it certifies at the
-        # root: 149 nodes.  Over-long steps (an over-relaxation of 1.35)
-        # leave it uncertified after 20,000.
+    def test_random_tree_60_certifies_within_node_budget(self, monkeypatch):
+        # Renamed, and with the root's colouring switched off, as otherwise
+        # it certifies at the root: 149 nodes.  Over-long steps (an
+        # over-relaxation of 1.35) leave it uncertified after 20,000.
+        monkeypatch.setattr(gap, "_sign_colouring", lambda arr, g: None)
         tree = relabelled_tree(60, 0, 1)
         r = branch_and_bound(build_B(power_matrix(path_metric(tree), 1.0)).B, budget=1000)
         assert r.certified
@@ -910,10 +912,11 @@ class TestBranchAndBound:
     @pytest.mark.parametrize("n", [66, 100])
     def test_random_tree_past_depth_64(self, monkeypatch, n):
         # Nodes of the 100-point tree reach depth 64 and beyond, where a
-        # sign prefix held in one int64 would overflow.  gen_random_tree's
-        # own labels let the greedy descent 2-colour a tree, which then
-        # certifies at the root; renamed, the 66- and 100-point trees
-        # search 167 and 641 nodes, down to depths 49 and 76.
+        # sign prefix held in one int64 would overflow.  A tree certifies at
+        # the root, by the greedy descent under gen_random_tree's own labels
+        # and by its colouring under any; renamed, and with the colouring
+        # switched off, the 66- and 100-point trees search 167 and 641
+        # nodes, down to depths 49 and 76.
         import heapq
         import types
 
@@ -928,6 +931,7 @@ class TestBranchAndBound:
 
         monkeypatch.setattr(gap, "heapq", types.SimpleNamespace(
             heappop=popped, heappush=heapq.heappush))
+        monkeypatch.setattr(gap, "_sign_colouring", lambda arr, g: None)
         tree = relabelled_tree(n, 0, 1)
         r = branch_and_bound(build_B(power_matrix(path_metric(tree), 1.0)).B)
         beta = gamma_tree(tree).beta
@@ -958,6 +962,52 @@ class TestBranchAndBound:
         assert r.nodes_expanded == r.eigen_solves == 0
         assert abs(r.beta - beta) <= r.delta
         assert r.delta <= 1e-9 * r.beta
+
+    @pytest.mark.parametrize("label_seed", range(4))
+    def test_renamed_tree_certifies_at_the_root(self, label_seed):
+        # Renamed, the greedy descent misses the tree's 2-colouring, and the
+        # search took 637-729 nodes; the colouring of B's signs finds it.
+        from metricgap.closed_forms import gamma_tree
+
+        tree = relabelled_tree(100, 0, label_seed)
+        r = branch_and_bound(build_B(power_matrix(path_metric(tree), 1.0)).B, budget=100)
+        beta = gamma_tree(tree).beta
+        assert r.certified
+        assert r.nodes_expanded == r.eigen_solves == 0
+        assert abs(r.beta - beta) <= r.delta <= 1e-9 * r.beta
+
+    def test_greedy_root_certificate_takes_no_colouring(self, monkeypatch):
+        # Where the greedy incumbent passes the root test, the colouring is
+        # not looked for, so such inputs keep every field.
+        def no_colouring(arr, g):
+            raise AssertionError("colouring looked for")
+
+        b = tree_B(150, 0)
+        plain = branch_and_bound(b, budget=100)
+        monkeypatch.setattr(gap, "_sign_colouring", no_colouring)
+        r = branch_and_bound(b, budget=100)
+        assert r.certified and r.nodes_expanded == 0
+        fields = list(gap.BnbResult.__dataclass_fields__)
+        assert np.array_equal(r.s_star, plain.s_star)
+        assert ([getattr(r, f) for f in fields if f != "s_star"]
+                == [getattr(plain, f) for f in fields if f != "s_star"])
+
+    def test_sign_colouring(self):
+        # A tree's B is half the reciprocal-weight Laplacian: every edge
+        # joins opposite colours, and its off-edge entries are noise below
+        # the guard.  An odd cycle's and a cloud's signs have no colouring.
+        tree = relabelled_tree(40, 3, 0)
+        b = build_B(power_matrix(path_metric(tree), 1.0)).B.a
+        e = gap._sign_colouring(b, gap._rounding_guard(b))
+        assert e[0] == 1.0 and set(e) == {-1.0, 1.0}
+        assert all(e[i] == -e[j] for i, j, _ in tree.edges)
+        for b in (cycle_B(29).a, cloud_B(30, 0).a):
+            assert gap._sign_colouring(b, gap._rounding_guard(b)) is None
+        # Entries within the guard carry no sign: points they alone reach
+        # start a walk of their own, coloured +1.
+        b = np.array([[1.0, -1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0],
+                      [0.0, 0.0, 1.0, 1e-30], [0.0, 0.0, 1e-30, 1.0]])
+        assert gap._sign_colouring(b, 1e-20).tolist() == [1.0, -1.0, 1.0, 1.0]
 
     def test_cloud_is_not_certified_at_the_root(self):
         r = branch_and_bound(cloud_B(30, 0))
