@@ -21,6 +21,7 @@ cases.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 from .errors import InvalidSize, NotATree
@@ -36,14 +37,23 @@ class OracleResult:
     beta: float | None
 
 
+def _size(n, least: int, family: str) -> int:
+    """``n`` as an int, raising InvalidSize unless it is an integer of at
+    least ``least``.  NumPy's integers count, and bool does not."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise InvalidSize(f"{family} needs an integer n, got {n!r}")
+    if n < least:
+        raise InvalidSize(f"{family} needs n >= {least}, got {n}")
+    return int(n)
+
+
 def gamma_discrete(n: int) -> OracleResult:
     """Discrete n-space: all nonzero distances equal 1.
 
     The maximum of (B s | s) is attained at balanced sign vectors, giving
     beta = n for even n and n - 1/n for odd n.
     """
-    if n < 2:
-        raise InvalidSize(f"discrete space needs n >= 2, got {n}")
+    n = _size(n, 2, "discrete space")
     return OracleResult(
         gamma=0.5 * (1.0 / (n // 2) + 1.0 / ((n + 1) // 2)),
         beta=float(n) if n % 2 == 0 else n - 1.0 / n,
@@ -57,8 +67,7 @@ def gamma_cycle(n: int) -> OracleResult:
     beta = 4 (4k^2 - 2) / (2k + 1), four times the maximum of (B x | x)
     over 0/1 vectors.  Even n: the space is non-strict and gamma = 0.
     """
-    if n < 3:
-        raise InvalidSize(f"cycle needs n >= 3, got {n}")
+    n = _size(n, 3, "cycle")
     if n % 2 == 0:
         return OracleResult(gamma=0.0, beta=None)
     k = (n - 1) // 2

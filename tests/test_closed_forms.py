@@ -59,6 +59,22 @@ class TestDiscrete:
             gamma_discrete(1)
 
 
+@pytest.mark.parametrize("oracle", [gamma_discrete, gamma_cycle])
+@pytest.mark.parametrize("n", [2.5, 5.5, 5.0, np.float64(7.0), True, "5", None])
+def test_non_integral_size_refused(oracle, n):
+    # Such an n names no space, as the generators' refusals say too; the
+    # formulas took it, and gave gamma 1.0 for 2.5 points.
+    with pytest.raises(InvalidSize, match="integer"):
+        oracle(n)
+
+
+@pytest.mark.parametrize("n", [np.int64(7), np.int32(9), np.uint8(11)])
+def test_numpy_integer_size_accepted(n):
+    assert gamma_discrete(n).beta == gamma_discrete(int(n)).beta
+    assert gamma_cycle(n).gamma == gamma_cycle(int(n)).gamma
+    assert type(gamma_cycle(n).beta) is float
+
+
 class TestCycle:
     def test_frozen_values(self):
         # gamma = n / (2 (n^2 - 2n - 1)): 3/4 for n = 3, 5/28 for n = 5.
