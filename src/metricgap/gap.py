@@ -958,12 +958,13 @@ def branch_and_bound(b, *, budget: int = BNB_BUDGET) -> BnbResult:
     it falls short of the test, e is looked for directly: the 2-colouring
     of B's off-diagonal signs over the entries above the rounding guard
     (_sign_colouring), which, where it exists, joins the incumbent before
-    the test is taken again.  Otherwise B is searched with its coordinates in descending order of
-    B_ii, a run of values each within n^2 eps max|B_ii| of the next in
-    index order, and the group conjugated to match.  The maximizer
-    is mapped back, and beta re-evaluated canonically on the caller's B,
-    delta adding the difference; where the order is index order, as on odd
-    cycles and discrete spaces, nothing is permuted.
+    the test is taken again.  Otherwise B is searched with its coordinates
+    in descending order of B_ii, a run of values each within
+    n^2 eps max|B_ii| of the next in index order, and the group conjugated
+    to match.  The maximizer is mapped back, and beta re-evaluated
+    canonically on the caller's B, delta adding the difference; where the
+    order is index order, as on odd cycles and discrete spaces, nothing is
+    permuted.
 
     From a report, the group is every permutation sigma of the points that
     fixes A exactly, as negtype.automorphisms finds it.  A child is then
@@ -1118,9 +1119,9 @@ def branch_and_bound(b, *, budget: int = BNB_BUDGET) -> BnbResult:
         allowance = _root_start(arr, prefix_abs)[2]
         if total_abs - best_val > allowance:
             # Renamed, the same trees defeat the greedy descent: the 100-point
-            # tree of seed 0 under four random labellings took 629-735 nodes.
+            # tree of seed 0 under four random labellings took 637-729 nodes.
             # A sign-balanced B's colouring has value S up to rounding.  A
-            # tree's off-edge entries are rounding noise, below 1.3e-13 on
+            # tree's off-edge entries are rounding noise, at most 2.5e-13 on
             # those four against a guard g of 1.1e-11, and take no part.
             e = _sign_colouring(arr, g)
             if e is not None:
